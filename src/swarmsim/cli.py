@@ -219,8 +219,8 @@ def load_scenario_file(path: str | Path) -> Tuple[Scenario, int]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, whose repr names its type
+        return repr(float(value))
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -467,6 +467,15 @@ def cmd_oracle(
         return EXIT_CONFIG
     gen = build_generator_ms(spec, params, threshold)
     report = verify_lemmas(spec, params, threshold, gen=gen)
+    try:
+        p = stationary_distribution(gen)
+    except ReducibleChainError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    drift = drift_report(gen, lp)
     residuals = np.asarray(gen.matrix.sum(axis=1)).ravel()
     audit_rows = [
         [i, str(state), int(gen.populations[i]), repr(float(residuals[i]))]
@@ -475,6 +484,14 @@ def cmd_oracle(
     audit_rows.append(
         ["lemma-checks", "", "", "pass" if report.ok else f"{report.total_violations()} violations"]
     )
+    stat_rows = [
+        [i, str(state), int(gen.populations[i]), float(p[i])]
+        for i, state in enumerate(gen.states)
+    ]
+    drift_rows = [
+        [r.index, r.population, r.value, r.drift, r.boundary, r.region]
+        for r in drift
+    ]
     out = Path(out_dir)
     try:
         write_csv(
@@ -482,24 +499,11 @@ def cmd_oracle(
             ("state_id", "state", "population", "row_sum_residual"),
             audit_rows,
         )
-        try:
-            p = stationary_distribution(gen)
-            stat_rows = [
-                [i, str(state), int(gen.populations[i]), float(p[i])]
-                for i, state in enumerate(gen.states)
-            ]
-        except ReducibleChainError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         write_csv(
             out / "stationary.csv",
             ("state_id", "state", "population", "probability"),
             stat_rows,
         )
-        drift_rows = [
-            [r.index, r.population, r.value, r.drift, r.boundary, r.region]
-            for r in drift_report(gen, lp)
-        ]
         write_csv(
             out / "drift.csv",
             ("state_id", "population", "V", "QV", "boundary", "region"),

@@ -122,7 +122,8 @@ class EventTrace:
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
-    """Deterministic 128-bit child seed for replication ``indices``."""
+    """Deterministic 256-bit child seed (four 64-bit words) for replication
+    ``indices``."""
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=indices)
     words = ss.generate_state(4, dtype=np.uint64)
     out = 0

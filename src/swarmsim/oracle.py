@@ -230,14 +230,13 @@ def closed_classes(gen: GeneratorMatrix) -> List[List[int]]:
 def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     """Stationary probability vector of the truncated chain.
 
-    States that cannot be revisited (transient under the truncation) get
-    probability zero; more than one closed class means the stationary law
-    is not unique and raises :class:`ReducibleChainError` naming states
-    from the competing classes.
+    The balance equations are solved on the single closed class only: one
+    of them is replaced by ``pi_k = 1`` for the class's first state ``k``
+    and the solution is normalised afterwards.  States outside the class
+    (transient under the truncation) get exactly 0.0.  More than one
+    closed class means the stationary law is not unique and raises
+    :class:`ReducibleChainError` naming states from the competing classes.
     """
-    n = gen.n_states
-    if n == 1:
-        return np.ones(1)
     classes = closed_classes(gen)
     if len(classes) > 1:
         names = []
@@ -246,15 +245,27 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
         raise ReducibleChainError(
             f"{len(classes)} closed classes; stranded states: {', '.join(names)}"
         )
-    a = gen.matrix.transpose().tolil()
-    a[0, :] = 1.0
-    b = np.zeros(n)
+    cls = np.asarray(classes[0])
+    size = len(cls)
+    # Balance equations x Q_cc = 0 as Q_cc^T x = 0, with equation 0
+    # swapped for x_0 = 1.  The class has no outgoing rate, so Q_cc is a
+    # generator on its own.
+    qt = gen.matrix[cls][:, cls].transpose().tocoo()
+    keep = qt.row != 0
+    a = sparse.csc_matrix(
+        (
+            np.append(qt.data[keep], 1.0),
+            (np.append(qt.row[keep], 0), np.append(qt.col[keep], 0)),
+        ),
+        shape=(size, size),
+    )
+    b = np.zeros(size)
     b[0] = 1.0
-    p = spsolve(a.tocsc(), b)
-    p = np.where(np.abs(p) < 1e-15, 0.0, p)
-    if p.min() < 0 or p.sum() <= 0:
+    x = spsolve(a, b)
+    if x.min() < 0 or x.sum() <= 0:
         raise RuntimeError("stationary solve produced an invalid vector")
-    p = p / p.sum()
+    p = np.zeros(gen.n_states)
+    p[cls] = x / x.sum()
     residual = np.abs(p @ gen.matrix).max()
     if residual > 1e-10:
         raise RuntimeError(f"stationary residual {residual:.3e} exceeds 1e-10")
@@ -320,17 +331,20 @@ class LyapunovParams:
         return lp
 
 
-def _lyapunov(y: Sequence[int], pop: int, lp: LyapunovParams) -> float:
-    y_max = max(y)
-    spread = sum((y_max - v) ** 2 for v in y)
-    r = sum(y)
-    shortfall = lp.m_const - r
-    return spread + lp.c1 * (pop - y_max) + lp.c2 * (shortfall if shortfall > 0 else 0.0)
+def _lyapunov(y, pop, lp: LyapunovParams):
+    """Potential of one chunk-count vector ``y`` with population ``pop``,
+    or of a stack of them: ``y`` of shape ``(n, m)`` with ``pop`` of
+    shape ``(n,)`` gives the ``n`` values as an array."""
+    y = np.asarray(y)
+    y_max = y.max(axis=-1)
+    spread = ((y_max[..., None] - y) ** 2).sum(axis=-1)
+    shortfall = np.maximum(lp.m_const - y.sum(axis=-1), 0.0)
+    return spread + lp.c1 * (pop - y_max) + lp.c2 * shortfall
 
 
 def lyapunov_value(state, lp: LyapunovParams) -> float:
     """Potential of a :class:`~swarmsim.model.SwarmState`."""
-    return _lyapunov(state.y, state.population, lp)
+    return float(_lyapunov(state.y, state.population, lp))
 
 
 def mean_drift(state: StateVec, gen: GeneratorMatrix, lp: LyapunovParams) -> float:
@@ -338,18 +352,20 @@ def mean_drift(state: StateVec, gen: GeneratorMatrix, lp: LyapunovParams) -> flo
 
     Boundary states (population at the cap) are still computable but
     biased by the missing arrival; callers should exclude them from
-    negativity checks, as :func:`drift_report` flags.
+    negativity checks, as :func:`drift_report` flags.  The row's terms
+    are added in the same order as in :func:`drift_report`, so the two
+    agree exactly; the diagonal term is a rate times 0.0.
     """
     i = gen.index[state]
-    m = gen.spec.m
-    v_here = _lyapunov(gen.y_vectors[i], int(gen.populations[i]), lp)
-    row = gen.matrix.getrow(i)
+    mat = gen.matrix
+    lo, hi = mat.indptr[i], mat.indptr[i + 1]
+    cols = mat.indices[lo:hi]
+    dv = _lyapunov(gen.y_vectors[cols], gen.populations[cols], lp) - _lyapunov(
+        gen.y_vectors[i], gen.populations[i], lp
+    )
     total = 0.0
-    for j, rate in zip(row.indices, row.data):
-        if j == i:
-            continue
-        v_there = _lyapunov(gen.y_vectors[j], int(gen.populations[j]), lp)
-        total += rate * (v_there - v_here)
+    for rate, step in zip(mat.data[lo:hi].tolist(), dv.tolist()):
+        total += rate * step
     return total
 
 
@@ -374,23 +390,37 @@ def _region_tag(y: Sequence[int], threshold: int) -> str:
 
 
 def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> List[DriftRow]:
-    """Potential and drift for every enumerated state."""
-    rows = []
-    for i, state in enumerate(gen.states):
-        pop = int(gen.populations[i])
-        y = gen.y_vectors[i]
-        rows.append(
-            DriftRow(
-                index=i,
-                state=state,
-                population=pop,
-                value=_lyapunov(y, pop, lp),
-                drift=mean_drift(state, gen, lp),
-                boundary=pop == gen.spec.cap,
-                region=_region_tag(y, gen.threshold),
+    """Potential and drift for every enumerated state.
+
+    The drift of state ``i`` is ``sum_j Q[i, j] (V_j - V_i)`` over the
+    stored entries of row ``i``, accumulated entry by entry in row order.
+    """
+    v = _lyapunov(gen.y_vectors, gen.populations, lp)
+    coo = gen.matrix.tocoo()
+    drift = np.bincount(
+        coo.row, weights=coo.data * (v[coo.col] - v[coo.row]), minlength=gen.n_states
+    )
+    cap = gen.spec.cap
+    return [
+        DriftRow(
+            index=i,
+            state=state,
+            population=pop,
+            value=value,
+            drift=d,
+            boundary=pop == cap,
+            region=_region_tag(y, gen.threshold),
+        )
+        for i, (state, pop, y, value, d) in enumerate(
+            zip(
+                gen.states,
+                gen.populations.tolist(),
+                gen.y_vectors.tolist(),
+                v.tolist(),
+                drift.tolist(),
             )
         )
-    return rows
+    ]
 
 
 def exceptional_states(gen: GeneratorMatrix, lp: LyapunovParams) -> List[StateVec]:
@@ -440,21 +470,23 @@ def _check_rate_bounds(
     full = full_mask(m)
     mu = params.peer_contact_rate
     seed_rate = params.seed_contact_rate
-    mat = gen.matrix
-    for i, state in enumerate(gen.states):
-        pop = int(gen.populations[i])
+    indptr = gen.matrix.indptr.tolist()
+    indices = gen.matrix.indices.tolist()
+    data = gen.matrix.data.tolist()
+    for i, (state, pop, y) in enumerate(
+        zip(gen.states, gen.populations.tolist(), gen.y_vectors.tolist())
+    ):
         if pop == 0:
             continue
-        y = gen.y_vectors[i]
         sup = _suppressed(y, gen.threshold)
-        row = mat.getrow(i)
-        entries = dict(zip(row.indices, row.data))
+        lo, hi = indptr[i], indptr[i + 1]
+        entries = dict(zip(indices[lo:hi], data[lo:hi]))
         for s, x_s in enumerate(state):
             if not x_s:
                 continue
             for j_bit in iter_bits(full & ~s & ~sup):
                 j = j_bit + 1
-                r_j = seed_rate + mu * int(y[j_bit])
+                r_j = seed_rate + mu * y[j_bit]
                 new = s | (1 << j_bit)
                 target = list(state)
                 target[s] -= 1
@@ -500,11 +532,11 @@ def verify_lemmas(
     report = LemmaReport(
         spec=spec, threshold=threshold, states_checked=gen.n_states
     )
-    for i, state in enumerate(gen.states):
-        pop = int(gen.populations[i])
+    for state, pop, y in zip(
+        gen.states, gen.populations.tolist(), gen.y_vectors.tolist()
+    ):
         if pop == 0:
             continue
-        y = gen.y_vectors[i]
         pi_min = min(y) / pop
         pi_max = max(y) / pop
         if pi_min > (m - 1) / m + 1e-12:

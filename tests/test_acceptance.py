@@ -9,10 +9,12 @@ runs in roughly 6-10 minutes on one core.  Tolerances fixed up front:
 * the near-optimal sojourn window is [m, 1.35 m]; the upper factor was
   fixed by pilot runs (largest observed ratio 1.305 for EWMA at m=5) as
   the criterion provides only a qualitative anchor for it;
-* the one-club horizon is 12000: group suppression stabilizes by
-  flushing the club, so at arrival rate 1 its small stationary swarm
-  satisfies the 0.05 gap only intermittently (measured about 0.075% of
-  samples); 12000 gives every replication a > 99.9% chance to register;
+* the one-club horizon is 5000, sampled every 0.05: group suppression
+  stabilizes by flushing the club, so at arrival rate 1 its small
+  stationary swarm satisfies the 0.05 gap only intermittently; 5000 lies
+  between the slowest stable-policy hit (group suppression at 3997) and
+  the earliest rarest-first club extinction (6358), which is population
+  collapse rather than chunk recovery;
 * the threshold near-optimality margin delta is 1% of the T=2m mean
   sojourn.  The paper claims near-optimal download times for the
   threshold variants, not that T=2m is the exact minimiser: at m=10,

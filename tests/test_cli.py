@@ -1,8 +1,10 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from swarmsim import cli
 from swarmsim.cli import (
     ConfigError,
     cmd_oracle,
@@ -182,6 +184,7 @@ class TestOracleCmd:
             assert (out / name).exists(), name
         drift = (out / "drift.csv").read_text().splitlines()
         assert drift[0] == "state_id,population,V,QV,boundary,region"
+        assert "np." not in (out / "drift.csv").read_text()
         assert "lemma checks passed" in capsys.readouterr().out
 
     def test_cap_zero_single_state(self, tmp_path):
@@ -193,6 +196,26 @@ class TestOracleCmd:
 
     def test_unsupported_m_exit_2(self, tmp_path):
         assert cmd_oracle(4, 3, 1.0, 1.0, 1.0, 1, str(tmp_path)) == 2
+
+    def test_round_off_on_transient_state(self, tmp_path):
+        # m=3, cap 8, lambda 2 once left a -2e-15 round-off value on a
+        # transient state, which failed the stationary solve.
+        out = tmp_path / "oracle"
+        assert cmd_oracle(3, 8, 2.0, 1.0, 1.0, 1, str(out), quiet=True) == 0
+        lines = (out / "stationary.csv").read_text().splitlines()[1:]
+        probs = [float(line.rsplit(",", 1)[1]) for line in lines]
+        assert min(probs) >= 0.0
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-9)
+
+    def test_internal_error_exit_4_no_output(self, tmp_path, monkeypatch, capsys):
+        def fail(gen):
+            raise RuntimeError("stationary residual 1.000e-03 exceeds 1e-10")
+
+        monkeypatch.setattr(cli, "stationary_distribution", fail)
+        out = tmp_path / "oracle"
+        assert cmd_oracle(2, 4, 1.0, 1.0, 1.0, 1, str(out), quiet=True) == 4
+        assert "internal error: stationary residual" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestMain:

@@ -108,6 +108,20 @@ class TestStationary:
         p = stationary_distribution(gen)
         assert p[gen.index[(0, 2, 0)]] == 0.0
 
+    @pytest.mark.parametrize("m,cap", [(2, 8), (3, 5)])
+    def test_mass_exactly_on_closed_class(self, m, cap):
+        # The solve runs on the closed class alone: every recurrent state
+        # carries positive mass and every transient state exactly 0.0.
+        params = ModelParams(m=m, arrival_rate=1.0)
+        gen = build_generator_ms(TruncationSpec(m, cap), params, 1)
+        (cls,) = closed_classes(gen)
+        p = stationary_distribution(gen)
+        recurrent = np.zeros(gen.n_states, dtype=bool)
+        recurrent[cls] = True
+        assert (p[recurrent] > 0.0).all()
+        assert (p[~recurrent] == 0.0).all()
+        assert (~recurrent).any()
+
     def test_multiple_closed_classes_rejected(self):
         states = [(0, 0, 0), (1, 0, 0)]
         matrix = sparse.csr_matrix(np.zeros((2, 2)))  # both absorbing
@@ -198,6 +212,19 @@ class TestLyapunov:
                 assert mean_drift(state, gen, lp) == pytest.approx(
                     12.0 / (n + 7), rel=1e-12
                 )
+
+    @pytest.mark.parametrize("m,cap", [(2, 8), (3, 5)])
+    def test_drift_report_matches_mean_drift(self, m, cap):
+        # The array path and the one-row path add the same products in the
+        # same order, so they agree bit for bit.
+        params = ModelParams(m=m, arrival_rate=1.0)
+        gen = build_generator_ms(TruncationSpec(m, cap), params, 1)
+        lp = LyapunovParams.compliant(params, threshold=1, m_const=2.0 * cap)
+        for row in drift_report(gen, lp):
+            assert row.drift == mean_drift(row.state, gen, lp)
+            assert row.value == lyapunov_value(
+                SwarmState(m, {s: n for s, n in enumerate(row.state) if n}), lp
+            )
 
     def test_drift_report_flags_boundary(self):
         gen = build_generator_ms(TruncationSpec(2, 4), PARAMS2, 1)
