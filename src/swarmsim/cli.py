@@ -28,8 +28,10 @@ configuration error, 3 I/O failure, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -228,11 +230,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write atomically (temp file + rename), full float precision."""
+    """Write atomically (temp file + rename), full float precision.  The
+    file gets the mode a plain ``open`` would give it under the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
+        os.chmod(tmp, 0o666 & ~_umask())
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
@@ -242,6 +252,36 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+Table = Tuple[str, Sequence[str], Iterable[Sequence]]
+
+
+def write_csvs(out_dir: Path, tables: Sequence[Table]) -> None:
+    """Write the ``(file name, header, rows)`` tables into ``out_dir`` all
+    or nothing.
+
+    Every table is first written to a staging directory inside
+    ``out_dir``.  The files are moved into place only after all of them
+    are written and no target is a directory, the usual reason why one
+    rename within a directory fails while the others succeed.  On an
+    ``OSError`` before that point ``out_dir`` is left as it was; the
+    staging directory is always removed.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
+    try:
+        for name, header, rows in tables:
+            write_csv(stage / name, header, rows)
+        for name, _, _ in tables:
+            if (out_dir / name).is_dir():
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / name)
+                )
+        for name, _, _ in tables:
+            os.replace(stage / name, out_dir / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _policy_label(policy: PolicyConfig) -> str:
@@ -300,18 +340,20 @@ def write_simulation_outputs(
         for arr, dep in trace.departures:
             dep_rows.append([rep, arr, dep, dep - arr])
         sum_rows.append(_summary_row(scenario, rep, trace))
-    write_csv(out_dir / "population.csv", ("time", "replication", "population"), pop_rows)
-    write_csv(
-        out_dir / "frequencies.csv",
-        ("time", "replication", *(f"pi_{j}" for j in range(1, m + 1))),
-        freq_rows,
-    )
-    write_csv(
-        out_dir / "departures.csv",
-        ("replication", "arrival_time", "departure_time", "sojourn"),
-        dep_rows,
-    )
-    write_csv(out_dir / "summary.csv", SUMMARY_HEADER, sum_rows)
+    write_csvs(out_dir, [
+        ("population.csv", ("time", "replication", "population"), pop_rows),
+        (
+            "frequencies.csv",
+            ("time", "replication", *(f"pi_{j}" for j in range(1, m + 1))),
+            freq_rows,
+        ),
+        (
+            "departures.csv",
+            ("replication", "arrival_time", "departure_time", "sojourn"),
+            dep_rows,
+        ),
+        ("summary.csv", SUMMARY_HEADER, sum_rows),
+    ])
 
 
 def cmd_simulate(
@@ -492,23 +534,16 @@ def cmd_oracle(
         [r.index, r.population, r.value, r.drift, r.boundary, r.region]
         for r in drift
     ]
-    out = Path(out_dir)
     try:
-        write_csv(
-            out / "generator-audit.csv",
-            ("state_id", "state", "population", "row_sum_residual"),
-            audit_rows,
-        )
-        write_csv(
-            out / "stationary.csv",
-            ("state_id", "state", "population", "probability"),
-            stat_rows,
-        )
-        write_csv(
-            out / "drift.csv",
-            ("state_id", "population", "V", "QV", "boundary", "region"),
-            drift_rows,
-        )
+        write_csvs(Path(out_dir), [
+            (
+                "generator-audit.csv",
+                ("state_id", "state", "population", "row_sum_residual"),
+                audit_rows,
+            ),
+            ("stationary.csv", ("state_id", "state", "population", "probability"), stat_rows),
+            ("drift.csv", ("state_id", "population", "V", "QV", "boundary", "region"), drift_rows),
+        ])
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

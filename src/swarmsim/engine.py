@@ -11,14 +11,19 @@ On a peer tick the ticking peer samples its source(s) uniformly from all
 peers, itself included, so the chance of contacting a peer of profile B is
 exactly count(B)/population; a self-contact wastes the tick.  On a seed
 tick the seed pushes to a uniformly random peer.
+
+The engine's own draws (holding times, event choice, peer indices and
+samples) call ``random.Random.random`` and ``getrandbits`` directly, but
+consume the stream exactly as ``expovariate``, ``randrange`` and
+``sample`` would, so seeded runs reproduce those of the stdlib calls.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from math import log
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -135,6 +140,16 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 _NONE, _ARRIVAL, _TRANSFER, _DEPARTURE = 0, 1, 2, 3
 
 
+def _randbelow(n: int, getrandbits) -> int:
+    """Uniform integer in ``[0, n)``, drawn as ``random.Random.randrange(n)``
+    draws it (CPython's ``_randbelow_with_getrandbits``)."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class Simulation:
     """Mutable simulation driver for one scenario.
 
@@ -149,6 +164,8 @@ class Simulation:
         self.m = params.m
         self.full = full_mask(self.m)
         self.rng = random.Random(scenario.rng_seed if seed is None else seed)
+        self._random = self.rng.random
+        self._getrandbits = self.rng.getrandbits
         profiles = scenario.initial.profiles(self.m)
         self.state = SwarmState.from_profiles(self.m, profiles)
         self.peers: List[int] = list(profiles)
@@ -178,19 +195,18 @@ class Simulation:
             if policy.kind is PolicyKind.COMMON_CHUNK
             else samples_needed(policy, 0, self.m)
         )
-        self._need_snapshot = policy.kind in (
-            PolicyKind.MODE_SUPPRESSION,
-            PolicyKind.RAREST_FIRST,
-        )
+        # Live snapshot shares the state's y vector.  Rarest-first reads
+        # only y; mode-suppression also reads the aggregates, which are
+        # refreshed per contact.
+        self._refresh_snapshot = policy.kind is PolicyKind.MODE_SUPPRESSION
+        need_snapshot = self._refresh_snapshot or policy.kind is PolicyKind.RAREST_FIRST
         self._need_histogram = policy.kind is PolicyKind.GROUP_SUPPRESSION
-        # Live snapshot shares the state's y vector; only the aggregates
-        # are refreshed per contact.
         self._snapshot = FrequencySnapshot(self.m, 0, self.state.y)
         self._ctx = ContactContext(
             m=self.m,
             dest_profile=0,
             sources=[],
-            snapshot=self._snapshot if self._need_snapshot else None,
+            snapshot=self._snapshot if need_snapshot else None,
             histogram=self.state.counts if self._need_histogram else None,
         )
         self._full_sources = [self.full]
@@ -211,8 +227,7 @@ class Simulation:
 
     def _fire(self, lam: float, rate: float) -> None:
         """Resolve one event at the already-advanced clock."""
-        rng = self.rng
-        u = rng.random() * rate
+        u = self._random() * rate
         if u < lam:
             self.state.add_empty_peer()
             self.peers.append(0)
@@ -225,19 +240,15 @@ class Simulation:
                 self.termination = TerminationReason.POPULATION_CAP_HIT
             return
         pop = self.state.population
-        if u < lam + self._seed_rate:
-            self._contact(rng.randrange(pop), is_seed_push=True)
-        else:
-            self._contact(rng.randrange(pop), is_seed_push=False)
+        i = _randbelow(pop, self._getrandbits)
+        self._contact(i, pop, u < lam + self._seed_rate)
 
-    def _contact(self, i: int, is_seed_push: bool) -> None:
-        rng = self.rng
+    def _contact(self, i: int, pop: int, is_seed_push: bool) -> None:
         peers = self.peers
         dest = peers[i]
         ctx = self._ctx
         ctx.dest_profile = dest
         ctx.is_seed_push = is_seed_push
-        pop = self.state.population
         est = None
         if is_seed_push:
             if self._is_dms:
@@ -251,7 +262,7 @@ class Simulation:
             if k is None:
                 k = samples_needed(self._policy, dest, self.m)
             if k == 1:
-                ctx.sources = [peers[rng.randrange(pop)]]
+                ctx.sources = [peers[_randbelow(pop, self._getrandbits)]]
             else:
                 ctx.sources = self._draw_samples(k, pop)
             if self._is_ewma:
@@ -259,10 +270,10 @@ class Simulation:
                 alpha = self._policy.alpha
                 for b in ctx.sources:
                     ewma_update(est, b, alpha)
-        if self._need_snapshot:
+        if self._refresh_snapshot:
             self._snapshot.population = pop
             self._snapshot.refresh()
-        chunk = self._selector(ctx, est, rng)
+        chunk = self._selector(ctx, est, self.rng)
         if chunk is None:
             self._last_kind = _NONE
             return
@@ -287,17 +298,43 @@ class Simulation:
             self._last_kind = _TRANSFER
 
     def _draw_samples(self, k: int, pop: int) -> List[int]:
+        """``k`` distinct peers, drawn as ``[peers[j] for j in
+        random.sample(range(pop), k)]`` draws them for ``k <= 5`` (every
+        policy samples 1 or 3 peers), or every peer when ``pop <= k``."""
         peers = self.peers
         if pop <= k:
             return peers[:]
-        return [peers[j] for j in self.rng.sample(range(pop), k)]
+        getrandbits = self._getrandbits
+        if pop <= 21:
+            # sample's pool branch: a partial Fisher-Yates shuffle of
+            # range(pop); ``moved`` holds the slots that no longer hold
+            # their own index.
+            moved = {}
+            out = []
+            n = pop
+            for _ in range(k):
+                j = _randbelow(n, getrandbits)
+                n -= 1
+                out.append(peers[moved.get(j, j)])
+                moved[j] = moved.get(n, n)
+            return out
+        # sample's set branch: redraw until the index is new; a redraw
+        # of randbelow is a further run of the same getrandbits calls.
+        nbits = pop.bit_length()
+        chosen = []
+        for _ in range(k):
+            j = getrandbits(nbits)
+            while j >= pop or j in chosen:
+                j = getrandbits(nbits)
+            chosen.append(j)
+        return [peers[j] for j in chosen]
 
     def step(self) -> Tuple[Optional[Transition], float]:
         """Advance exactly one event; horizon and sampling are the caller's
         concern.  Returns the applied transition (None for a wasted
         contact) and the elapsed holding time."""
         lam, rate = self._total_rate()
-        dt = self.rng.expovariate(rate)
+        dt = -log(1.0 - self._random()) / rate  # random.expovariate(rate)
         self.t += dt
         self._fire(lam, rate)
         self.events += 1
@@ -325,12 +362,18 @@ class Simulation:
         trace = EventTrace(m=self.m, sample_interval=sc.sample_interval)
         horizon = sc.horizon
         interval = sc.sample_interval
-        rng = self.rng
+        uniform = self._random
+        state = self.state
+        # _total_rate and expovariate, inlined with the same arithmetic.
+        lam_open, seed_rate, mu = self._lam, self._seed_rate, self._mu
+        cap, block = self._cap, self._block
         next_sample = 0.0
         k = 0
         while True:
-            lam, rate = self._total_rate()
-            t_next = self.t + rng.expovariate(rate)
+            pop = state.population
+            lam = 0.0 if (block and pop >= cap) else lam_open
+            rate = lam + (seed_rate + mu * pop) if pop else lam
+            t_next = self.t + -log(1.0 - uniform()) / rate
             while next_sample <= t_next and next_sample <= horizon:
                 self._record(trace, next_sample)
                 k += 1
@@ -367,23 +410,12 @@ def run(scenario: Scenario, seed: Optional[int] = None) -> EventTrace:
     return Simulation(scenario, seed=seed).run()
 
 
-def _run_indexed(args: Tuple[Scenario, int]) -> EventTrace:
-    scenario, rep = args
-    return run(scenario, seed=derive_seed(scenario.rng_seed, rep))
-
-
-def run_replications(
-    scenario: Scenario, n_reps: int, max_workers: int = 1
-) -> List[EventTrace]:
+def run_replications(scenario: Scenario, n_reps: int) -> List[EventTrace]:
     """Independent replications with per-index derived seeds.
 
     Replication ``i`` always uses ``derive_seed(scenario.rng_seed, i)``,
-    so results are identical whether run sequentially or in parallel.
+    so it is the same run whichever replications run alongside it.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    jobs = [(scenario, rep) for rep in range(n_reps)]
-    if max_workers > 1 and n_reps > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_run_indexed, jobs))
-    return [_run_indexed(job) for job in jobs]
+    return [run(scenario, seed=derive_seed(scenario.rng_seed, rep)) for rep in range(n_reps)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Mapping
+from typing import List, Mapping, Tuple
 
 from .model import FrequencySnapshot, choose_chunk, full_mask, suppressed_mask
 
@@ -162,25 +162,23 @@ def select_mode_suppression(ctx: ContactContext, threshold: int, rng) -> int | N
     return choose_chunk(ctx.pool() & ~ctx.dest_profile & ~sup, rng)
 
 
-def _sample_counts(sources: List[int], m: int) -> List[int]:
-    counts = [0] * m
+def _held_by_at_least(sources: List[int]) -> Tuple[int, int, int]:
+    """Masks of the chunks held by at least one, two and three of
+    ``sources``, counted bit-parallel over all chunks at once."""
+    ge1 = ge2 = ge3 = 0
     for p in sources:
-        for j in range(m):
-            if p >> j & 1:
-                counts[j] += 1
-    return counts
+        ge3 |= ge2 & p
+        ge2 |= ge1 & p
+        ge1 |= p
+    return ge1, ge2, ge3
 
 
 def select_rare_chunk(ctx: ContactContext, rng) -> int | None:
     """Needed chunk held by exactly one of the three sampled peers."""
     if ctx.is_seed_push:
         return choose_chunk(full_mask(ctx.m) & ~ctx.dest_profile, rng)
-    counts = _sample_counts(ctx.sources, ctx.m)
-    rare = 0
-    for j, c in enumerate(counts):
-        if c == 1:
-            rare |= 1 << j
-    return choose_chunk(rare & ~ctx.dest_profile, rng)
+    ge1, ge2, _ = _held_by_at_least(ctx.sources)
+    return choose_chunk(ge1 & ~ge2 & ~ctx.dest_profile, rng)
 
 
 def select_common_chunk(ctx: ContactContext, rng, variant: str = "downloader") -> int | None:
@@ -197,23 +195,19 @@ def select_common_chunk(ctx: ContactContext, rng, variant: str = "downloader") -
     if ctx.is_seed_push:
         return choose_chunk(full_mask(ctx.m) & ~ctx.dest_profile, rng)
     m = ctx.m
-    held = ctx.dest_profile.bit_count()
+    dest = ctx.dest_profile
+    held = dest.bit_count()
     if held == 0:
         return select_rare_chunk(ctx, rng)
     if held < m - 1:
-        return choose_chunk(ctx.sources[0] & ~ctx.dest_profile, rng)
-    missing = full_mask(m) & ~ctx.dest_profile
+        return choose_chunk(ctx.sources[0] & ~dest, rng)
+    missing = full_mask(m) & ~dest
     j = missing.bit_length()  # single missing chunk
-    counts = _sample_counts(ctx.sources, m)
+    ge1, ge2, _ = _held_by_at_least(ctx.sources)
     if variant == "downloader":
-        ok = any(p & missing for p in ctx.sources) and all(
-            counts[b] >= 2 for b in range(m) if ctx.dest_profile >> b & 1
-        )
+        ok = ge1 & missing and not dest & ~ge2
     else:
-        ok = any(
-            p & missing and all(counts[b] >= 2 for b in range(m) if p >> b & 1)
-            for p in ctx.sources
-        )
+        ok = any(p & missing and not p & ~ge2 for p in ctx.sources)
     return j if ok else None
 
 
@@ -237,20 +231,14 @@ def select_group_suppression(ctx: ContactContext, rng) -> int | None:
 def select_dms(ctx: ContactContext, rng) -> int | None:
     """Mode suppression against a local mode from three sampled peers.
 
-    The local modes are the most frequent chunks among the samples,
-    counted only when seen more than once; they are suppressed unless
-    every chunk ties.  The same sampled suppressed set applies when the
-    seed pushes, with the full chunk set on offer.
+    The local modes are the most frequent chunks among the (at most three)
+    samples, counted only when seen more than once; they are suppressed
+    unless every chunk ties.  The same sampled suppressed set applies when
+    the seed pushes, with the full chunk set on offer.
     """
-    m = ctx.m
-    counts = _sample_counts(ctx.sources, m)
-    top = max(counts) if counts else 0
-    local_mode = 0
-    if top > 1:
-        for j, c in enumerate(counts):
-            if c == top:
-                local_mode |= 1 << j
-    sup = 0 if local_mode == full_mask(m) else local_mode
+    _, ge2, ge3 = _held_by_at_least(ctx.sources)
+    local_mode = ge3 or ge2
+    sup = 0 if local_mode == full_mask(ctx.m) else local_mode
     return choose_chunk(ctx.pool() & ~ctx.dest_profile & ~sup, rng)
 
 

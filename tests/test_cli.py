@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -128,6 +130,16 @@ class TestSimulate:
         blocker.write_text("a file, not a directory")
         assert cmd_simulate(str(cfg), str(blocker / "out")) == 3
 
+    def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "summary.csv").mkdir(parents=True)
+        (out / "population.csv").write_text("from an earlier run\n")
+        assert cmd_simulate(str(cfg), str(out), quiet=True) == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["population.csv", "summary.csv"]
+        assert (out / "population.csv").read_text() == "from an earlier run\n"
+
     def test_replications_override(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -216,6 +228,30 @@ class TestOracleCmd:
         assert cmd_oracle(2, 4, 1.0, 1.0, 1.0, 1, str(out), quiet=True) == 4
         assert "internal error: stationary residual" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+
+    def test_failed_write_leaves_no_partial_output(self, tmp_path):
+        out = tmp_path / "oracle"
+        (out / "stationary.csv").mkdir(parents=True)
+        code = main(["oracle", "--m", "2", "--cap", "3", "--lambda", "1",
+                     "--out", str(out), "--quiet"])
+        assert code == 3
+        assert [p.name for p in out.iterdir()] == ["stationary.csv"]
+
+
+def test_csv_mode_follows_umask(tmp_path):
+    cfg = write_config(tmp_path)
+    old = os.umask(0o027)
+    try:
+        assert cmd_simulate(str(cfg), str(tmp_path / "sim"), quiet=True) == 0
+        assert cmd_sweep(str(cfg), "T", ["1"], str(tmp_path / "sweep"), quiet=True) == 0
+        assert cmd_oracle(2, 3, 1.0, 1.0, 1.0, 1, str(tmp_path / "oracle"), quiet=True) == 0
+    finally:
+        os.umask(old)
+    written = sorted(tmp_path.glob("*/*.csv"))
+    assert len(written) == 4 + 1 + 3
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640, path
 
 
 class TestMain:

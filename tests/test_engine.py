@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,7 @@ from swarmsim.engine import (
     Scenario,
     Simulation,
     TerminationReason,
+    _randbelow,
     derive_seed,
     run,
     run_replications,
@@ -239,3 +242,115 @@ def test_departures_complete_profiles_only():
     trace = sim.run()
     assert len(trace.departures) > 0
     sim.check_invariants()  # includes: no stored profile is ever complete
+
+
+# -- golden determinism: seeded outputs are pinned across implementations --
+
+GOLDEN_POLICIES = [
+    PolicyConfig(PolicyKind.RANDOM),
+    PolicyConfig(PolicyKind.RANDOM, sample_peers=3),
+    PolicyConfig(PolicyKind.RAREST_FIRST),
+    PolicyConfig(PolicyKind.RAREST_FIRST, sample_peers=3),
+    PolicyConfig(PolicyKind.RARE_CHUNK),
+    PolicyConfig(PolicyKind.COMMON_CHUNK),
+    PolicyConfig(PolicyKind.COMMON_CHUNK, cc_variant="source"),
+    PolicyConfig(PolicyKind.GROUP_SUPPRESSION),
+    PolicyConfig(PolicyKind.GROUP_SUPPRESSION, sample_peers=3),
+    PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=2),
+    PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=2, sample_peers=3),
+    PolicyConfig(PolicyKind.DISTRIBUTED_MS),
+    PolicyConfig(PolicyKind.EWMA_MS, alpha=0.2),
+    PolicyConfig(PolicyKind.EWMA_MS, alpha=0.2, sample_peers=3),
+]
+
+# SHA-256 of the traces below, recorded from the implementation that drew
+# through random.Random.randrange / sample / expovariate.  A change here
+# means seeded outputs no longer match earlier versions.
+GOLDEN_RUNS_SHA256 = (
+    "9b54de8dba3589277629026f2f100d1f96b7a98596f553de8f98e192b977daaa"
+)
+GOLDEN_STEPS_SHA256 = (
+    "5087c51456a5af2fb985c60df5307042e724ebf050d2d4e6788ec678ea1f1858"
+)
+
+
+def _trace_digest_input(trace) -> bytes:
+    return repr((
+        trace.times,
+        trace.populations,
+        trace.frequencies,
+        trace.departures,
+        trace.events,
+        trace.termination.value,
+        trace.final_time,
+    )).encode()
+
+
+def test_golden_run_digest():
+    # Populations start at 15 and move between 0 and about 45, so the
+    # 3-sample draws cross random.sample's pool/rejection edge at 21.
+    h = hashlib.sha256()
+    for m in (2, 5):
+        for i, policy in enumerate(GOLDEN_POLICIES):
+            sc = scenario(m=m, lam=2.0, policy=policy,
+                          initial=InitialCondition("empty", 15),
+                          horizon=15.0, seed=1000 * m + i)
+            h.update(_trace_digest_input(run(sc)))
+    assert h.hexdigest() == GOLDEN_RUNS_SHA256
+
+
+def test_golden_step_digest():
+    # From an empty swarm with arrivals blocked at 6 peers: covers the
+    # all-peers draw (population <= 3) and the seed's 3-sample push.
+    sc = scenario(m=3, lam=2.0, policy=PolicyConfig(PolicyKind.DISTRIBUTED_MS),
+                  initial=InitialCondition("empty", 0), max_population=6,
+                  horizon=1e9, seed=77, block_arrivals_at_cap=True)
+    sim = Simulation(sc)
+    h = hashlib.sha256()
+    for _ in range(500):
+        tr, dt = sim.step()
+        h.update(repr((tr, dt, sim.state.population)).encode())
+    h.update(repr((sim.t, sim.events, sim.peers)).encode())
+    assert h.hexdigest() == GOLDEN_STEPS_SHA256
+
+
+# -- the engine's draws consume the stream exactly as the stdlib calls --
+
+STREAM_SEEDS = range(50)
+STREAM_POPS = range(1, 65)  # random.sample switches branch between 21 and 22
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_draw_samples_matches_random_sample(k):
+    sim = Simulation(scenario(initial=InitialCondition("empty", 0)))
+    for seed in STREAM_SEEDS:
+        for pop in STREAM_POPS:
+            sim.rng.seed(seed)
+            twin = random.Random(seed)
+            peers = sim.peers = list(range(100, 100 + pop))
+            for _ in range(4):
+                if pop <= k:
+                    assert sim._draw_samples(k, pop) == peers
+                else:
+                    expected = [peers[j] for j in twin.sample(range(pop), k)]
+                    assert sim._draw_samples(k, pop) == expected, (seed, pop)
+            assert sim.rng.random() == twin.random(), (seed, pop)
+
+
+def test_randbelow_matches_randrange():
+    for seed in STREAM_SEEDS:
+        rng, twin = random.Random(seed), random.Random(seed)
+        for pop in STREAM_POPS:
+            assert _randbelow(pop, rng.getrandbits) == twin.randrange(pop), (seed, pop)
+        assert rng.random() == twin.random()
+
+
+def test_holding_time_matches_expovariate():
+    # The first step from a planted state draws its holding time first.
+    policy = PolicyConfig(PolicyKind.RANDOM)
+    for seed in STREAM_SEEDS:
+        for pop in STREAM_POPS:
+            sim = _planted_sim(2, [0] * pop, policy, seed=seed)
+            rate = 1.0 + (1.0 + 1.0 * pop)  # lambda + (U + mu * pop)
+            _, dt = sim.step()
+            assert dt == random.Random(seed).expovariate(rate), (seed, pop)

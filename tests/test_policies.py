@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from swarmsim.model import FrequencySnapshot, full_mask, mask_of
+from swarmsim.model import FrequencySnapshot, choose_chunk, full_mask, mask_of
 from swarmsim.policies import (
     ContactContext,
     EwmaEstimate,
@@ -281,6 +282,101 @@ def test_dms_local_mode_has_multiplicity():
                     if pool >> (j - 1) & 1 and j not in blocked:
                         # j was offered yet never selected: suppressed
                         assert c[j - 1] == max(c) > 1
+
+
+# -- bit-parallel sample counts against per-chunk counting --
+# The reference selectors count each chunk over the samples one bit at a
+# time, as the policies did before they built the at-least-1/2/3 masks.
+
+
+def _ref_counts(sources, m):
+    counts = [0] * m
+    for p in sources:
+        for j in range(m):
+            if p >> j & 1:
+                counts[j] += 1
+    return counts
+
+
+def ref_rare_chunk(ctx, rng):
+    if ctx.is_seed_push:
+        return choose_chunk(full_mask(ctx.m) & ~ctx.dest_profile, rng)
+    counts = _ref_counts(ctx.sources, ctx.m)
+    rare = 0
+    for j, c in enumerate(counts):
+        if c == 1:
+            rare |= 1 << j
+    return choose_chunk(rare & ~ctx.dest_profile, rng)
+
+
+def ref_common_chunk(ctx, rng, variant):
+    if ctx.is_seed_push:
+        return choose_chunk(full_mask(ctx.m) & ~ctx.dest_profile, rng)
+    m = ctx.m
+    held = ctx.dest_profile.bit_count()
+    if held == 0:
+        return ref_rare_chunk(ctx, rng)
+    if held < m - 1:
+        return choose_chunk(ctx.sources[0] & ~ctx.dest_profile, rng)
+    missing = full_mask(m) & ~ctx.dest_profile
+    j = missing.bit_length()
+    counts = _ref_counts(ctx.sources, m)
+    if variant == "downloader":
+        ok = any(p & missing for p in ctx.sources) and all(
+            counts[b] >= 2 for b in range(m) if ctx.dest_profile >> b & 1
+        )
+    else:
+        ok = any(
+            p & missing and all(counts[b] >= 2 for b in range(m) if p >> b & 1)
+            for p in ctx.sources
+        )
+    return j if ok else None
+
+
+def ref_dms(ctx, rng):
+    m = ctx.m
+    counts = _ref_counts(ctx.sources, m)
+    top = max(counts) if counts else 0
+    local_mode = 0
+    if top > 1:
+        for j, c in enumerate(counts):
+            if c == top:
+                local_mode |= 1 << j
+    sup = 0 if local_mode == full_mask(m) else local_mode
+    return choose_chunk(ctx.pool() & ~ctx.dest_profile & ~sup, rng)
+
+
+SAMPLED_SELECTORS = [
+    ("rare-chunk", select_rare_chunk, ref_rare_chunk),
+    ("distributed-ms", select_dms, ref_dms),
+    ("common-chunk-downloader",
+     lambda ctx, rng: select_common_chunk(ctx, rng, "downloader"),
+     lambda ctx, rng: ref_common_chunk(ctx, rng, "downloader")),
+    ("common-chunk-source",
+     lambda ctx, rng: select_common_chunk(ctx, rng, "source"),
+     lambda ctx, rng: ref_common_chunk(ctx, rng, "source")),
+]
+
+
+@pytest.mark.parametrize(
+    "select, reference", [s[1:] for s in SAMPLED_SELECTORS],
+    ids=[s[0] for s in SAMPLED_SELECTORS],
+)
+def test_sample_counts_exhaustive_m4(select, reference):
+    # Every list of 1-3 sources over the 15 proper-subset profiles, every
+    # destination profile, peer contact and seed push.  Both streams run
+    # side by side, so one extra or missing draw shows up as well.
+    m = 4
+    profiles = range(full_mask(m))
+    rng, twin = random.Random(4), random.Random(4)
+    for n in (1, 2, 3):
+        for sources in itertools.product(profiles, repeat=n):
+            for dest in range(full_mask(m) + 1):
+                for seed_push in (False, True):
+                    ctx = ContactContext(m=m, dest_profile=dest, sources=list(sources),
+                                         is_seed_push=seed_push)
+                    assert select(ctx, rng) == reference(ctx, twin), (sources, dest)
+    assert rng.getstate() == twin.getstate()
 
 
 # -- safety across all policies --
