@@ -9,7 +9,6 @@ from .model import (
     SwarmState,
     Transfer,
     Transition,
-    allowable_set,
     apply_transition,
     frequency_snapshot,
     suppressed_set_ms,
@@ -43,7 +42,6 @@ __all__ = [
     "Transfer",
     "Transition",
     "TerminationReason",
-    "allowable_set",
     "apply_transition",
     "frequency_snapshot",
     "run",

@@ -28,6 +28,7 @@ configuration error, 3 I/O failure, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
 import json
 import os
@@ -237,16 +238,17 @@ def _umask() -> int:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write atomically (temp file + rename), full float precision.  The
-    file gets the mode a plain ``open`` would give it under the umask."""
+    """Write atomically (temp file + rename), full float precision.  A
+    field holding a comma, such as a state tuple, is quoted.  The file
+    gets the mode a plain ``open`` would give it under the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         os.chmod(tmp, 0o666 & ~_umask())
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(map(_fmt, row) for row in rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -329,8 +329,3 @@ def suppressed_set_ms(state: SwarmState, threshold: int) -> int:
         raise ValueError("threshold must be >= 1")
     snap = frequency_snapshot(state)
     return suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, threshold)
-
-
-def allowable_set(source_profile: int, dest_profile: int, suppressed: int) -> int:
-    """Chunks the source may transfer: held by it, needed, not suppressed."""
-    return source_profile & ~dest_profile & ~suppressed

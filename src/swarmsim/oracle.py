@@ -4,23 +4,25 @@ For desk-scale instances the swarm's continuous-time Markov chain can be
 enumerated outright: states are count vectors over the proper-subset
 profiles, truncated by disabling arrivals once the population reaches a
 cap (all other rates stay exact).  On that space we build the
-mode-suppression generator from its closed-form rates, solve for the
-stationary distribution, evaluate the quadratic-potential drift, and
-check the model's structural inequalities state by state.
+mode-suppression generator by enumerating the engine's contacts against
+the selector's own candidate mask, solve for the stationary
+distribution, evaluate the quadratic-potential drift, and check the
+model's structural inequalities state by state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
-from .model import ModelParams, full_mask, iter_bits, suppressed_mask
+from .model import FrequencySnapshot, ModelParams, full_mask, iter_bits, suppressed_mask
+from .policies import ContactContext, ms_candidates
 
 MAX_STATES = 1_000_000
 
@@ -82,16 +84,6 @@ def state_y(state: StateVec, m: int) -> List[int]:
     return y
 
 
-def _suppressed(y: Sequence[int], threshold: int) -> int:
-    y_max = max(y)
-    y_min = min(y)
-    mode = 0
-    for j, v in enumerate(y):
-        if v == y_max:
-            mode |= 1 << j
-    return suppressed_mask(y_max, y_min, mode, threshold)
-
-
 @dataclass
 class GeneratorMatrix:
     """Sparse rate matrix over the enumerated states, plus per-state
@@ -111,56 +103,31 @@ class GeneratorMatrix:
         return len(self.states)
 
 
-def ms_transitions(
-    state: StateVec, params: ModelParams, threshold: int
-) -> List[Tuple[int, int, float, StateVec]]:
-    """Positive-rate mode-suppression transitions out of ``state`` as
-    ``(profile, chunk, rate, target)`` tuples, arrivals excluded.
-
-    The rate for a profile-S peer to receive chunk j sums a seed term and
-    one term per source profile holding j, each divided by the size of
-    the corresponding allowable transfer set; suppressed chunks get no
-    transition at all.
-    """
-    m = params.m
-    pop = sum(state)
-    if pop == 0:
-        return []
-    full = full_mask(m)
-    y = state_y(state, m)
-    sup = _suppressed(y, threshold)
-    mu = params.peer_contact_rate
-    seed_rate = params.seed_contact_rate
-    out = []
-    holders = [
-        (mask, n) for mask, n in enumerate(state) if n
-    ]
-    for s, x_s in holders:
-        if not x_s:
-            continue
-        allowed = full & ~s & ~sup
-        for j_bit in iter_bits(allowed):
-            j = j_bit + 1
-            blocked = s | sup
-            h_seed = (full & ~blocked).bit_count()
-            peer_sum = 0.0
-            for b, x_b in holders:
-                if b >> j_bit & 1:
-                    peer_sum += x_b / (b & ~blocked).bit_count()
-            rate = (x_s / pop) * (seed_rate / h_seed + mu * peer_sum)
-            target = list(state)
-            target[s] -= 1
-            new = s | (1 << j_bit)
-            if new != full:
-                target[new] += 1
-            out.append((s, j, rate, tuple(target)))
-    return out
+def _snapshots(
+    m: int, populations: np.ndarray, y_vectors: np.ndarray
+) -> Iterator[FrequencySnapshot]:
+    """The frequency snapshot of every enumerated state, in state order:
+    the statistics that the mode-suppression selector reads.  One object
+    is refreshed in place for each state, as in the engine."""
+    snap = FrequencySnapshot(m, 0, [0] * m)
+    for pop, y in zip(populations.tolist(), y_vectors.tolist()):
+        snap.population = pop
+        snap.y = y
+        snap.refresh()
+        yield snap
 
 
 def build_generator_ms(
     spec: TruncationSpec, params: ModelParams, threshold: int
 ) -> GeneratorMatrix:
-    """Exact mode-suppression generator on the truncated space."""
+    """Exact mode-suppression generator on the truncated space.
+
+    Enumerates the engine's contacts: the seed pushes to a uniform peer at
+    rate U; a profile-S peer ticks at rate mu and samples source B with
+    probability x_B / pop, itself included.  Each contact transfers a
+    uniform chunk of the selector's own mask,
+    :func:`~swarmsim.policies.ms_candidates`.
+    """
     if params.m != spec.m:
         raise ValueError("params.m must match the truncation spec")
     if threshold < 1:
@@ -168,17 +135,19 @@ def build_generator_ms(
     states = enumerate_states(spec)
     index = {s: i for i, s in enumerate(states)}
     m = spec.m
+    full = full_mask(m)
     n = len(states)
     rows: List[int] = []
     cols: List[int] = []
     vals: List[float] = []
-    pops = np.zeros(n, dtype=np.int64)
-    ys = np.zeros((n, m), dtype=np.int64)
+    pops = np.array([sum(state) for state in states], dtype=np.int64)
+    ys = np.array([state_y(state, m) for state in states], dtype=np.int64)
     lam = params.arrival_rate
-    for i, state in enumerate(states):
-        pop = sum(state)
-        pops[i] = pop
-        ys[i] = state_y(state, m)
+    mu = params.peer_contact_rate
+    seed_rate = params.seed_contact_rate
+    ctx = ContactContext(m=m, dest_profile=0, sources=[0])
+    for i, (state, snap) in enumerate(zip(states, _snapshots(m, pops, ys))):
+        pop = snap.population
         diag = 0.0
         if pop < spec.cap:
             target = (state[0] + 1,) + state[1:]
@@ -186,11 +155,37 @@ def build_generator_ms(
             cols.append(index[target])
             vals.append(lam)
             diag += lam
-        for _, _, rate, target in ms_transitions(state, params, threshold):
-            rows.append(i)
-            cols.append(index[target])
-            vals.append(rate)
-            diag += rate
+        ctx.snapshot = snap
+        holders = [(mask, x) for mask, x in enumerate(state) if x]
+        for s, x_s in holders:
+            ctx.dest_profile = s
+            ctx.is_seed_push = True
+            seed_cand = ms_candidates(ctx, threshold)
+            # A peer offers a subset of the seed's offer, so S can receive
+            # only seed candidates, and a source holding none offers nothing.
+            ctx.is_seed_push = False
+            offers = []
+            for b, x_b in holders:
+                if b & seed_cand:
+                    ctx.sources[0] = b
+                    cand = ms_candidates(ctx, threshold)
+                    offers.append((cand, x_b / cand.bit_count() if cand else 0.0))
+            h_seed = seed_cand.bit_count()
+            for j_bit in iter_bits(seed_cand):
+                peer_sum = 0.0
+                for cand, share in offers:
+                    if cand >> j_bit & 1:
+                        peer_sum += share
+                rate = (x_s / pop) * (seed_rate / h_seed + mu * peer_sum)
+                target = list(state)
+                target[s] -= 1
+                new = s | (1 << j_bit)
+                if new != full:
+                    target[new] += 1
+                rows.append(i)
+                cols.append(index[tuple(target)])
+                vals.append(rate)
+                diag += rate
         if diag:
             rows.append(i)
             cols.append(i)
@@ -215,16 +210,14 @@ def closed_classes(gen: GeneratorMatrix) -> List[List[int]]:
     adj.setdiag(0)
     adj.eliminate_zeros()
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    open_comp = set()
     coo = adj.tocoo()
-    for i, j in zip(coo.row, coo.col):
-        if labels[i] != labels[j]:
-            open_comp.add(labels[i])
-    closed: Dict[int, List[int]] = {}
-    for i, lab in enumerate(labels):
-        if lab not in open_comp:
-            closed.setdefault(lab, []).append(i)
-    return list(closed.values())
+    src, dst = labels[coo.row], labels[coo.col]
+    is_open = np.zeros(n_comp, dtype=bool)
+    is_open[src[src != dst]] = True
+    members = np.flatnonzero(~is_open[labels])
+    # One list per class, in the order of the classes' first states.
+    labs, first = np.unique(labels[members], return_index=True)
+    return [members[labels[members] == lab].tolist() for lab in labs[np.argsort(first)]]
 
 
 def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
@@ -380,11 +373,10 @@ class DriftRow:
     region: str
 
 
-def _region_tag(y: Sequence[int], threshold: int) -> str:
-    sup = _suppressed(y, threshold)
-    if sup:
+def _region_tag(snap: FrequencySnapshot, threshold: int) -> str:
+    if suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, threshold):
         return "suppressed"
-    if max(y) == min(y):
+    if snap.y_max == snap.y_min:
         return "uniform"
     return "within-threshold"
 
@@ -409,13 +401,13 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> List[DriftRow]:
             value=value,
             drift=d,
             boundary=pop == cap,
-            region=_region_tag(y, gen.threshold),
+            region=_region_tag(snap, gen.threshold),
         )
-        for i, (state, pop, y, value, d) in enumerate(
+        for i, (state, pop, snap, value, d) in enumerate(
             zip(
                 gen.states,
                 gen.populations.tolist(),
-                gen.y_vectors.tolist(),
+                _snapshots(gen.spec.m, gen.populations, gen.y_vectors),
                 v.tolist(),
                 drift.tolist(),
             )
@@ -473,12 +465,12 @@ def _check_rate_bounds(
     indptr = gen.matrix.indptr.tolist()
     indices = gen.matrix.indices.tolist()
     data = gen.matrix.data.tolist()
-    for i, (state, pop, y) in enumerate(
-        zip(gen.states, gen.populations.tolist(), gen.y_vectors.tolist())
-    ):
+    snaps = _snapshots(m, gen.populations, gen.y_vectors)
+    for i, (state, snap) in enumerate(zip(gen.states, snaps)):
+        pop = snap.population
         if pop == 0:
             continue
-        sup = _suppressed(y, gen.threshold)
+        sup = suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, gen.threshold)
         lo, hi = indptr[i], indptr[i + 1]
         entries = dict(zip(indices[lo:hi], data[lo:hi]))
         for s, x_s in enumerate(state):
@@ -486,7 +478,7 @@ def _check_rate_bounds(
                 continue
             for j_bit in iter_bits(full & ~s & ~sup):
                 j = j_bit + 1
-                r_j = seed_rate + mu * y[j_bit]
+                r_j = seed_rate + mu * snap.y[j_bit]
                 new = s | (1 << j_bit)
                 target = list(state)
                 target[s] -= 1
@@ -532,16 +524,17 @@ def verify_lemmas(
     report = LemmaReport(
         spec=spec, threshold=threshold, states_checked=gen.n_states
     )
-    for state, pop, y in zip(
-        gen.states, gen.populations.tolist(), gen.y_vectors.tolist()
-    ):
+    for state, snap in zip(gen.states, _snapshots(m, gen.populations, gen.y_vectors)):
+        pop = snap.population
         if pop == 0:
             continue
-        pi_min = min(y) / pop
-        pi_max = max(y) / pop
+        pi_min = snap.y_min / pop
+        pi_max = snap.y_max / pop
         if pi_min > (m - 1) / m + 1e-12:
             report.record("min-frequency", f"state={state} pi_min={pi_min}")
-        if not _suppressed(y, threshold) and pop > 2 * threshold * m:
+        if pop > 2 * threshold * m and not suppressed_mask(
+            snap.y_max, snap.y_min, snap.mode_mask, threshold
+        ):
             if pi_max > 1 - 1 / (2 * m) + 1e-12:
                 report.record("max-frequency", f"state={state} pi_max={pi_max}")
         for j_bit in range(m):

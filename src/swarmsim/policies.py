@@ -5,6 +5,8 @@ downloading peer's profile, the sampled source profile(s), and whatever
 statistics the policy consumes) plus the caller's RNG stream, it returns
 the 1-based chunk index to transfer, or ``None`` for no transfer.  Ties
 are always broken uniformly at random from the caller's RNG.
+Mode-suppression's rule is also exposed without the RNG, as the
+candidate mask :func:`ms_candidates`, which the oracle enumerates.
 
 Seed pushes set ``is_seed_push``; the seed holds every chunk, and which
 statistics still apply on a push differs per policy:
@@ -151,15 +153,24 @@ def select_rarest_first(ctx: ContactContext, rng) -> int | None:
     return choose_chunk(tied, rng)
 
 
-def select_mode_suppression(ctx: ContactContext, threshold: int, rng) -> int | None:
-    """Uniform needed chunk, excluding the globally suppressed modes.
+def ms_candidates(ctx: ContactContext, threshold: int) -> int:
+    """Mask of the chunks mode-suppression may transfer on this contact:
+    offered, needed by the downloader, and not a globally suppressed mode.
 
-    Applies identically to seed pushes.  With nothing suppressed this is
-    exactly :func:`select_random`.
+    Applies identically to seed pushes.  This is the one definition of
+    the rule; the engine draws from it through
+    :func:`select_mode_suppression`, and the oracle's generator builder
+    enumerates it.
     """
     snap = ctx.snapshot
     sup = suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, threshold)
-    return choose_chunk(ctx.pool() & ~ctx.dest_profile & ~sup, rng)
+    return ctx.pool() & ~ctx.dest_profile & ~sup
+
+
+def select_mode_suppression(ctx: ContactContext, threshold: int, rng) -> int | None:
+    """Uniform chunk from :func:`ms_candidates`.  With nothing suppressed
+    this is exactly :func:`select_random`."""
+    return choose_chunk(ms_candidates(ctx, threshold), rng)
 
 
 def _held_by_at_least(sources: List[int]) -> Tuple[int, int, int]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -198,6 +199,19 @@ class TestOracleCmd:
         assert drift[0] == "state_id,population,V,QV,boundary,region"
         assert "np." not in (out / "drift.csv").read_text()
         assert "lemma checks passed" in capsys.readouterr().out
+
+    def test_state_column_is_one_field(self, tmp_path):
+        # The state tuple holds commas, so it is quoted: a CSV reader sees
+        # exactly four fields on every row, the lemma line included.
+        out = tmp_path / "oracle"
+        assert cmd_oracle(3, 3, 1.0, 1.0, 1.0, 1, str(out), quiet=True) == 0
+        for name in ("stationary.csv", "generator-audit.csv"):
+            with (out / name).open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert {len(row) for row in rows} == {4}, name
+            assert rows[1][1] == "(0, 0, 0, 0, 0, 0, 0)"
+        last = (out / "generator-audit.csv").read_text().splitlines()[-1]
+        assert last == "lemma-checks,,,pass"
 
     def test_cap_zero_single_state(self, tmp_path):
         out = tmp_path / "oracle"

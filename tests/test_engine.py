@@ -188,24 +188,37 @@ def test_single_step_frequencies_match_generator():
     assert chi2 < stats.chi2.ppf(0.99, df=2)
 
 
-def test_transfer_rates_match_generator_on_m2_instance():
-    # Richer m=2 state {(): 1, (1): 2, (2): 1} under MS T=1: per-target
-    # empirical frequencies against the exact generator row (chi-square
-    # at the 1% level).
-    from swarmsim.oracle import ms_transitions
+def _check_step_against_generator(m, profiles, cap, n):
+    """Chi-square (1% level) of ``n`` single steps from the planted state
+    against its row of the exact mode-suppression generator (T=1)."""
+    from swarmsim.oracle import TruncationSpec, build_generator_ms
 
-    profiles = [0, mask_of([1]), mask_of([1]), mask_of([2])]
-    params = ModelParams(m=2, arrival_rate=1.0)
+    params = ModelParams(m=m, arrival_rate=1.0)
     policy = PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=1)
-    state_vec = (1, 2, 1)
-    rates = {
-        (s, j): rate for s, j, rate, _ in ms_transitions(state_vec, params, 1)
-    }
-    total_rate = params.arrival_rate + params.seed_contact_rate + 4.0
-    n = 40_000
+    gen = build_generator_ms(TruncationSpec(m, cap), params, 1)
+    state = SwarmState.from_profiles(m, profiles).as_vector()
+    i = gen.index[state]
+    row = gen.matrix.getrow(i)
+    # Name each target the way step() reports it.
+    rates = {}
+    for j, rate in zip(row.indices.tolist(), row.data.tolist()):
+        if j == i:
+            continue
+        diff = [b - a for a, b in zip(state, gen.states[j])]
+        if -1 not in diff:
+            rates["arrival"] = rate
+            continue
+        s = diff.index(-1)
+        new = diff.index(1) if 1 in diff else full_mask(m)
+        rates[(s, (new & ~s).bit_length())] = rate
+    assert "arrival" in rates, "the planted state must sit below the cap"
+    total_rate = (
+        params.arrival_rate + params.seed_contact_rate
+        + params.peer_contact_rate * len(profiles)
+    )
     counts = Counter()
-    for i in range(n):
-        sim = _planted_sim(2, profiles, policy, seed=i)
+    for seed in range(n):
+        sim = _planted_sim(m, profiles, policy, seed=seed)
         tr, _ = sim.step()
         if tr is None:
             counts["none"] += 1
@@ -214,13 +227,27 @@ def test_transfer_rates_match_generator_on_m2_instance():
         else:
             counts[(tr.profile, tr.chunk)] += 1
     expected = {key: n * rate / total_rate for key, rate in rates.items()}
-    expected["arrival"] = n * params.arrival_rate / total_rate
     expected["none"] = n - sum(expected.values())
-    chi2 = 0.0
-    for key, exp in expected.items():
-        chi2 += (counts[key] - exp) ** 2 / exp
     assert set(counts) <= set(expected), "engine produced an impossible transition"
+    chi2 = sum((counts[key] - exp) ** 2 / exp for key, exp in expected.items())
     assert chi2 < stats.chi2.ppf(0.99, df=len(expected) - 1)
+    return rates
+
+
+def test_transfer_rates_match_generator_on_m2_instance():
+    # Richer m=2 state {(): 1, (1): 2, (2): 1} under MS T=1: per-target
+    # empirical frequencies against the exact generator row.
+    _check_step_against_generator(2, [0, mask_of([1]), mask_of([1]), mask_of([2])], 6, 40_000)
+
+
+def test_transfer_rates_match_generator_on_m3_instance():
+    # m=3 state {(): 1, (1): 1, (1,2): 1, (1,3): 1, (2,3): 1}, y = (3, 2, 2):
+    # mode chunk 1 is suppressed at T=1, so the seed offers {2, 3} to the
+    # empty peer while the {1}-source offers it nothing and the
+    # {1,2}-source only chunk 2.
+    profiles = [0, mask_of([1]), mask_of([1, 2]), mask_of([1, 3]), mask_of([2, 3])]
+    rates = _check_step_against_generator(3, profiles, 6, 40_000)
+    assert (0, 1) not in rates and (0, 2) in rates and (0, 3) in rates
 
 
 def test_holding_times_exponential():

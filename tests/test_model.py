@@ -7,11 +7,11 @@ import hypothesis.strategies as st
 from swarmsim.model import (
     Arrival,
     Departure,
+    FrequencySnapshot,
     InvalidTransitionError,
     ModelParams,
     SwarmState,
     Transfer,
-    allowable_set,
     apply_transition,
     chunks_of,
     frequency_snapshot,
@@ -19,6 +19,7 @@ from swarmsim.model import (
     mask_of,
     suppressed_set_ms,
 )
+from swarmsim.policies import ContactContext, ms_candidates
 
 
 def test_mask_roundtrip():
@@ -88,15 +89,31 @@ class TestSuppressedSet:
             suppressed_set_ms(SwarmState(2), 0)
 
 
+def _ms_allowable(source, dest, y, seed_push=False):
+    """Mode-suppression candidates (T=1) of one contact at chunk counts y."""
+    ctx = ContactContext(
+        m=len(y),
+        dest_profile=mask_of(dest),
+        sources=[mask_of(source)],
+        snapshot=FrequencySnapshot(len(y), max(y), list(y)),
+        is_seed_push=seed_push,
+    )
+    return ms_candidates(ctx, 1)
+
+
 class TestAllowableSet:
+    """The allowable transfer set as the mode-suppression rule computes it."""
+
     def test_everything_removed(self):
-        assert allowable_set(mask_of([1, 3]), mask_of([3]), mask_of([1, 2])) == 0
+        # y = (5, 5, 2): modes {1, 2} suppressed, chunk 3 already held
+        assert _ms_allowable([1, 3], [3], (5, 5, 2)) == 0
 
     def test_seed_nothing_removed(self):
-        assert allowable_set(full_mask(3), 0, 0) == mask_of([1, 2, 3])
+        assert _ms_allowable([1, 2, 3], [], (4, 4, 4), seed_push=True) == mask_of([1, 2, 3])
 
     def test_partial(self):
-        assert allowable_set(mask_of([2, 3]), mask_of([2]), mask_of([1])) == mask_of([3])
+        # y = (5, 3, 3): mode {1} suppressed, chunk 2 already held
+        assert _ms_allowable([2, 3], [2], (5, 3, 3)) == mask_of([3])
 
 
 class TestApplyTransition:

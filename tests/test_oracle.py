@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -15,7 +17,6 @@ from swarmsim.oracle import (
     exceptional_states,
     lyapunov_value,
     mean_drift,
-    ms_transitions,
     stationary_distribution,
     state_y,
     verify_lemmas,
@@ -80,6 +81,16 @@ class TestGenerator:
         assert targets == {(1, 1, 0), (1, 0, 1)}
         assert gen.matrix[i, gen.index[(1, 1, 0)]] == pytest.approx(0.5)
 
+    def test_empty_state_row_holds_only_arrival(self):
+        gen = build_generator_ms(TruncationSpec(2, 2), PARAMS2, 1)
+        i = gen.index[(0, 0, 0)]
+        row = gen.matrix.getrow(i)
+        lam = PARAMS2.arrival_rate
+        assert dict(zip(row.indices.tolist(), row.data.tolist())) == {
+            gen.index[(1, 0, 0)]: lam,
+            i: -lam,
+        }
+
     def test_transitions_stay_in_space(self):
         spec = TruncationSpec(2, 4)
         gen = build_generator_ms(spec, PARAMS2, 1)
@@ -87,6 +98,37 @@ class TestGenerator:
         offdiag = [(i, j, v) for i, j, v in zip(coo.row, coo.col, coo.data) if i != j]
         assert all(v > 0 for _, _, v in offdiag)
         assert all(sum(gen.states[j]) <= spec.cap for _, j, _ in offdiag)
+
+
+# SHA-256 over the generator's CSR arrays (indptr, indices, data),
+# recorded from the builder that summed hand-written closed-form rates.
+# A change here means the exact chain that every check verifies moved,
+# by a rate, a rounding or the entry order.  (m, cap, lambda, mu, U, T).
+GENERATOR_DIGESTS = [
+    ((2, 50, 0.5, 1.0, 1.0, 1), "4b5a31be0b77bcb5b9111a736cd689572e110934f0d0a83b7d799b8227a93152"),
+    ((3, 8, 1.0, 1.0, 1.0, 1), "7a8d2f6cc9afe7c809eb3a215224c20fef750f52c1cbb5e9906ead6214a302f3"),
+    ((2, 8, 1.0, 1.0, 1.0, 1), "6991b1a18bc6d24d3a8cc736aff1b3a0eba5f53dd8e59406bc67ccf0f7f89d4b"),
+    ((3, 5, 1.0, 0.7, 1.3, 2), "58c8a03e2356bf1aed11bb2757de7980f760e04801a5495f808dfb029a8a5ce2"),
+    ((2, 20, 2.0, 1.5, 0.4, 3), "d50f0185c15ae36ed039fa1c64dc38b9c73f2fa7f2fc4513f018b0e1cd2684c8"),
+    ((3, 6, 1.0, 1.0, 1.0, 2), "33d62b387e8a3bd5ec006e90e7df40045467f6de10f535677aba1833ad5c6ec8"),
+    ((4, 3, 1.0, 1.0, 1.0, 2), "fb0cb1581e140de7af66530b40b4eb0647cce241600efcf7cc9a7054b7d03f34"),
+    ((4, 4, 1.0, 1.0, 1.0, 2), "b20a5aadf9e3df183f3956a32e50b3b179315281aab3774fe8fb8527af16eed3"),
+]
+
+
+@pytest.mark.parametrize(
+    "config,digest",
+    GENERATOR_DIGESTS,
+    ids=[f"m{c[0]}-cap{c[1]}-T{c[5]}" for c, _ in GENERATOR_DIGESTS],
+)
+def test_generator_digest(config, digest):
+    m, cap, lam, mu, u, threshold = config
+    params = ModelParams(m=m, arrival_rate=lam, peer_contact_rate=mu, seed_contact_rate=u)
+    matrix = build_generator_ms(TruncationSpec(m, cap), params, threshold).matrix
+    h = hashlib.sha256()
+    for arr in (matrix.indptr, matrix.indices, matrix.data):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
 
 
 class TestStationary:
@@ -272,6 +314,3 @@ class TestLemmas:
             "rate-bounds"
         )
         assert "(0, 2, 1)" in str(report.violations)
-
-    def test_ms_transitions_empty_state(self):
-        assert ms_transitions((0, 0, 0), PARAMS2, 1) == []
