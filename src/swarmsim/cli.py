@@ -35,6 +35,7 @@ import os
 import shutil
 import sys
 import tempfile
+from itertools import chain, islice
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -221,13 +222,21 @@ def load_scenario_file(path: str | Path) -> Tuple[Scenario, int]:
 # -- CSV output --
 
 
+_BOOL_TEXT = {False: "false", True: "true"}
+
+# Types that csv.writer writes as _fmt would: int and str through str(),
+# float through repr() and None as an empty field.
+_NATIVE = frozenset((int, float, str, type(None)))
+_BATCH_ROWS = 1024
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):  # np.float64 too, whose repr names its type
         return repr(float(value))
     if value is None:
         return ""
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _BOOL_TEXT[value]
     return str(value)
 
 
@@ -240,7 +249,12 @@ def _umask() -> int:
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write atomically (temp file + rename), full float precision.  A
     field holding a comma, such as a state tuple, is quoted.  The file
-    gets the mode a plain ``open`` would give it under the umask."""
+    gets the mode a plain ``open`` would give it under the umask.
+
+    Rows go to csv.writer in batches.  A batch holding only int, float,
+    str and None values is written as it is; any other batch goes through
+    :func:`_fmt`, which spells bools ``true``/``false`` and numpy scalars
+    as the Python number they hold."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -248,7 +262,11 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
         with os.fdopen(fd, "w", newline="") as fh:
             writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(map(_fmt, row) for row in rows)
+            it = iter(rows)
+            while batch := list(islice(it, _BATCH_ROWS)):
+                if not _NATIVE.issuperset(map(type, chain.from_iterable(batch))):
+                    batch = [[_fmt(v) for v in row] for row in batch]
+                writer.writerows(batch)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -520,22 +538,16 @@ def cmd_oracle(
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     drift = drift_report(gen, lp)
-    residuals = np.asarray(gen.matrix.sum(axis=1)).ravel()
-    audit_rows = [
-        [i, str(state), int(gen.populations[i]), repr(float(residuals[i]))]
-        for i, state in enumerate(gen.states)
-    ]
-    audit_rows.append(
-        ["lemma-checks", "", "", "pass" if report.ok else f"{report.total_violations()} violations"]
-    )
-    stat_rows = [
-        [i, str(state), int(gen.populations[i]), float(p[i])]
-        for i, state in enumerate(gen.states)
-    ]
-    drift_rows = [
-        [r.index, r.population, r.value, r.drift, r.boundary, r.region]
-        for r in drift
-    ]
+    ids = range(gen.n_states)
+    names = list(map(str, gen.states))
+    pops = gen.populations.tolist()
+    residuals = np.asarray(gen.matrix.sum(axis=1)).ravel().tolist()
+    verdict = "pass" if report.ok else f"{report.total_violations()} violations"
+    lemma_row = ["lemma-checks", "", "", verdict]
+    audit_rows = chain(zip(ids, names, pops, residuals), [lemma_row])
+    stat_rows = zip(ids, names, pops, p.tolist())
+    _, _, _, values, drifts, boundary, regions = zip(*drift)
+    drift_rows = zip(ids, pops, values, drifts, map(_BOOL_TEXT.__getitem__, boundary), regions)
     try:
         write_csvs(Path(out_dir), [
             (

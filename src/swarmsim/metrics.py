@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .engine import EventTrace
 
@@ -39,20 +38,21 @@ def sojourn_times(trace: EventTrace, warmup_departures: int = 0) -> List[float]:
     return [dep - arr for arr, dep in trace.departures[warmup_departures:]]
 
 
-def sojourn_stats(trace: EventTrace, warmup_departures: int) -> SojournStats:
-    if warmup_departures < 0:
-        raise ValueError("warmup_departures must be >= 0")
-    times = sojourn_times(trace, warmup_departures)
+def _summarise(times: List[float]) -> SojournStats:
+    """Count, mean, sample standard deviation (0 for one value), min and
+    max, summed in the order given."""
     if not times:
         return SojournStats(count=0)
     n = len(times)
     mean = sum(times) / n
-    if n > 1:
-        var = sum((x - mean) ** 2 for x in times) / (n - 1)
-        sd = math.sqrt(var)
-    else:
-        sd = 0.0
+    sd = math.sqrt(sum((x - mean) ** 2 for x in times) / (n - 1)) if n > 1 else 0.0
     return SojournStats(count=n, mean=mean, stddev=sd, min=min(times), max=max(times))
+
+
+def sojourn_stats(trace: EventTrace, warmup_departures: int) -> SojournStats:
+    if warmup_departures < 0:
+        raise ValueError("warmup_departures must be >= 0")
+    return _summarise(sojourn_times(trace, warmup_departures))
 
 
 def pooled_sojourn_stats(
@@ -63,12 +63,7 @@ def pooled_sojourn_stats(
     pooled: List[float] = []
     for tr in traces:
         pooled.extend(sojourn_times(tr, warmup_departures))
-    if not pooled:
-        return SojournStats(count=0)
-    n = len(pooled)
-    mean = sum(pooled) / n
-    sd = math.sqrt(sum((x - mean) ** 2 for x in pooled) / (n - 1)) if n > 1 else 0.0
-    return SojournStats(count=n, mean=mean, stddev=sd, min=min(pooled), max=max(pooled))
+    return _summarise(pooled)
 
 
 def frequency_gap(freqs: Tuple[float, ...]) -> float:
@@ -113,6 +108,7 @@ def population_trend(trace: EventTrace, burn_in: float = 0.0) -> Tuple[float, fl
     estimated from the lag-1 residual autocorrelation; without this a
     stationary run is routinely misread as trending.
     """
+    from scipy import stats  # imported here: it is most of the package's import time
     t = np.asarray(trace.times)
     pop = np.asarray(trace.populations, dtype=float)
     keep = t >= burn_in

@@ -236,6 +236,10 @@ def apply_transition(state: SwarmState, t: Transition) -> SwarmState:
     if isinstance(t, Arrival):
         state.add_empty_peer()
         return state
+    if not isinstance(t, (Transfer, Departure)):
+        raise InvalidTransitionError(f"unknown transition {t!r}")
+    if not 1 <= t.chunk <= state.m:
+        raise InvalidTransitionError(f"chunk {t.chunk} is not in 1..{state.m}")
     if state.counts.get(t.profile, 0) <= 0:
         raise InvalidTransitionError(f"no peer with profile {chunks_of(t.profile)}")
     if t.profile & chunk_bit(t.chunk):
@@ -245,12 +249,10 @@ def apply_transition(state: SwarmState, t: Transition) -> SwarmState:
         if size >= state.m - 1:
             raise InvalidTransitionError("transfer would complete the profile; use Departure")
         state.apply_transfer(t.profile, t.chunk)
-    elif isinstance(t, Departure):
+    else:
         if size != state.m - 1:
             raise InvalidTransitionError("departure requires a profile of size m-1")
         state.apply_departure(t.profile, t.chunk)
-    else:
-        raise InvalidTransitionError(f"unknown transition {t!r}")
     return state
 
 
@@ -318,9 +320,10 @@ def suppressed_mask(y_max: int, y_min: int, mode_mask: int, threshold: int) -> i
     The modes are suppressed exactly when their count exceeds the minimum
     count by at least ``threshold``; otherwise nothing is suppressed.  When
     every chunk ties (including the empty swarm) the gap is zero, so no
-    chunk is ever suppressed in that case.
+    chunk is ever suppressed in that case.  Numpy arrays of states give
+    the array of their masks.
     """
-    return mode_mask if y_max >= y_min + threshold else 0
+    return mode_mask * (y_max >= y_min + threshold)
 
 
 def suppressed_set_ms(state: SwarmState, threshold: int) -> int:

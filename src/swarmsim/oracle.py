@@ -7,21 +7,24 @@ cap (all other rates stay exact).  On that space we build the
 mode-suppression generator by enumerating the engine's contacts against
 the selector's own candidate mask, solve for the stationary
 distribution, evaluate the quadratic-potential drift, and check the
-model's structural inequalities state by state.
+model's structural inequalities for every state.  Each of these stages
+is an array computation over per-state columns; the rule itself is
+called once per kind of contact, not once per state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
-from .model import FrequencySnapshot, ModelParams, full_mask, iter_bits, suppressed_mask
+from .model import FrequencySnapshot, ModelParams, full_mask, suppressed_mask
 from .policies import ContactContext, ms_candidates
 
 MAX_STATES = 1_000_000
@@ -59,35 +62,61 @@ class TruncationSpec:
         return math.comb(self.cap + self.n_profiles, self.n_profiles)
 
 
-def _count_vectors(length: int, budget: int) -> Iterator[StateVec]:
-    if length == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _count_vectors(length - 1, budget - first):
-            yield (first,) + rest
+def _ranges(lengths: np.ndarray) -> np.ndarray:
+    """``0, 1, .., n - 1`` for each ``n`` of ``lengths``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
+
+
+def _count_array(spec: TruncationSpec) -> np.ndarray:
+    """The states of :func:`enumerate_states` as rows of an int64 array.
+
+    Built one profile at a time: each prefix is followed by every count
+    its remaining budget allows.  Each step keeps its new column and the
+    prefix each of its rows extends; the columns are expanded to full rows
+    once, from the last profile back."""
+    columns, prefixes = [], []
+    budget = np.array([spec.cap], dtype=np.int64)
+    for _ in range(spec.n_profiles):
+        prefixes.append(np.repeat(np.arange(len(budget)), budget + 1))
+        columns.append(_ranges(budget + 1))
+        budget = budget[prefixes[-1]] - columns[-1]
+    counts = np.empty((len(budget), spec.n_profiles), dtype=np.int64)
+    rows = np.arange(len(budget))
+    for k in range(spec.n_profiles - 1, -1, -1):
+        counts[:, k] = columns[k][rows]
+        rows = prefixes[k][rows]
+    return counts
 
 
 def enumerate_states(spec: TruncationSpec) -> List[StateVec]:
     """All states with population <= cap, in lexicographic order of the
     count vector (index ``i`` counts peers of profile mask ``i``)."""
-    return list(_count_vectors(spec.n_profiles, spec.cap))
+    return list(zip(*_count_array(spec).T.tolist()))
 
 
-def state_y(state: StateVec, m: int) -> List[int]:
-    """Per-chunk peer counts of an enumerated state."""
-    y = [0] * m
-    for mask, n in enumerate(state):
-        if n:
-            for b in iter_bits(mask):
-                y[b] += n
-    return y
+def _frequency_columns(y_vectors: np.ndarray, threshold: int):
+    """``y_max``, ``y_min``, ``mode_mask`` and the suppressed mask of every
+    row of ``y_vectors``, as :class:`~swarmsim.model.FrequencySnapshot`
+    and :func:`~swarmsim.model.suppressed_mask` define them."""
+    y_max = y_vectors.max(axis=1)
+    y_min = y_vectors.min(axis=1)
+    is_mode = y_vectors == y_max[:, None]
+    mode_mask = (is_mode.astype(np.int64) << np.arange(y_vectors.shape[1])).sum(axis=1)
+    return y_max, y_min, mode_mask, suppressed_mask(y_max, y_min, mode_mask, threshold)
 
 
 @dataclass
 class GeneratorMatrix:
     """Sparse rate matrix over the enumerated states, plus per-state
-    population and chunk counts for reuse by the checks."""
+    columns for reuse by the checks.
+
+    ``populations`` and ``y_vectors`` (the chunk counts) are given.
+    ``counts`` (peers per profile, one row per state) is read from
+    ``states``, and the frequency statistics ``y_max``, ``y_min``,
+    ``mode_mask`` and ``sup`` (the suppressed mask at ``threshold``) are
+    derived from ``y_vectors``.
+    """
 
     spec: TruncationSpec
     params: ModelParams
@@ -97,24 +126,99 @@ class GeneratorMatrix:
     matrix: sparse.csr_matrix
     populations: np.ndarray
     y_vectors: np.ndarray
+    counts: np.ndarray = field(init=False, repr=False)
+    y_max: np.ndarray = field(init=False, repr=False)
+    y_min: np.ndarray = field(init=False, repr=False)
+    mode_mask: np.ndarray = field(init=False, repr=False)
+    sup: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_profiles = self.spec.n_profiles
+        self.counts = np.fromiter(
+            chain.from_iterable(self.states), np.int64, len(self.states) * n_profiles
+        ).reshape(len(self.states), n_profiles)
+        self.y_max, self.y_min, self.mode_mask, self.sup = _frequency_columns(
+            np.asarray(self.y_vectors), self.threshold
+        )
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
 
-def _snapshots(
-    m: int, populations: np.ndarray, y_vectors: np.ndarray
-) -> Iterator[FrequencySnapshot]:
-    """The frequency snapshot of every enumerated state, in state order:
-    the statistics that the mode-suppression selector reads.  One object
-    is refreshed in place for each state, as in the engine."""
-    snap = FrequencySnapshot(m, 0, [0] * m)
-    for pop, y in zip(populations.tolist(), y_vectors.tolist()):
-        snap.population = pop
-        snap.y = y
-        snap.refresh()
-        yield snap
+def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index arithmetic on the order of :func:`enumerate_states`.
+
+    With ``P`` profiles and ``R_k = cap - (c_0 + .. + c_{k-1})``, state
+    ``c`` has index ``C(cap+P, P) - 1 - sum_{k=1..P} C(R_k+P-k, P-k+1)``.
+    Moving one peer from profile ``S`` to a larger profile ``T`` (``T = P``
+    for a departure) raises ``R_k`` by one for ``S < k <= T``, which moves
+    the index back by ``sum_{S<k<=T} C(R_k+P-k, P-k)``: returns ``steps``
+    with that distance as ``steps[:, T] - steps[:, S]``.  An arrival lowers
+    every ``R_k`` by one; its target lies ``ahead`` indices later (valid
+    below the cap).  Each binomial here is at most the state count and a
+    row adds at most ``P`` of them, far inside int64.
+    """
+    n_profiles = counts.shape[1]
+    k = np.arange(1, n_profiles + 1)
+    rests = cap - np.cumsum(counts, axis=1)  # column k-1 holds R_k
+    binom = np.array(
+        [[math.comb(r + n_profiles - kk, n_profiles - kk) for r in range(cap + 1)] for kk in k],
+        dtype=np.int64,
+    ).reshape(n_profiles, cap + 1)
+    steps = np.zeros((len(counts), n_profiles + 1), dtype=np.int64)
+    np.cumsum(binom[k - 1, rests], axis=1, out=steps[:, 1:])
+    ahead = binom[k - 1, np.maximum(rests - 1, 0)].sum(axis=1)
+    return steps, ahead
+
+
+def candidate_masks(
+    m: int,
+    threshold: int,
+    populations: np.ndarray,
+    y_vectors: np.ndarray,
+    sup: np.ndarray,
+    state: np.ndarray,
+    dest,
+    source,
+) -> np.ndarray:
+    """Mode-suppression's candidate mask of each contact ``k``: a peer of
+    profile ``dest[k]`` in state ``state[k]`` pulls from a peer of profile
+    ``source[k]``, or from the seed when ``source[k]`` is ``2^m - 1``
+    (``dest`` and ``source`` broadcast against ``state``).
+
+    :func:`~swarmsim.policies.ms_candidates` reads a state only through its
+    suppressed set ``sup`` (one entry per state), so it is called once per
+    distinct (suppressed set, dest, source), with the snapshot of the
+    first state that has that suppressed set.
+    """
+    n_profiles = full_mask(m)
+    # Below 2^(3m): a contact needs cap >= 1, where the state-count guard
+    # keeps 2^m <= MAX_STATES.
+    key = (sup[state] * n_profiles + dest) * (n_profiles + 1) + source
+    kinds = np.unique(key)
+    sets, first = np.unique(sup, return_index=True)
+    snapshots: Dict[int, FrequencySnapshot] = {}
+    ctx = ContactContext(m=m, dest_profile=0, sources=[0])
+    masks = np.empty(len(kinds), dtype=np.int64)
+    for u, kind in enumerate(kinds.tolist()):
+        rest, b = divmod(kind, n_profiles + 1)
+        suppressed, ctx.dest_profile = divmod(rest, n_profiles)
+        if suppressed not in snapshots:
+            i = int(first[np.searchsorted(sets, suppressed)])
+            snapshots[suppressed] = FrequencySnapshot(
+                m, int(populations[i]), y_vectors[i].tolist()
+            )
+        ctx.snapshot = snapshots[suppressed]
+        ctx.sources[0] = b
+        ctx.is_seed_push = b == n_profiles
+        masks[u] = ms_candidates(ctx, threshold)
+    return masks[np.searchsorted(kinds, key)]
+
+
+def _has_bits(masks: np.ndarray, m: int) -> np.ndarray:
+    """``out[k, j]``: bit ``j`` of ``masks[k]`` is set."""
+    return (masks[:, None] >> np.arange(m) & 1).astype(bool)
 
 
 def build_generator_ms(
@@ -126,77 +230,94 @@ def build_generator_ms(
     rate U; a profile-S peer ticks at rate mu and samples source B with
     probability x_B / pop, itself included.  Each contact transfers a
     uniform chunk of the selector's own mask,
-    :func:`~swarmsim.policies.ms_candidates`.
+    :func:`~swarmsim.policies.ms_candidates`, through
+    :func:`candidate_masks`.  The rate of S receiving chunk j is
+    ``(x_S/pop) (U/|seed cand| + mu sum_B x_B/|cand_B|)`` over the held
+    profiles B whose mask holds j, summed in increasing B; each row's
+    diagonal sums the arrival and then the (S, j) rates in increasing S
+    and j.
     """
     if params.m != spec.m:
         raise ValueError("params.m must match the truncation spec")
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     states = enumerate_states(spec)
-    index = {s: i for i, s in enumerate(states)}
-    m = spec.m
-    full = full_mask(m)
-    n = len(states)
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    pops = np.array([sum(state) for state in states], dtype=np.int64)
-    ys = np.array([state_y(state, m) for state in states], dtype=np.int64)
-    lam = params.arrival_rate
-    mu = params.peer_contact_rate
-    seed_rate = params.seed_contact_rate
-    ctx = ContactContext(m=m, dest_profile=0, sources=[0])
-    for i, (state, snap) in enumerate(zip(states, _snapshots(m, pops, ys))):
-        pop = snap.population
-        diag = 0.0
-        if pop < spec.cap:
-            target = (state[0] + 1,) + state[1:]
-            rows.append(i)
-            cols.append(index[target])
-            vals.append(lam)
-            diag += lam
-        ctx.snapshot = snap
-        holders = [(mask, x) for mask, x in enumerate(state) if x]
-        for s, x_s in holders:
-            ctx.dest_profile = s
-            ctx.is_seed_push = True
-            seed_cand = ms_candidates(ctx, threshold)
-            # A peer offers a subset of the seed's offer, so S can receive
-            # only seed candidates, and a source holding none offers nothing.
-            ctx.is_seed_push = False
-            offers = []
-            for b, x_b in holders:
-                if b & seed_cand:
-                    ctx.sources[0] = b
-                    cand = ms_candidates(ctx, threshold)
-                    offers.append((cand, x_b / cand.bit_count() if cand else 0.0))
-            h_seed = seed_cand.bit_count()
-            for j_bit in iter_bits(seed_cand):
-                peer_sum = 0.0
-                for cand, share in offers:
-                    if cand >> j_bit & 1:
-                        peer_sum += share
-                rate = (x_s / pop) * (seed_rate / h_seed + mu * peer_sum)
-                target = list(state)
-                target[s] -= 1
-                new = s | (1 << j_bit)
-                if new != full:
-                    target[new] += 1
-                rows.append(i)
-                cols.append(index[tuple(target)])
-                vals.append(rate)
-                diag += rate
-        if diag:
-            rows.append(i)
-            cols.append(i)
-            vals.append(-diag)
-    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    counts = _count_array(spec)
+    m, cap, n = spec.m, spec.cap, len(states)
+    n_profiles = spec.n_profiles
+    bits = _has_bits(np.arange(n_profiles + 1), m).astype(np.int64)
+    popcount = bits.sum(axis=1)  # of every candidate mask, the full one included
+    pops = counts.sum(axis=1)
+    ys = counts @ bits[:n_profiles]
+    sup = _frequency_columns(ys, threshold)[3]
+    steps, ahead = _transfer_steps(counts, cap)
+    # Every state's held profiles, in increasing order, as one flat list.
+    held_profile = np.nonzero(counts)[1]
+    n_held = np.count_nonzero(counts, axis=1)
+    first_held = np.cumsum(n_held) - n_held
+
+    below = np.flatnonzero(pops < cap)
+    rows = [below]
+    cols = [below + ahead[below]]
+    vals = [np.full(len(below), params.arrival_rate)]
+    for s in range(n_profiles):
+        # Destination S: its holders' seed pushes, then each holder's
+        # contacts with every held source profile B, in increasing B.
+        state = np.flatnonzero(counts[:, s])
+        held = n_held[state]
+        pair_of = np.repeat(np.arange(len(state)), held)
+        source = held_profile[np.repeat(first_held[state], held) + _ranges(held)]
+        masks = candidate_masks(
+            m,
+            threshold,
+            pops,
+            ys,
+            sup,
+            np.concatenate([state, state[pair_of]]),
+            s,
+            np.concatenate([np.full(len(state), n_profiles), source]),
+        )
+        seed_cand, cand = masks[: len(state)], masks[len(state) :]
+        size = popcount[cand]
+        share = np.divide(
+            counts[state[pair_of], source], size, out=np.zeros(len(size)), where=size > 0
+        )
+        size = popcount[seed_cand]
+        seed_share = np.divide(
+            params.seed_contact_rate, size, out=np.zeros(len(state)), where=size > 0
+        )
+        frac = counts[state, s] / pops[state]
+        rate = np.empty((len(state), m))
+        for j in range(m):
+            weights = np.where(cand >> j & 1, share, 0.0)
+            peer_sum = np.bincount(pair_of, weights=weights, minlength=len(state))
+            rate[:, j] = frac * (seed_share + params.peer_contact_rate * peer_sum)
+        # A peer offers a subset of the seed's offer, so S receives only
+        # the seed's candidates.
+        k, chunk = np.nonzero(_has_bits(seed_cand, m))
+        hit = state[k]
+        rows.append(hit)
+        cols.append(hit - (steps[hit, s | 1 << chunk] - steps[hit, s]))
+        vals.append(rate[k, chunk])
+    # Blocks run in increasing S, so each row's terms meet the sum in the
+    # order arrival, then (S, j).
+    rows = np.concatenate(rows)
+    vals = np.concatenate(vals)
+    diag = np.bincount(rows, weights=vals, minlength=n)
+    moving = np.flatnonzero(diag)
+    matrix = sparse.csr_matrix(
+        (
+            np.concatenate([vals, -diag[moving]]),
+            (np.concatenate([rows, moving]), np.concatenate(cols + [moving])),
+        ),
+        shape=(n, n),
+    )
     return GeneratorMatrix(
         spec=spec,
         params=params,
         threshold=threshold,
         states=states,
-        index=index,
+        index=dict(zip(states, range(n))),
         matrix=matrix,
         populations=pops,
         y_vectors=ys,
@@ -362,8 +483,7 @@ def mean_drift(state: StateVec, gen: GeneratorMatrix, lp: LyapunovParams) -> flo
     return total
 
 
-@dataclass(frozen=True)
-class DriftRow:
+class DriftRow(NamedTuple):
     index: int
     state: StateVec
     population: int
@@ -373,12 +493,14 @@ class DriftRow:
     region: str
 
 
-def _region_tag(snap: FrequencySnapshot, threshold: int) -> str:
-    if suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, threshold):
-        return "suppressed"
-    if snap.y_max == snap.y_min:
-        return "uniform"
-    return "within-threshold"
+_REGION_TAGS = ("within-threshold", "uniform", "suppressed")
+
+
+def _region_tags(gen: GeneratorMatrix) -> List[str]:
+    """Per state: "suppressed" when the suppressed set is non-empty, else
+    "uniform" when every chunk count ties, else "within-threshold"."""
+    code = np.where(gen.sup != 0, 2, gen.y_max == gen.y_min)
+    return np.array(_REGION_TAGS)[code].tolist()
 
 
 def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> List[DriftRow]:
@@ -392,27 +514,16 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> List[DriftRow]:
     drift = np.bincount(
         coo.row, weights=coo.data * (v[coo.col] - v[coo.row]), minlength=gen.n_states
     )
-    cap = gen.spec.cap
-    return [
-        DriftRow(
-            index=i,
-            state=state,
-            population=pop,
-            value=value,
-            drift=d,
-            boundary=pop == cap,
-            region=_region_tag(snap, gen.threshold),
-        )
-        for i, (state, pop, snap, value, d) in enumerate(
-            zip(
-                gen.states,
-                gen.populations.tolist(),
-                _snapshots(gen.spec.m, gen.populations, gen.y_vectors),
-                v.tolist(),
-                drift.tolist(),
-            )
-        )
-    ]
+    columns = zip(
+        range(gen.n_states),
+        gen.states,
+        gen.populations.tolist(),
+        v.tolist(),
+        drift.tolist(),
+        (gen.populations == gen.spec.cap).tolist(),
+        _region_tags(gen),
+    )
+    return list(map(DriftRow._make, columns))
 
 
 def exceptional_states(gen: GeneratorMatrix, lp: LyapunovParams) -> List[StateVec]:
@@ -460,46 +571,37 @@ def _check_rate_bounds(
     params = gen.params
     m = gen.spec.m
     full = full_mask(m)
-    mu = params.peer_contact_rate
-    seed_rate = params.seed_contact_rate
-    indptr = gen.matrix.indptr.tolist()
-    indices = gen.matrix.indices.tolist()
-    data = gen.matrix.data.tolist()
-    snaps = _snapshots(m, gen.populations, gen.y_vectors)
-    for i, (state, snap) in enumerate(zip(gen.states, snaps)):
-        pop = snap.population
-        if pop == 0:
-            continue
-        sup = suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, gen.threshold)
-        lo, hi = indptr[i], indptr[i + 1]
-        entries = dict(zip(indices[lo:hi], data[lo:hi]))
-        for s, x_s in enumerate(state):
-            if not x_s:
-                continue
-            for j_bit in iter_bits(full & ~s & ~sup):
-                j = j_bit + 1
-                r_j = seed_rate + mu * snap.y[j_bit]
-                new = s | (1 << j_bit)
-                target = list(state)
-                target[s] -= 1
-                if new != full:
-                    target[new] += 1
-                q = entries.get(gen.index[tuple(target)], 0.0)
-                upper = x_s / pop * r_j
-                lower = x_s / (m * pop) * r_j
-                if new == full:  # S misses only j: exact rate
-                    if abs(q - upper) > rel_tol * upper:
-                        report.record(
-                            "rate-equality",
-                            f"state={state} S={s:#x} j={j} q={q!r} expected={upper!r}",
-                        )
-                else:
-                    if q > upper * (1 + rel_tol) or q < lower * (1 - rel_tol):
-                        report.record(
-                            "rate-bounds",
-                            f"state={state} S={s:#x} j={j} q={q!r} "
-                            f"bounds=({lower!r}, {upper!r})",
-                        )
+    counts = gen.counts
+    state, dest = np.nonzero(counts)
+    pair, j_bit = np.nonzero(_has_bits(full & ~dest & ~gen.sup[state], m))
+    i = state[pair]
+    s = dest[pair]
+    new = s | 1 << j_bit
+    steps, _ = _transfer_steps(counts, gen.spec.cap)
+    q = np.asarray(gen.matrix[i, i - (steps[i, new] - steps[i, s])]).ravel()
+    r_j = params.seed_contact_rate + params.peer_contact_rate * gen.y_vectors[i, j_bit]
+    upper = counts[i, s] / gen.populations[i] * r_j
+    lower = counts[i, s] / (m * gen.populations[i]) * r_j
+    exact = new == full  # S misses only j: exact rate
+    bad = np.where(
+        exact,
+        np.abs(q - upper) > rel_tol * upper,
+        (q > upper * (1 + rel_tol)) | (q < lower * (1 - rel_tol)),
+    )
+    for k in np.flatnonzero(bad).tolist():
+        state_k, s_k, j_k = gen.states[i[k]], int(s[k]), int(j_bit[k]) + 1
+        q_k, lower_k, upper_k = float(q[k]), float(lower[k]), float(upper[k])
+        if exact[k]:
+            report.record(
+                "rate-equality",
+                f"state={state_k} S={s_k:#x} j={j_k} q={q_k!r} expected={upper_k!r}",
+            )
+        else:
+            report.record(
+                "rate-bounds",
+                f"state={state_k} S={s_k:#x} j={j_k} q={q_k!r} "
+                f"bounds=({lower_k!r}, {upper_k!r})",
+            )
 
 
 def verify_lemmas(
@@ -515,7 +617,8 @@ def verify_lemmas(
     and population above 2 T m, the top frequency is at most 1 - 1/(2m);
     the transition-rate sandwich and its exact case (see
     :func:`_check_rate_bounds`); and the fraction of peers missing only
-    chunk j never exceeds the top chunk frequency.
+    chunk j never exceeds the top chunk frequency.  Each check is one
+    array expression over the generator's per-state columns.
     """
     if gen is None:
         gen = build_generator_ms(spec, params, threshold)
@@ -524,26 +627,23 @@ def verify_lemmas(
     report = LemmaReport(
         spec=spec, threshold=threshold, states_checked=gen.n_states
     )
-    for state, snap in zip(gen.states, _snapshots(m, gen.populations, gen.y_vectors)):
-        pop = snap.population
-        if pop == 0:
-            continue
-        pi_min = snap.y_min / pop
-        pi_max = snap.y_max / pop
-        if pi_min > (m - 1) / m + 1e-12:
-            report.record("min-frequency", f"state={state} pi_min={pi_min}")
-        if pop > 2 * threshold * m and not suppressed_mask(
-            snap.y_max, snap.y_min, snap.mode_mask, threshold
-        ):
-            if pi_max > 1 - 1 / (2 * m) + 1e-12:
-                report.record("max-frequency", f"state={state} pi_max={pi_max}")
-        for j_bit in range(m):
-            almost = full & ~(1 << j_bit)
-            gamma = state[almost] / pop
-            if gamma > pi_max + 1e-12:
-                report.record(
-                    "one-missing-fraction",
-                    f"state={state} j={j_bit + 1} gamma={gamma} pi_max={pi_max}",
-                )
+    live = np.flatnonzero(gen.populations > 0)
+    pop = gen.populations[live]
+    pi_min = gen.y_min[live] / pop
+    pi_max = gen.y_max[live] / pop
+    for k in np.flatnonzero(pi_min > (m - 1) / m + 1e-12).tolist():
+        report.record("min-frequency", f"state={gen.states[live[k]]} pi_min={float(pi_min[k])}")
+    sup = suppressed_mask(gen.y_max[live], gen.y_min[live], gen.mode_mask[live], threshold)
+    too_high = (pop > 2 * threshold * m) & (sup == 0) & (pi_max > 1 - 1 / (2 * m) + 1e-12)
+    for k in np.flatnonzero(too_high).tolist():
+        report.record("max-frequency", f"state={gen.states[live[k]]} pi_max={float(pi_max[k])}")
+    almost = [full & ~(1 << j_bit) for j_bit in range(m)]
+    gamma = gen.counts[live][:, almost] / pop[:, None]
+    for k, j_bit in zip(*np.nonzero(gamma > pi_max[:, None] + 1e-12)):
+        report.record(
+            "one-missing-fraction",
+            f"state={gen.states[live[k]]} j={j_bit + 1} gamma={float(gamma[k, j_bit])} "
+            f"pi_max={float(pi_max[k])}",
+        )
     _check_rate_bounds(gen, report)
     return report

@@ -1,10 +1,14 @@
 import csv
+import hashlib
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swarmsim import cli
@@ -251,6 +255,112 @@ class TestOracleCmd:
                      "--out", str(out), "--quiet"])
         assert code == 3
         assert [p.name for p in out.iterdir()] == ["stationary.csv"]
+
+
+# SHA-256 of the oracle's three CSVs, recorded from the builder that walked
+# every state in Python.  (m, cap, lambda, mu, U, T).
+ORACLE_CSV_DIGESTS = [
+    (
+        (2, 50, 0.5, 1.0, 1.0, 1),
+        {
+            "generator-audit.csv": (
+                "45d683c6459ccdfd40939474e6d8c4e0a130955f969d929f6f9d9701bbf80479"
+            ),
+            "stationary.csv": (
+                "5dd60bfccadd436c63566ee742b9806ff269374864f76284e504f0975fbeaa86"
+            ),
+            "drift.csv": (
+                "139847b94d09eeaf400f134f24fa66dbee898011eb7bdcb2b8cf8411d5c957ff"
+            ),
+        },
+    ),
+    (
+        (3, 8, 1.0, 1.0, 1.0, 1),
+        {
+            "generator-audit.csv": (
+                "2d5f816bda65e187a7dfeb873c1aa67f94987e870c92b6c3a557f8345a2046a7"
+            ),
+            "stationary.csv": (
+                "1193ea203eb0c39d563d9ed1655d85b6dca6c8a4d3ed34fda57ccbb3ff03d70d"
+            ),
+            "drift.csv": (
+                "cb1f6fccb0413c52bddea745b966af80c5ffe172bfe2f29ac367fb751df33fbc"
+            ),
+        },
+    ),
+    (
+        (3, 5, 1.0, 0.7, 1.3, 2),
+        {
+            "generator-audit.csv": (
+                "420cdcf05ab19a470d1d4568f1b3764c63958193bbef3d840c9b928018c6a170"
+            ),
+            "stationary.csv": (
+                "27c408e927a7dcb6abb0ebd346c85dfab6562bd2417ed2121a465c66b3ae19e2"
+            ),
+            "drift.csv": (
+                "38351fa06f67b203bd4fc5deefb8ace78f6aac58783f6a9d2831dc22c077fd16"
+            ),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config,digests",
+    ORACLE_CSV_DIGESTS,
+    ids=[f"m{c[0]}-cap{c[1]}-T{c[5]}" for c, _ in ORACLE_CSV_DIGESTS],
+)
+def test_oracle_csv_digests(tmp_path, config, digests):
+    m, cap, lam, mu, u, threshold = config
+    assert cmd_oracle(m, cap, lam, mu, u, threshold, str(tmp_path), quiet=True) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_write_csv_text_per_value_type(tmp_path):
+    # csv.writer writes int, float, str and None itself; bools and numpy
+    # scalars go through _fmt.  Each row is one type, and one row mixes them.
+    rows = [
+        [3, -7],
+        [-0.0, 1e-300, float("inf"), 0.1],
+        [np.float64(0.1), np.float64(-0.0)],
+        [np.int64(12), np.int64(-5)],
+        [True, False],
+        [None, None],
+        ["a,b", "plain"],
+        [1, 2.5, "x", None, True, np.float64(1e16)],
+    ]
+    path = tmp_path / "types.csv"
+    cli.write_csv(path, ("c1", "c2"), rows)
+    assert path.read_text() == (
+        "c1,c2\n"
+        "3,-7\n"
+        "-0.0,1e-300,inf,0.1\n"
+        "0.1,-0.0\n"
+        "12,-5\n"
+        "true,false\n"
+        ",\n"
+        '"a,b",plain\n'
+        "1,2.5,x,,true,1e+16\n"
+    )
+
+
+def test_write_csv_converts_batches_past_the_first(tmp_path):
+    # A bool far down a long table is still spelled as _fmt spells it.
+    rows = [[i, 0.5] for i in range(5000)] + [[5000, True]]
+    path = tmp_path / "long.csv"
+    cli.write_csv(path, ("i", "v"), rows)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "0,0.5" and lines[-1] == "5000,true" and len(lines) == 5002
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, swarmsim.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_csv_mode_follows_umask(tmp_path):

@@ -55,6 +55,11 @@ class TestSojournStats:
         assert fwd.mean == rev.mean
         assert fwd.stddev == rev.stddev
 
+    def test_pooled_one_trace_equals_sojourn_stats(self):
+        tr = trace_with(departures=(0.3, 1.7, 2.2, 9.1, 4.4))
+        assert pooled_sojourn_stats([tr], 2) == sojourn_stats(tr, 2)
+        assert pooled_sojourn_stats([tr], 9) == sojourn_stats(tr, 9)
+
 
 class TestStabilization:
     def test_never_closing_gap(self):

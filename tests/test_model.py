@@ -149,6 +149,16 @@ class TestApplyTransition:
         with pytest.raises(InvalidTransitionError):
             apply_transition(state, Transfer(mask_of([1]), 2))
 
+    @pytest.mark.parametrize(
+        "transition", [Transfer(0, 4), Transfer(0, 0), Departure(mask_of([1, 2]), 4)]
+    )
+    def test_chunk_out_of_range_rejected_before_any_change(self, transition):
+        state = SwarmState(3, {0: 2, mask_of([1, 2]): 1})
+        counts, y = dict(state.counts), list(state.y)
+        with pytest.raises(InvalidTransitionError, match="not in 1..3"):
+            apply_transition(state, transition)
+        assert state.counts == counts and state.y == y and state.population == 3
+
     def test_early_departure_rejected(self):
         state = SwarmState(3, {mask_of([1]): 1})
         with pytest.raises(InvalidTransitionError):

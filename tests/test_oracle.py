@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from swarmsim.model import ModelParams, SwarmState, mask_of
+from swarmsim.model import (
+    FrequencySnapshot,
+    ModelParams,
+    SwarmState,
+    full_mask,
+    mask_of,
+    suppressed_mask,
+)
 from swarmsim.oracle import (
     GeneratorMatrix,
     LyapunovParams,
     ReducibleChainError,
     TruncationSpec,
     build_generator_ms,
+    candidate_masks,
     closed_classes,
     drift_report,
     enumerate_states,
@@ -18,9 +26,10 @@ from swarmsim.oracle import (
     lyapunov_value,
     mean_drift,
     stationary_distribution,
-    state_y,
     verify_lemmas,
+    _transfer_steps,
 )
+from swarmsim.policies import ContactContext, ms_candidates
 
 PARAMS2 = ModelParams(m=2, arrival_rate=1.0)
 
@@ -44,10 +53,6 @@ class TestEnumeration:
     def test_state_count_guard(self):
         with pytest.raises(ValueError, match="guard"):
             TruncationSpec(m=5, cap=100)
-
-    def test_state_y(self):
-        # masks: 0 empty, 1 {1}, 2 {2}
-        assert state_y((3, 2, 1), 2) == [2, 1]
 
 
 class TestGenerator:
@@ -129,6 +134,99 @@ def test_generator_digest(config, digest):
     for arr in (matrix.indptr, matrix.indices, matrix.data):
         h.update(arr.tobytes())
     assert h.hexdigest() == digest
+
+
+def _digest_generator(config):
+    m, cap, lam, mu, u, threshold = config
+    params = ModelParams(m=m, arrival_rate=lam, peer_contact_rate=mu, seed_contact_rate=u)
+    return build_generator_ms(TruncationSpec(m, cap), params, threshold)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [c for c, _ in GENERATOR_DIGESTS],
+    ids=[f"m{c[0]}-cap{c[1]}-T{c[5]}" for c, _ in GENERATOR_DIGESTS],
+)
+def test_frequency_columns_match_snapshots(config):
+    # The per-state columns are the statistics that FrequencySnapshot and
+    # suppressed_mask give the engine, state by state.
+    gen = _digest_generator(config)
+    m, threshold = config[0], config[5]
+    assert gen.counts.tolist() == [list(s) for s in gen.states]
+    assert gen.y_vectors.tolist() == [
+        SwarmState(m, dict(enumerate(s))).y for s in gen.states
+    ]
+    for i, (pop, y) in enumerate(zip(gen.populations.tolist(), gen.y_vectors.tolist())):
+        snap = FrequencySnapshot(m, pop, y)
+        assert (gen.y_max[i], gen.y_min[i], gen.mode_mask[i]) == (
+            snap.y_max,
+            snap.y_min,
+            snap.mode_mask,
+        )
+        assert gen.sup[i] == suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, threshold)
+
+
+@pytest.mark.parametrize("m,cap,threshold", [(2, 8, 1), (3, 5, 2)])
+def test_candidate_masks_match_each_states_own_snapshot(m, cap, threshold):
+    # The builder calls ms_candidates once per (suppressed set, S, B) with a
+    # representative state's snapshot.  Every state, with its own snapshot,
+    # must get the same mask for every destination and every source or seed
+    # push; a rule that read more of the state than its suppressed set
+    # would fail here.
+    params = ModelParams(m=m, arrival_rate=1.0)
+    gen = build_generator_ms(TruncationSpec(m, cap), params, threshold)
+    n_profiles = full_mask(m)
+    dest, source = np.divmod(np.arange(n_profiles * (n_profiles + 1)), n_profiles + 1)
+    state = np.repeat(np.arange(gen.n_states), len(dest))
+    masks = candidate_masks(
+        m,
+        threshold,
+        gen.populations,
+        gen.y_vectors,
+        gen.sup,
+        state,
+        np.tile(dest, gen.n_states),
+        np.tile(source, gen.n_states),
+    ).reshape(gen.n_states, len(dest))
+    ctx = ContactContext(m=m, dest_profile=0, sources=[0])
+    for i, (pop, y) in enumerate(zip(gen.populations.tolist(), gen.y_vectors.tolist())):
+        ctx.snapshot = FrequencySnapshot(m, pop, y)
+        expected = []
+        for s, b in zip(dest.tolist(), source.tolist()):
+            ctx.dest_profile = s
+            ctx.sources[0] = b
+            ctx.is_seed_push = b == n_profiles
+            expected.append(ms_candidates(ctx, threshold))
+        assert masks[i].tolist() == expected, gen.states[i]
+
+
+@pytest.mark.parametrize("m,cap", [(2, 9), (3, 4), (4, 3)])
+def test_index_arithmetic_matches_state_lookup(m, cap):
+    # The builder finds each move's target by rank arithmetic on the
+    # enumeration order; check every move against the {state: index} map.
+    spec = TruncationSpec(m, cap)
+    states = enumerate_states(spec)
+    index = {s: i for i, s in enumerate(states)}
+    steps, ahead = _transfer_steps(np.array(states), cap)
+    full = full_mask(m)
+    moves = 0
+    for i, state in enumerate(states):
+        if sum(state) < cap:
+            assert i + ahead[i] == index[(state[0] + 1,) + state[1:]]
+        for s in range(full):
+            if not state[s]:
+                continue
+            for j in range(m):
+                new = s | 1 << j
+                if new == s:
+                    continue
+                target = list(state)
+                target[s] -= 1
+                if new != full:
+                    target[new] += 1
+                assert i - (steps[i, new] - steps[i, s]) == index[tuple(target)]
+                moves += 1
+    assert moves > 0
 
 
 class TestStationary:
@@ -314,3 +412,29 @@ class TestLemmas:
             "rate-bounds"
         )
         assert "(0, 2, 1)" in str(report.violations)
+
+    def test_frequency_checks_name_doctored_states(self):
+        # Chunk counts that no state can have trip each frequency check, and
+        # only for the doctored states.
+        spec = TruncationSpec(2, 6)
+        gen = build_generator_ms(spec, PARAMS2, 1)
+        ys = gen.y_vectors.copy()
+        ys[gen.index[(0, 3, 3)]] = (6, 6)  # every peer holds every chunk
+        ys[gen.index[(0, 4, 2)]] = (1, 1)  # fewer holders than one-chunk peers
+        doctored = GeneratorMatrix(
+            spec=spec,
+            params=PARAMS2,
+            threshold=1,
+            states=gen.states,
+            index=gen.index,
+            matrix=gen.matrix,
+            populations=gen.populations,
+            y_vectors=ys,
+        )
+        report = verify_lemmas(spec, PARAMS2, 1, gen=doctored)
+        assert report.violations["min-frequency"] == ["state=(0, 3, 3) pi_min=1.0"]
+        assert report.violations["max-frequency"] == ["state=(0, 3, 3) pi_max=1.0"]
+        assert report.violations["one-missing-fraction"] == [
+            f"state=(0, 4, 2) j=1 gamma={2 / 6} pi_max={1 / 6}",
+            f"state=(0, 4, 2) j=2 gamma={4 / 6} pi_max={1 / 6}",
+        ]
