@@ -10,8 +10,6 @@ from .model import (
     Transfer,
     Transition,
     apply_transition,
-    frequency_snapshot,
-    suppressed_set_ms,
 )
 from .policies import ContactContext, EwmaEstimate, PolicyConfig, PolicyKind
 from .engine import (
@@ -43,10 +41,8 @@ __all__ = [
     "Transition",
     "TerminationReason",
     "apply_transition",
-    "frequency_snapshot",
     "run",
     "run_replications",
-    "suppressed_set_ms",
 ]
 
 __version__ = "0.1.0"

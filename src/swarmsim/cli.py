@@ -177,38 +177,10 @@ def parse_scenario_dict(doc: Dict) -> Tuple[Scenario, int]:
     return scenario, replications
 
 
-def scenario_to_dict(scenario: Scenario, replications: int) -> Dict:
-    """Inverse of :func:`parse_scenario_dict` (round-trips exactly)."""
-    params = scenario.params
-    policy = scenario.policy
-    doc = {
-        "m": params.m,
-        "lambda": params.arrival_rate,
-        "mu": params.peer_contact_rate,
-        "u": params.seed_contact_rate,
-        "policy": {
-            "kind": policy.kind.value,
-            "T": policy.threshold,
-            "alpha": policy.alpha,
-            "sample_peers": policy.sample_peers,
-            "cc_variant": policy.cc_variant,
-        },
-        "initial": {"kind": scenario.initial.kind, "n": scenario.initial.n},
-        "horizon": scenario.horizon,
-        "rng_seed": scenario.rng_seed,
-        "warmup_departures": scenario.warmup_departures,
-        "sample_interval": scenario.sample_interval,
-        "replications": replications,
-    }
-    if scenario.max_population is not None:
-        doc["max_population"] = scenario.max_population
-    return doc
-
-
 def load_scenario_file(path: str | Path) -> Tuple[Scenario, int]:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("(file)", f"cannot read {path}: {exc}")
     try:
         doc = json.loads(text)
@@ -528,7 +500,7 @@ def cmd_oracle(
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     gen = build_generator_ms(spec, params, threshold)
-    report = verify_lemmas(spec, params, threshold, gen=gen)
+    report = verify_lemmas(gen)
     try:
         p = stationary_distribution(gen)
     except ReducibleChainError as exc:
@@ -538,6 +510,10 @@ def cmd_oracle(
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     drift = drift_report(gen, lp)
+    _, _, _, values, drifts, boundary, regions = zip(*drift)
+    if not np.isfinite(drifts).all():
+        print("internal error: non-finite drift (floating-point overflow)", file=sys.stderr)
+        return EXIT_INTERNAL
     ids = range(gen.n_states)
     names = list(map(str, gen.states))
     pops = gen.populations.tolist()
@@ -546,7 +522,6 @@ def cmd_oracle(
     lemma_row = ["lemma-checks", "", "", verdict]
     audit_rows = chain(zip(ids, names, pops, residuals), [lemma_row])
     stat_rows = zip(ids, names, pops, p.tolist())
-    _, _, _, values, drifts, boundary, regions = zip(*drift)
     drift_rows = zip(ids, pops, values, drifts, map(_BOOL_TEXT.__getitem__, boundary), regions)
     try:
         write_csvs(Path(out_dir), [

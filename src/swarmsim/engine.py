@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from math import log
+from math import inf, log
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -94,10 +94,10 @@ class Scenario:
     block_arrivals_at_cap: bool = False
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be > 0")
+        if not 0 < self.horizon < inf:
+            raise ValueError("horizon must be finite and > 0")
+        if not 0 < self.sample_interval < inf:
+            raise ValueError("sample_interval must be finite and > 0")
         if self.warmup_departures < 0:
             raise ValueError("warmup_departures must be >= 0")
         if self.cap <= self.initial.n:
@@ -201,7 +201,7 @@ class Simulation:
         self._refresh_snapshot = policy.kind is PolicyKind.MODE_SUPPRESSION
         need_snapshot = self._refresh_snapshot or policy.kind is PolicyKind.RAREST_FIRST
         self._need_histogram = policy.kind is PolicyKind.GROUP_SUPPRESSION
-        self._snapshot = FrequencySnapshot(self.m, 0, self.state.y)
+        self._snapshot = FrequencySnapshot(self.state.y)
         self._ctx = ContactContext(
             m=self.m,
             dest_profile=0,
@@ -271,7 +271,6 @@ class Simulation:
                 for b in ctx.sources:
                     ewma_update(est, b, alpha)
         if self._refresh_snapshot:
-            self._snapshot.population = pop
             self._snapshot.refresh()
         chunk = self._selector(ctx, est, self.rng)
         if chunk is None:

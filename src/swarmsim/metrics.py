@@ -1,9 +1,8 @@
 """Statistics derived from event traces.
 
 Everything here is pure post-processing: sojourn summaries with warm-up
-removal, stabilization times from one-club starts, population
-aggregation across replications, and the linear population trend used to
-classify runs as growing or bounded.
+removal, stabilization times from one-club starts, and the linear
+population trend used to classify runs as growing or bounded.
 """
 
 from __future__ import annotations
@@ -79,24 +78,6 @@ def stabilization_time(trace: EventTrace, epsilon: float) -> Optional[float]:
         if frequency_gap(freqs) <= epsilon:
             return t
     return None
-
-
-def population_summary(
-    traces: Sequence[EventTrace],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise (times, mean population, max population) across traces.
-
-    All traces must share the same sampling grid; anything else (different
-    intervals, or runs cut short by the population cap) is rejected.
-    """
-    if not traces:
-        raise ValueError("no traces given")
-    first = traces[0]
-    for tr in traces[1:]:
-        if tr.sample_interval != first.sample_interval or tr.times != first.times:
-            raise ValueError("traces do not share a sampling grid")
-    pops = np.array([tr.populations for tr in traces], dtype=float)
-    return np.asarray(first.times), pops.mean(axis=0), pops.max(axis=0)
 
 
 def population_trend(trace: EventTrace, burn_in: float = 0.0) -> Tuple[float, float]:

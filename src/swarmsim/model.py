@@ -9,6 +9,7 @@ in a :class:`SwarmState` is a proper subset of ``[m]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
@@ -86,12 +87,9 @@ class ModelParams:
     def __post_init__(self):
         if not 2 <= self.m <= MAX_CHUNKS:
             raise ValueError(f"m must be in [2, {MAX_CHUNKS}], got {self.m}")
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be > 0")
-        if self.peer_contact_rate <= 0:
-            raise ValueError("peer_contact_rate must be > 0")
-        if self.seed_contact_rate <= 0:
-            raise ValueError("seed_contact_rate must be > 0")
+        for name in ("arrival_rate", "peer_contact_rate", "seed_contact_rate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -258,21 +256,17 @@ def apply_transition(state: SwarmState, t: Transition) -> SwarmState:
 
 @dataclass
 class FrequencySnapshot:
-    """Per-chunk occupancy statistics of one swarm state.
+    """Extremes of the per-chunk peer counts of one swarm state.
 
-    ``y[j-1]`` is the peer count for chunk ``j``; frequencies ``pi`` are
-    derived as ``y/population`` (defined as 0 for the empty swarm, in which
-    case every chunk ties for the mode).  ``mode_mask`` is the bit mask of
-    chunks attaining ``y_max``, and ``total_chunks`` is ``sum(y)``.
+    ``y[j-1]`` is the peer count for chunk ``j``; ``mode_mask`` is the bit
+    mask of the chunks attaining ``y_max`` (every chunk ties in the empty
+    swarm).
     """
 
-    m: int
-    population: int
     y: List[int]
     y_max: int = field(init=False)
     y_min: int = field(init=False)
     mode_mask: int = field(init=False)
-    total_chunks: int = field(init=False)
 
     def __post_init__(self):
         self.refresh()
@@ -281,9 +275,7 @@ class FrequencySnapshot:
         """Recompute the aggregate fields from ``y``."""
         y = self.y
         y_max = y_min = y[0]
-        total = 0
         for v in y:
-            total += v
             if v > y_max:
                 y_max = v
             elif v < y_min:
@@ -295,23 +287,6 @@ class FrequencySnapshot:
         self.y_max = y_max
         self.y_min = y_min
         self.mode_mask = mode
-        self.total_chunks = total
-
-    @property
-    def pi(self) -> List[float]:
-        if self.population == 0:
-            return [0.0] * self.m
-        pop = self.population
-        return [v / pop for v in self.y]
-
-    @property
-    def mode_set(self) -> Tuple[int, ...]:
-        return chunks_of(self.mode_mask)
-
-
-def frequency_snapshot(state: SwarmState) -> FrequencySnapshot:
-    """Chunk occupancy statistics of ``state`` (copies the y vector)."""
-    return FrequencySnapshot(m=state.m, population=state.population, y=list(state.y))
 
 
 def suppressed_mask(y_max: int, y_min: int, mode_mask: int, threshold: int) -> int:
@@ -324,11 +299,3 @@ def suppressed_mask(y_max: int, y_min: int, mode_mask: int, threshold: int) -> i
     the array of their masks.
     """
     return mode_mask * (y_max >= y_min + threshold)
-
-
-def suppressed_set_ms(state: SwarmState, threshold: int) -> int:
-    """Mask of chunks whose transfer mode-suppression forbids in ``state``."""
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    snap = frequency_snapshot(state)
-    return suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, threshold)

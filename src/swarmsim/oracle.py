@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -175,7 +175,6 @@ def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarra
 def candidate_masks(
     m: int,
     threshold: int,
-    populations: np.ndarray,
     y_vectors: np.ndarray,
     sup: np.ndarray,
     state: np.ndarray,
@@ -206,9 +205,7 @@ def candidate_masks(
         suppressed, ctx.dest_profile = divmod(rest, n_profiles)
         if suppressed not in snapshots:
             i = int(first[np.searchsorted(sets, suppressed)])
-            snapshots[suppressed] = FrequencySnapshot(
-                m, int(populations[i]), y_vectors[i].tolist()
-            )
+            snapshots[suppressed] = FrequencySnapshot(y_vectors[i].tolist())
         ctx.snapshot = snapshots[suppressed]
         ctx.sources[0] = b
         ctx.is_seed_push = b == n_profiles
@@ -270,7 +267,6 @@ def build_generator_ms(
         masks = candidate_masks(
             m,
             threshold,
-            pops,
             ys,
             sup,
             np.concatenate([state, state[pair_of]]),
@@ -376,12 +372,12 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     b = np.zeros(size)
     b[0] = 1.0
     x = spsolve(a, b)
-    if x.min() < 0 or x.sum() <= 0:
+    if not (x.min() >= 0 and 0 < x.sum() < math.inf):  # False for NaN too
         raise RuntimeError("stationary solve produced an invalid vector")
     p = np.zeros(gen.n_states)
     p[cls] = x / x.sum()
     residual = np.abs(p @ gen.matrix).max()
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise RuntimeError(f"stationary residual {residual:.3e} exceeds 1e-10")
     return p
 
@@ -398,7 +394,7 @@ class LyapunovParams:
     ``V = sum_i (y_max - y_i)^2 + c1 (pop - y_max) + c2 (m_const - r)+``.
 
     :meth:`validate` checks ``c1`` and ``c2`` against the structural
-    constraints but does not constrain ``m_const`` beyond ``> 0``, and the
+    constraints but asks no more of ``m_const`` than finite and ``> 0``; the
     exceptional set (drift above ``-epsilon``) is finite only for a large
     enough ``m_const``.  For m=2, T=1 the far-field drift is negative when
     ``min(U + mu ceil((M-1)/2), (2M-1) U) > c1 lambda + epsilon`` with
@@ -416,6 +412,8 @@ class LyapunovParams:
 
     def validate(self, params: ModelParams) -> None:
         m = params.m
+        if not all(map(math.isfinite, (self.c1, self.c2, self.m_const, self.epsilon))):
+            raise ValueError("c1, c2, m_const and epsilon must be finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         if self.threshold < 1:
@@ -604,12 +602,7 @@ def _check_rate_bounds(
             )
 
 
-def verify_lemmas(
-    spec: TruncationSpec,
-    params: ModelParams,
-    threshold: int,
-    gen: Optional[GeneratorMatrix] = None,
-) -> LemmaReport:
+def verify_lemmas(gen: GeneratorMatrix) -> LemmaReport:
     """Check the structural inequalities over every enumerated state.
 
     Checks, each recorded with a witness state on failure: the least
@@ -620,21 +613,17 @@ def verify_lemmas(
     chunk j never exceeds the top chunk frequency.  Each check is one
     array expression over the generator's per-state columns.
     """
-    if gen is None:
-        gen = build_generator_ms(spec, params, threshold)
-    m = spec.m
+    m, threshold = gen.spec.m, gen.threshold
     full = full_mask(m)
-    report = LemmaReport(
-        spec=spec, threshold=threshold, states_checked=gen.n_states
-    )
+    report = LemmaReport(spec=gen.spec, threshold=threshold, states_checked=gen.n_states)
     live = np.flatnonzero(gen.populations > 0)
     pop = gen.populations[live]
     pi_min = gen.y_min[live] / pop
     pi_max = gen.y_max[live] / pop
     for k in np.flatnonzero(pi_min > (m - 1) / m + 1e-12).tolist():
         report.record("min-frequency", f"state={gen.states[live[k]]} pi_min={float(pi_min[k])}")
-    sup = suppressed_mask(gen.y_max[live], gen.y_min[live], gen.mode_mask[live], threshold)
-    too_high = (pop > 2 * threshold * m) & (sup == 0) & (pi_max > 1 - 1 / (2 * m) + 1e-12)
+    too_high = (pop > 2 * threshold * m) & (gen.sup[live] == 0)
+    too_high &= pi_max > 1 - 1 / (2 * m) + 1e-12
     for k in np.flatnonzero(too_high).tolist():
         report.record("max-frequency", f"state={gen.states[live[k]]} pi_max={float(pi_max[k])}")
     almost = [full & ~(1 << j_bit) for j_bit in range(m)]

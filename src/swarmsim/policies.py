@@ -20,7 +20,7 @@ statistics still apply on a push differs per policy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Mapping, Tuple
 

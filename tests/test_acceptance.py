@@ -357,7 +357,7 @@ def test_criterion_9_lemma_suite():
     for m, cap, thresholds in ((2, 8, (1, 2)), (3, 5, (1, 3))):
         params = ModelParams(m=m, arrival_rate=1.0)
         for T in thresholds:
-            rep = verify_lemmas(TruncationSpec(m, cap), params, T)
+            rep = verify_lemmas(build_generator_ms(TruncationSpec(m, cap), params, T))
             ok = ok and rep.ok
             results.append(f"m={m} cap={cap} T={T}: {rep.total_violations()} violations"
                            f" over {rep.states_checked} states")

@@ -6,7 +6,7 @@ import os
 import stat
 import subprocess
 import sys
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +20,10 @@ from swarmsim.cli import (
     load_scenario_file,
     main,
     parse_scenario_dict,
-    scenario_to_dict,
 )
+from swarmsim.engine import InitialCondition, Scenario
+from swarmsim.model import ModelParams
+from swarmsim.policies import PolicyConfig, PolicyKind
 
 BASE_CONFIG = {
     "m": 3,
@@ -57,11 +59,45 @@ def write_config(tmp_path, overrides=None, **top):
 
 class TestParsing:
     def test_round_trip(self):
-        scenario, reps = parse_scenario_dict(json.loads(json.dumps(BASE_CONFIG)))
-        doc = scenario_to_dict(scenario, reps)
-        scenario2, reps2 = parse_scenario_dict(doc)
-        assert scenario2 == scenario and reps2 == reps
-        assert scenario_to_dict(scenario2, reps2) == doc
+        # Every key lands in its field: BASE_CONFIG with its defaults, then
+        # with every optional key set to something else.
+        expected = Scenario(
+            params=ModelParams(m=3, arrival_rate=1.0, peer_contact_rate=1.0, seed_contact_rate=1.0),
+            policy=PolicyConfig(PolicyKind.MODE_SUPPRESSION, 1, 0.1, 1, "downloader"),
+            initial=InitialCondition("empty", 5),
+            horizon=20.0,
+            rng_seed=99,
+            max_population=None,
+            warmup_departures=0,
+            sample_interval=1.0,
+        )
+        assert parse_scenario_dict(json.loads(json.dumps(BASE_CONFIG))) == (expected, 2)
+        doc = {
+            **BASE_CONFIG,
+            "mu": 0.5,
+            "u": 2.0,
+            "policy": {
+                "kind": "ewma-ms", "T": 4, "alpha": 0.25, "sample_peers": 3,
+                "cc_variant": "source",
+            },
+            "initial": {"kind": "one-club", "n": 7},
+            "max_population": 40,
+            "warmup_departures": 3,
+            "sample_interval": 0.5,
+            "replications": 4,
+        }
+        assert parse_scenario_dict(doc) == (
+            replace(
+                expected,
+                params=ModelParams(3, 1.0, 0.5, 2.0),
+                policy=PolicyConfig(PolicyKind.EWMA_MS, 4, 0.25, 3, "source"),
+                initial=InitialCondition("one-club", 7),
+                max_population=40,
+                warmup_departures=3,
+                sample_interval=0.5,
+            ),
+            4,
+        )
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="horizonn"):
@@ -100,6 +136,63 @@ class TestParsing:
         bad.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
             load_scenario_file(bad)
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(b"\xff\xfe" + json.dumps(BASE_CONFIG).encode("utf-16-le"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+
+class TestNonFiniteInputs:
+    # A NaN rate or horizon would stall the event loop, so the engine
+    # entry points are replaced by a failing stub: an unchecked value
+    # fails fast instead of hanging.
+    @pytest.fixture(autouse=True)
+    def no_engine(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("a non-finite scenario reached the engine")
+
+        monkeypatch.setattr(cli, "run", ran)
+        monkeypatch.setattr(cli, "run_replications", ran)
+
+    @pytest.mark.parametrize("key", ["lambda", "mu", "u", "horizon", "sample_interval"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_scenario_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_scenario_dict({**BASE_CONFIG, key: value})
+
+    def test_simulate_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, **{"lambda": math.nan})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_sweep_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path)
+        argv = ["sweep", "--config", str(cfg), "--param", "lambda", "--values", "nan"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "option", [["--lambda", "nan"], ["--epsilon", "nan"], ["--m-const", "nan"],
+                   ["--lambda", "1e308"]],
+        ids=["lambda", "epsilon", "m-const", "c2-overflow"],
+    )
+    def test_oracle_exit_2(self, tmp_path, option):
+        argv = ["oracle", "--m", "2", "--cap", "3", "--lambda", "1", *option]
+        assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 2
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "rates", [["--mu", "1.7e308", "--u", "1e308"], ["--mu", "1e308"]],
+        ids=["nan-solve", "infinite-drift"],
+    )
+    def test_oracle_overflow_exit_4(self, tmp_path, capsys, rates):
+        argv = ["oracle", "--m", "2", "--cap", "3", "--lambda", "1", *rates]
+        assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 4
+        assert "internal error:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestSimulate:

@@ -3,7 +3,6 @@ import math
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
 from scipy import stats
 

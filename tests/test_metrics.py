@@ -8,7 +8,6 @@ from swarmsim.metrics import (
     frequency_gap,
     is_growing,
     pooled_sojourn_stats,
-    population_summary,
     population_trend,
     sojourn_stats,
     stabilization_time,
@@ -95,32 +94,6 @@ class TestStabilization:
 
     def test_gap(self):
         assert frequency_gap((0.2, 0.9, 0.5)) == pytest.approx(0.7)
-
-
-class TestPopulationSummary:
-    def test_single_trace_identity(self):
-        tr = trace_with(times=(0.0, 1.0), populations=(5, 7))
-        times, mean, peak = population_summary([tr])
-        assert times.tolist() == [0.0, 1.0]
-        assert mean.tolist() == [5.0, 7.0]
-        assert peak.tolist() == [5.0, 7.0]
-
-    def test_aggregation(self):
-        a = trace_with(times=(0.0, 1.0), populations=(4, 8))
-        b = trace_with(times=(0.0, 1.0), populations=(6, 2))
-        _, mean, peak = population_summary([a, b])
-        assert mean.tolist() == [5.0, 5.0]
-        assert peak.tolist() == [6.0, 8.0]
-
-    def test_mismatched_grids_rejected(self):
-        a = trace_with(times=(0.0, 1.0), populations=(4, 8))
-        b = trace_with(times=(0.0, 2.0), populations=(6, 2))
-        with pytest.raises(ValueError):
-            population_summary([a, b])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            population_summary([])
 
 
 class TestTrend:

@@ -14,10 +14,9 @@ from swarmsim.model import (
     Transfer,
     apply_transition,
     chunks_of,
-    frequency_snapshot,
     full_mask,
     mask_of,
-    suppressed_set_ms,
+    suppressed_mask,
 )
 from swarmsim.policies import ContactContext, ms_candidates
 
@@ -29,32 +28,37 @@ def test_mask_roundtrip():
     assert full_mask(3) == 0b111
 
 
+def snapshot_of(state):
+    return FrequencySnapshot(list(state.y))
+
+
+def ms_suppressed(state, threshold):
+    snap = snapshot_of(state)
+    return suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, threshold)
+
+
 class TestFrequencySnapshot:
     def test_chunkless_peers(self):
-        snap = frequency_snapshot(SwarmState(2, {0: 3}))
+        snap = snapshot_of(SwarmState(2, {0: 3}))
         assert snap.y == [0, 0]
-        assert snap.pi == [0.0, 0.0]
-        assert snap.total_chunks == 0
+        assert (snap.y_max, snap.y_min, snap.mode_mask) == (0, 0, mask_of([1, 2]))
 
     def test_one_club(self):
-        snap = frequency_snapshot(SwarmState(3, {mask_of([2, 3]): 10}))
-        assert snap.pi == [0.0, 1.0, 1.0]
-        assert snap.mode_set == (2, 3)
-        assert snap.total_chunks == 20
+        snap = snapshot_of(SwarmState(3, {mask_of([2, 3]): 10}))
+        assert snap.y == [0, 10, 10]
+        assert (snap.y_max, snap.y_min, snap.mode_mask) == (10, 0, mask_of([2, 3]))
 
     def test_mixed_state_by_hand(self):
         # 4 peers, two hold chunk 1, one holds chunk 2
         state = SwarmState(2, {0: 1, mask_of([1]): 2, mask_of([2]): 1})
-        snap = frequency_snapshot(state)
+        snap = snapshot_of(state)
         assert snap.y == [2, 1]
-        assert snap.pi == [0.5, 0.25]
-        assert snap.mode_set == (1,)
+        assert (snap.y_max, snap.y_min, snap.mode_mask) == (2, 1, mask_of([1]))
 
     def test_empty_swarm(self):
-        snap = frequency_snapshot(SwarmState(3))
+        snap = snapshot_of(SwarmState(3))
         assert snap.y == [0, 0, 0]
-        assert snap.pi == [0.0, 0.0, 0.0]
-        assert snap.mode_set == (1, 2, 3)
+        assert snap.mode_mask == mask_of([1, 2, 3])
 
 
 class TestSuppressedSet:
@@ -69,24 +73,20 @@ class TestSuppressedSet:
                 mask_of([3]): 2,
             },
         )
-        assert frequency_snapshot(state).y == [5, 5, 2]
-        assert suppressed_set_ms(state, 1) == mask_of([1, 2])
+        assert state.y == [5, 5, 2]
+        assert ms_suppressed(state, 1) == mask_of([1, 2])
 
     def test_all_tied(self):
         state = SwarmState(3, {mask_of([1, 2]): 4, mask_of([3]): 4})
-        assert frequency_snapshot(state).y == [4, 4, 4]
+        assert state.y == [4, 4, 4]
         for threshold in (1, 2, 10):
-            assert suppressed_set_ms(state, threshold) == 0
+            assert ms_suppressed(state, threshold) == 0
 
     def test_gap_below_threshold(self):
         state = SwarmState(3, {mask_of([1, 2]): 5, mask_of([3]): 4})
-        assert frequency_snapshot(state).y == [5, 5, 4]
-        assert suppressed_set_ms(state, 2) == 0
-        assert suppressed_set_ms(state, 1) == mask_of([1, 2])
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            suppressed_set_ms(SwarmState(2), 0)
+        assert state.y == [5, 5, 4]
+        assert ms_suppressed(state, 2) == 0
+        assert ms_suppressed(state, 1) == mask_of([1, 2])
 
 
 def _ms_allowable(source, dest, y, seed_push=False):
@@ -95,7 +95,7 @@ def _ms_allowable(source, dest, y, seed_push=False):
         m=len(y),
         dest_profile=mask_of(dest),
         sources=[mask_of(source)],
-        snapshot=FrequencySnapshot(len(y), max(y), list(y)),
+        snapshot=FrequencySnapshot(list(y)),
         is_seed_push=seed_push,
     )
     return ms_candidates(ctx, 1)
@@ -193,14 +193,14 @@ def swarm_states(draw, min_pop=0):
 def test_least_frequent_chunk_bound(state):
     # A peer holds at most m-1 chunks, so the least frequent chunk is held
     # by at most a (m-1)/m fraction of peers.
-    snap = frequency_snapshot(state)
-    assert min(snap.pi) <= (state.m - 1) / state.m + 1e-12
+    pi = [v / state.population for v in state.y]
+    assert min(pi) <= (state.m - 1) / state.m + 1e-12
 
 
 @given(swarm_states(), st.integers(min_value=1, max_value=4))
 def test_suppression_dichotomy(state, threshold):
-    snap = frequency_snapshot(state)
-    sup = suppressed_set_ms(state, threshold)
+    snap = snapshot_of(state)
+    sup = suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, threshold)
     assert sup in (snap.mode_mask, 0)
     if snap.mode_mask == full_mask(state.m):
         assert sup == 0
@@ -208,15 +208,9 @@ def test_suppression_dichotomy(state, threshold):
 
 @given(swarm_states(), st.integers(min_value=1, max_value=3))
 def test_no_suppression_caps_top_frequency(state, threshold):
-    snap = frequency_snapshot(state)
-    if suppressed_set_ms(state, threshold) == 0 and state.population > 2 * threshold * state.m:
-        assert max(snap.pi) <= 1 - 1 / (2 * state.m) + 1e-12
-
-
-@given(swarm_states())
-def test_chunk_total_dominates_mode(state):
-    snap = frequency_snapshot(state)
-    assert snap.total_chunks == sum(snap.y) >= snap.y_max
+    if ms_suppressed(state, threshold) == 0 and state.population > 2 * threshold * state.m:
+        pi = [v / state.population for v in state.y]
+        assert max(pi) <= 1 - 1 / (2 * state.m) + 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -61,6 +61,10 @@ class TestGenerator:
         residual = np.abs(np.asarray(gen.matrix.sum(axis=1))).max()
         assert residual < 1e-12
 
+    def test_threshold_validated(self):
+        with pytest.raises(ValueError, match="threshold"):
+            build_generator_ms(TruncationSpec(2, 2), PARAMS2, 0)
+
     def test_hand_computed_rate(self):
         # x = {(1): 2, (2): 1}: a {1}-peer finishing via chunk 2 has rate
         # (2/3) (U/1 + mu (1/1)) = 4/3, the exact endgame case.
@@ -156,8 +160,8 @@ def test_frequency_columns_match_snapshots(config):
     assert gen.y_vectors.tolist() == [
         SwarmState(m, dict(enumerate(s))).y for s in gen.states
     ]
-    for i, (pop, y) in enumerate(zip(gen.populations.tolist(), gen.y_vectors.tolist())):
-        snap = FrequencySnapshot(m, pop, y)
+    for i, y in enumerate(gen.y_vectors.tolist()):
+        snap = FrequencySnapshot(y)
         assert (gen.y_max[i], gen.y_min[i], gen.mode_mask[i]) == (
             snap.y_max,
             snap.y_min,
@@ -181,7 +185,6 @@ def test_candidate_masks_match_each_states_own_snapshot(m, cap, threshold):
     masks = candidate_masks(
         m,
         threshold,
-        gen.populations,
         gen.y_vectors,
         gen.sup,
         state,
@@ -189,8 +192,8 @@ def test_candidate_masks_match_each_states_own_snapshot(m, cap, threshold):
         np.tile(source, gen.n_states),
     ).reshape(gen.n_states, len(dest))
     ctx = ContactContext(m=m, dest_profile=0, sources=[0])
-    for i, (pop, y) in enumerate(zip(gen.populations.tolist(), gen.y_vectors.tolist())):
-        ctx.snapshot = FrequencySnapshot(m, pop, y)
+    for i, y in enumerate(gen.y_vectors.tolist()):
+        ctx.snapshot = FrequencySnapshot(y)
         expected = []
         for s, b in zip(dest.tolist(), source.tolist()):
             ctx.dest_profile = s
@@ -385,7 +388,7 @@ class TestLemmas:
     @pytest.mark.parametrize("m,cap,threshold", [(2, 6, 1), (2, 6, 2), (3, 5, 2)])
     def test_zero_violations(self, m, cap, threshold):
         params = ModelParams(m=m, arrival_rate=1.0)
-        report = verify_lemmas(TruncationSpec(m, cap), params, threshold)
+        report = verify_lemmas(build_generator_ms(TruncationSpec(m, cap), params, threshold))
         assert report.ok, report.violations
         assert report.states_checked == TruncationSpec(m, cap).state_count()
 
@@ -406,7 +409,7 @@ class TestLemmas:
             populations=gen.populations,
             y_vectors=gen.y_vectors,
         )
-        report = verify_lemmas(spec, PARAMS2, 1, gen=corrupted)
+        report = verify_lemmas(corrupted)
         assert not report.ok
         assert report.violations.get("rate-equality") or report.violations.get(
             "rate-bounds"
@@ -431,7 +434,7 @@ class TestLemmas:
             populations=gen.populations,
             y_vectors=ys,
         )
-        report = verify_lemmas(spec, PARAMS2, 1, gen=doctored)
+        report = verify_lemmas(doctored)
         assert report.violations["min-frequency"] == ["state=(0, 3, 3) pi_min=1.0"]
         assert report.violations["max-frequency"] == ["state=(0, 3, 3) pi_max=1.0"]
         assert report.violations["one-missing-fraction"] == [

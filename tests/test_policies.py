@@ -27,7 +27,7 @@ from swarmsim.policies import (
 
 
 def ctx_of(m, dest=(), sources=(), y=None, histogram=None, seed_push=False):
-    snap = FrequencySnapshot(m, sum(y) and 1 or 0, list(y)) if y is not None else None
+    snap = FrequencySnapshot(list(y)) if y is not None else None
     return ContactContext(
         m=m,
         dest_profile=mask_of(dest),
@@ -418,7 +418,7 @@ def test_transfer_safety(case, rng_seed):
     # Whatever the policy, a transferred chunk is needed by the
     # downloader and on offer from the contact.
     m, config, dest, sources, y, seed_push, est_profile = case
-    snap = FrequencySnapshot(m, max(1, sum(y)), list(y))
+    snap = FrequencySnapshot(list(y))
     hist = {p: 1 for p in sources} or {0: 1}
     ctx = ContactContext(
         m=m,
