@@ -35,6 +35,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from itertools import chain, islice
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -57,6 +58,7 @@ from .oracle import (
     TruncationSpec,
     build_generator_ms,
     drift_report,
+    state_name,
     stationary_distribution,
     verify_lemmas,
 )
@@ -499,23 +501,27 @@ def cmd_oracle(
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    gen = build_generator_ms(spec, params, threshold)
-    report = verify_lemmas(gen)
-    try:
-        p = stationary_distribution(gen)
-    except ReducibleChainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    drift = drift_report(gen, lp)
-    _, _, _, values, drifts, boundary, regions = zip(*drift)
+    # Rates that overflow are caught below and reported as one internal
+    # error; numpy's and the solver's warnings on the way would bury it.
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Matrix is exactly singular")
+        gen = build_generator_ms(spec, params, threshold)
+        report = verify_lemmas(gen)
+        try:
+            p = stationary_distribution(gen)
+        except ReducibleChainError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except RuntimeError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        drift = drift_report(gen, lp)
+    _, _, values, drifts, boundary, regions = zip(*drift)
     if not np.isfinite(drifts).all():
         print("internal error: non-finite drift (floating-point overflow)", file=sys.stderr)
         return EXIT_INTERNAL
     ids = range(gen.n_states)
-    names = list(map(str, gen.states))
+    names = list(map(state_name, gen.counts.tolist()))
     pops = gen.populations.tolist()
     residuals = np.asarray(gen.matrix.sum(axis=1)).ravel().tolist()
     verdict = "pass" if report.ok else f"{report.total_violations()} violations"

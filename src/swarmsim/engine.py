@@ -102,6 +102,11 @@ class Scenario:
             raise ValueError("warmup_departures must be >= 0")
         if self.cap <= self.initial.n:
             raise ValueError("max_population must exceed the initial population")
+        p = self.params
+        # The largest total event rate; were it to overflow, every holding
+        # time would be 0.0 and the clock would stop.
+        if not p.arrival_rate + p.seed_contact_rate + p.peer_contact_rate * self.cap < inf:
+            raise ValueError("the total event rate at max_population must be finite")
 
     @property
     def cap(self) -> int:

@@ -10,6 +10,7 @@ in a :class:`SwarmState` is a proper subset of ``[m]``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
@@ -150,16 +151,7 @@ class SwarmState:
 
     @classmethod
     def from_profiles(cls, m: int, profiles: Iterable[int]) -> "SwarmState":
-        state = cls(m)
-        for p in profiles:
-            counts = state.counts
-            counts[p] = counts.get(p, 0) + 1
-            state.population += 1
-            for b in iter_bits(p):
-                state.y[b] += 1
-        if any(p >= full_mask(m) or p < 0 for p in state.counts):
-            raise ValueError("profiles must be proper subsets")
-        return state
+        return cls(m, Counter(profiles))
 
     # -- fast mutators used by the event loop (no precondition checks) --
 

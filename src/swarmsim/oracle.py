@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -28,8 +27,6 @@ from .model import FrequencySnapshot, ModelParams, full_mask, suppressed_mask
 from .policies import ContactContext, ms_candidates
 
 MAX_STATES = 1_000_000
-
-StateVec = Tuple[int, ...]
 
 
 class ReducibleChainError(RuntimeError):
@@ -68,8 +65,10 @@ def _ranges(lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
 
 
-def _count_array(spec: TruncationSpec) -> np.ndarray:
-    """The states of :func:`enumerate_states` as rows of an int64 array.
+def enumerate_states(spec: TruncationSpec) -> np.ndarray:
+    """All states with population <= cap, one int64 row of peer counts
+    each (column ``i`` counts peers of profile mask ``i``), in
+    lexicographic order of the rows.
 
     Built one profile at a time: each prefix is followed by every count
     its remaining budget allows.  Each step keeps its new column and the
@@ -89,10 +88,10 @@ def _count_array(spec: TruncationSpec) -> np.ndarray:
     return counts
 
 
-def enumerate_states(spec: TruncationSpec) -> List[StateVec]:
-    """All states with population <= cap, in lexicographic order of the
-    count vector (index ``i`` counts peers of profile mask ``i``)."""
-    return list(zip(*_count_array(spec).T.tolist()))
+def state_name(row: Sequence[int]) -> str:
+    """A state's row of counts, as Python ints, in the tuple text that the
+    CSVs and messages show, e.g. ``(0, 1, 0)``."""
+    return str(tuple(row))
 
 
 def _frequency_columns(y_vectors: np.ndarray, threshold: int):
@@ -111,39 +110,28 @@ class GeneratorMatrix:
     """Sparse rate matrix over the enumerated states, plus per-state
     columns for reuse by the checks.
 
-    ``populations`` and ``y_vectors`` (the chunk counts) are given.
-    ``counts`` (peers per profile, one row per state) is read from
-    ``states``, and the frequency statistics ``y_max``, ``y_min``,
+    State ``i`` is row ``i`` of ``counts`` (peers per profile, the rows of
+    :func:`enumerate_states`).  ``populations`` and ``y_vectors`` (the
+    chunk counts) are its row sums and holder counts; ``y_max``, ``y_min``,
     ``mode_mask`` and ``sup`` (the suppressed mask at ``threshold``) are
-    derived from ``y_vectors``.
+    the frequency statistics of ``y_vectors``.
     """
 
     spec: TruncationSpec
     params: ModelParams
     threshold: int
-    states: List[StateVec]
-    index: Dict[StateVec, int]
     matrix: sparse.csr_matrix
+    counts: np.ndarray
     populations: np.ndarray
     y_vectors: np.ndarray
-    counts: np.ndarray = field(init=False, repr=False)
-    y_max: np.ndarray = field(init=False, repr=False)
-    y_min: np.ndarray = field(init=False, repr=False)
-    mode_mask: np.ndarray = field(init=False, repr=False)
-    sup: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n_profiles = self.spec.n_profiles
-        self.counts = np.fromiter(
-            chain.from_iterable(self.states), np.int64, len(self.states) * n_profiles
-        ).reshape(len(self.states), n_profiles)
-        self.y_max, self.y_min, self.mode_mask, self.sup = _frequency_columns(
-            np.asarray(self.y_vectors), self.threshold
-        )
+    y_max: np.ndarray
+    y_min: np.ndarray
+    mode_mask: np.ndarray
+    sup: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.counts)
 
 
 def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -238,15 +226,14 @@ def build_generator_ms(
         raise ValueError("params.m must match the truncation spec")
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    states = enumerate_states(spec)
-    counts = _count_array(spec)
-    m, cap, n = spec.m, spec.cap, len(states)
+    counts = enumerate_states(spec)
+    m, cap, n = spec.m, spec.cap, len(counts)
     n_profiles = spec.n_profiles
     bits = _has_bits(np.arange(n_profiles + 1), m).astype(np.int64)
     popcount = bits.sum(axis=1)  # of every candidate mask, the full one included
     pops = counts.sum(axis=1)
     ys = counts @ bits[:n_profiles]
-    sup = _frequency_columns(ys, threshold)[3]
+    y_max, y_min, mode_mask, sup = _frequency_columns(ys, threshold)
     steps, ahead = _transfer_steps(counts, cap)
     # Every state's held profiles, in increasing order, as one flat list.
     held_profile = np.nonzero(counts)[1]
@@ -312,11 +299,14 @@ def build_generator_ms(
         spec=spec,
         params=params,
         threshold=threshold,
-        states=states,
-        index=dict(zip(states, range(n))),
         matrix=matrix,
+        counts=counts,
         populations=pops,
         y_vectors=ys,
+        y_max=y_max,
+        y_min=y_min,
+        mode_mask=mode_mask,
+        sup=sup,
     )
 
 
@@ -351,7 +341,7 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     if len(classes) > 1:
         names = []
         for cls in classes:
-            names.extend(str(gen.states[i]) for i in cls[:3])
+            names.extend(map(state_name, gen.counts[cls[:3]].tolist()))
         raise ReducibleChainError(
             f"{len(classes)} closed classes; stranded states: {', '.join(names)}"
         )
@@ -459,8 +449,8 @@ def lyapunov_value(state, lp: LyapunovParams) -> float:
     return float(_lyapunov(state.y, state.population, lp))
 
 
-def mean_drift(state: StateVec, gen: GeneratorMatrix, lp: LyapunovParams) -> float:
-    """Exact expected rate of change of the potential out of ``state``.
+def mean_drift(i: int, gen: GeneratorMatrix, lp: LyapunovParams) -> float:
+    """Exact expected rate of change of the potential out of state ``i``.
 
     Boundary states (population at the cap) are still computable but
     biased by the missing arrival; callers should exclude them from
@@ -468,7 +458,6 @@ def mean_drift(state: StateVec, gen: GeneratorMatrix, lp: LyapunovParams) -> flo
     are added in the same order as in :func:`drift_report`, so the two
     agree exactly; the diagonal term is a rate times 0.0.
     """
-    i = gen.index[state]
     mat = gen.matrix
     lo, hi = mat.indptr[i], mat.indptr[i + 1]
     cols = mat.indices[lo:hi]
@@ -483,7 +472,6 @@ def mean_drift(state: StateVec, gen: GeneratorMatrix, lp: LyapunovParams) -> flo
 
 class DriftRow(NamedTuple):
     index: int
-    state: StateVec
     population: int
     value: float
     drift: float
@@ -514,7 +502,6 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> List[DriftRow]:
     )
     columns = zip(
         range(gen.n_states),
-        gen.states,
         gen.populations.tolist(),
         v.tolist(),
         drift.tolist(),
@@ -524,13 +511,15 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> List[DriftRow]:
     return list(map(DriftRow._make, columns))
 
 
-def exceptional_states(gen: GeneratorMatrix, lp: LyapunovParams) -> List[StateVec]:
-    """Non-boundary states whose drift is not below ``-epsilon``."""
-    return [
-        row.state
+def exceptional_states(gen: GeneratorMatrix, lp: LyapunovParams) -> List[Tuple[int, ...]]:
+    """Non-boundary states whose drift is not below ``-epsilon``, as
+    count-vector tuples."""
+    hits = [
+        row.index
         for row in drift_report(gen, lp)
         if not row.boundary and row.drift > -lp.epsilon
     ]
+    return list(map(tuple, gen.counts[hits].tolist()))
 
 
 # -- lemma verification --
@@ -541,8 +530,6 @@ class LemmaReport:
     """Violations found per named check; empty lists everywhere means the
     whole enumerated space passed."""
 
-    spec: TruncationSpec
-    threshold: int
     states_checked: int
     violations: Dict[str, List[str]] = field(default_factory=dict)
 
@@ -587,7 +574,7 @@ def _check_rate_bounds(
         (q > upper * (1 + rel_tol)) | (q < lower * (1 - rel_tol)),
     )
     for k in np.flatnonzero(bad).tolist():
-        state_k, s_k, j_k = gen.states[i[k]], int(s[k]), int(j_bit[k]) + 1
+        state_k, s_k, j_k = state_name(counts[i[k]].tolist()), int(s[k]), int(j_bit[k]) + 1
         q_k, lower_k, upper_k = float(q[k]), float(lower[k]), float(upper[k])
         if exact[k]:
             report.record(
@@ -615,23 +602,26 @@ def verify_lemmas(gen: GeneratorMatrix) -> LemmaReport:
     """
     m, threshold = gen.spec.m, gen.threshold
     full = full_mask(m)
-    report = LemmaReport(spec=gen.spec, threshold=threshold, states_checked=gen.n_states)
+    report = LemmaReport(states_checked=gen.n_states)
     live = np.flatnonzero(gen.populations > 0)
+    counts = gen.counts[live]
     pop = gen.populations[live]
     pi_min = gen.y_min[live] / pop
     pi_max = gen.y_max[live] / pop
     for k in np.flatnonzero(pi_min > (m - 1) / m + 1e-12).tolist():
-        report.record("min-frequency", f"state={gen.states[live[k]]} pi_min={float(pi_min[k])}")
+        name = state_name(counts[k].tolist())
+        report.record("min-frequency", f"state={name} pi_min={float(pi_min[k])}")
     too_high = (pop > 2 * threshold * m) & (gen.sup[live] == 0)
     too_high &= pi_max > 1 - 1 / (2 * m) + 1e-12
     for k in np.flatnonzero(too_high).tolist():
-        report.record("max-frequency", f"state={gen.states[live[k]]} pi_max={float(pi_max[k])}")
+        name = state_name(counts[k].tolist())
+        report.record("max-frequency", f"state={name} pi_max={float(pi_max[k])}")
     almost = [full & ~(1 << j_bit) for j_bit in range(m)]
-    gamma = gen.counts[live][:, almost] / pop[:, None]
+    gamma = counts[:, almost] / pop[:, None]
     for k, j_bit in zip(*np.nonzero(gamma > pi_max[:, None] + 1e-12)):
         report.record(
             "one-missing-fraction",
-            f"state={gen.states[live[k]]} j={j_bit + 1} gamma={float(gamma[k, j_bit])} "
+            f"state={state_name(counts[k].tolist())} j={j_bit + 1} gamma={float(gamma[k, j_bit])} "
             f"pi_max={float(pi_max[k])}",
         )
     _check_rate_bounds(gen, report)

@@ -74,7 +74,6 @@ class EwmaEstimate:
     """A peer's running estimate of the marginal chunk frequencies."""
 
     values: List[float]
-    ticks: int = 0
 
     @classmethod
     def zero(cls, m: int) -> "EwmaEstimate":
@@ -97,7 +96,6 @@ def ewma_update(est: EwmaEstimate, observed_profile: int, alpha: float) -> EwmaE
             values[j] = keep * values[j] + alpha
         else:
             values[j] = keep * values[j]
-    est.ticks += 1
     return est
 
 

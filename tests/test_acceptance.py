@@ -335,11 +335,12 @@ def test_criterion_8_oracle_equivalence():
         block_arrivals_at_cap=True,
     )
     sim = Simulation(scenario)
+    index = {tuple(row): i for i, row in enumerate(gen.counts.tolist())}
     occupancy = np.zeros(gen.n_states)
     for _ in range(10 ** 6):
         key = sim.state.as_vector()
         _, dt = sim.step()
-        occupancy[gen.index[key]] += dt
+        occupancy[index[key]] += dt
     occupancy /= occupancy.sum()
     tv = 0.5 * np.abs(occupancy - p).sum()
     elapsed = time.perf_counter() - t0

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +175,17 @@ class TestNonFiniteInputs:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_overflowing_event_rate_exit_2(self, tmp_path):
+        # Each rate is finite, but mu times the population overflows: every
+        # holding time would be 0.0 and the clock would never advance.
+        with pytest.raises(ConfigError, match="finite"):
+            parse_scenario_dict({**BASE_CONFIG, "mu": 1e308})
+        cfg = write_config(tmp_path, mu=1e308)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        argv = ["sweep", "--config", str(cfg), "--param", "lambda", "--values", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize(
         "option", [["--lambda", "nan"], ["--epsilon", "nan"], ["--m-const", "nan"],
                    ["--lambda", "1e308"]],
@@ -190,7 +202,10 @@ class TestNonFiniteInputs:
     )
     def test_oracle_overflow_exit_4(self, tmp_path, capsys, rates):
         argv = ["oracle", "--m", "2", "--cap", "3", "--lambda", "1", *rates]
-        assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 4
+        assert not caught, [str(w.message) for w in caught]
         assert "internal error:" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 

@@ -196,14 +196,14 @@ def _check_step_against_generator(m, profiles, cap, n):
     policy = PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=1)
     gen = build_generator_ms(TruncationSpec(m, cap), params, 1)
     state = SwarmState.from_profiles(m, profiles).as_vector()
-    i = gen.index[state]
+    i = [tuple(row) for row in gen.counts.tolist()].index(state)
     row = gen.matrix.getrow(i)
     # Name each target the way step() reports it.
     rates = {}
     for j, rate in zip(row.indices.tolist(), row.data.tolist()):
         if j == i:
             continue
-        diff = [b - a for a, b in zip(state, gen.states[j])]
+        diff = [b - a for a, b in zip(state, gen.counts[j].tolist())]
         if -1 not in diff:
             rates["arrival"] = rate
             continue

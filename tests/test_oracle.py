@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from swarmsim.model import (
     suppressed_mask,
 )
 from swarmsim.oracle import (
-    GeneratorMatrix,
     LyapunovParams,
     ReducibleChainError,
     TruncationSpec,
@@ -27,6 +27,7 @@ from swarmsim.oracle import (
     mean_drift,
     stationary_distribution,
     verify_lemmas,
+    _frequency_columns,
     _transfer_steps,
 )
 from swarmsim.policies import ContactContext, ms_candidates
@@ -34,21 +35,34 @@ from swarmsim.policies import ContactContext, ms_candidates
 PARAMS2 = ModelParams(m=2, arrival_rate=1.0)
 
 
+def state_index(gen):
+    """``{count-vector tuple: state index}`` of ``gen``'s states."""
+    return {tuple(row): i for i, row in enumerate(gen.counts.tolist())}
+
+
 class TestEnumeration:
     def test_cap_one(self):
         states = enumerate_states(TruncationSpec(2, 1))
-        assert set(states) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        assert set(map(tuple, states.tolist())) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_cap_zero(self):
-        assert enumerate_states(TruncationSpec(2, 0)) == [(0, 0, 0)]
+        assert enumerate_states(TruncationSpec(2, 0)).tolist() == [[0, 0, 0]]
 
     def test_cap_two_stars_and_bars(self):
         assert len(enumerate_states(TruncationSpec(2, 2))) == 10
 
     def test_deterministic_order(self):
-        assert enumerate_states(TruncationSpec(2, 3)) == enumerate_states(
-            TruncationSpec(2, 3)
+        assert np.array_equal(
+            enumerate_states(TruncationSpec(2, 3)), enumerate_states(TruncationSpec(2, 3))
         )
+
+    @pytest.mark.parametrize("m,cap", [(2, 5), (3, 3)])
+    def test_rows_are_every_state_in_lexicographic_order(self, m, cap):
+        spec = TruncationSpec(m, cap)
+        rows = [tuple(row) for row in enumerate_states(spec).tolist()]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert all(min(row) >= 0 and sum(row) <= cap for row in rows)
+        assert len(rows) == spec.state_count()
 
     def test_state_count_guard(self):
         with pytest.raises(ValueError, match="guard"):
@@ -69,34 +83,38 @@ class TestGenerator:
         # x = {(1): 2, (2): 1}: a {1}-peer finishing via chunk 2 has rate
         # (2/3) (U/1 + mu (1/1)) = 4/3, the exact endgame case.
         gen = build_generator_ms(TruncationSpec(2, 6), PARAMS2, 1)
-        i = gen.index[(0, 2, 1)]
-        j = gen.index[(0, 1, 1)]
+        index = state_index(gen)
+        i = index[(0, 2, 1)]
+        j = index[(0, 1, 1)]
         assert gen.matrix[i, j] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_suppressed_chunk_has_zero_rate(self):
         # same state: chunk 1 is the suppressed mode (y = (2, 1)), so the
         # {2}-peer cannot finish.
         gen = build_generator_ms(TruncationSpec(2, 6), PARAMS2, 1)
-        i = gen.index[(0, 2, 1)]
-        j = gen.index[(0, 2, 0)]
+        index = state_index(gen)
+        i = index[(0, 2, 1)]
+        j = index[(0, 2, 0)]
         assert gen.matrix[i, j] == 0.0
 
     def test_arrival_disabled_at_cap(self):
         gen = build_generator_ms(TruncationSpec(2, 2), PARAMS2, 1)
-        i = gen.index[(2, 0, 0)]
+        index = state_index(gen)
+        i = index[(2, 0, 0)]
         row = gen.matrix.getrow(i)
         # seed transfers remain (rate U/2 each), but population never grows
-        targets = {gen.states[j] for j in row.indices if j != i}
+        targets = {tuple(gen.counts[j].tolist()) for j in row.indices if j != i}
         assert targets == {(1, 1, 0), (1, 0, 1)}
-        assert gen.matrix[i, gen.index[(1, 1, 0)]] == pytest.approx(0.5)
+        assert gen.matrix[i, index[(1, 1, 0)]] == pytest.approx(0.5)
 
     def test_empty_state_row_holds_only_arrival(self):
         gen = build_generator_ms(TruncationSpec(2, 2), PARAMS2, 1)
-        i = gen.index[(0, 0, 0)]
+        index = state_index(gen)
+        i = index[(0, 0, 0)]
         row = gen.matrix.getrow(i)
         lam = PARAMS2.arrival_rate
         assert dict(zip(row.indices.tolist(), row.data.tolist())) == {
-            gen.index[(1, 0, 0)]: lam,
+            index[(1, 0, 0)]: lam,
             i: -lam,
         }
 
@@ -106,7 +124,7 @@ class TestGenerator:
         coo = gen.matrix.tocoo()
         offdiag = [(i, j, v) for i, j, v in zip(coo.row, coo.col, coo.data) if i != j]
         assert all(v > 0 for _, _, v in offdiag)
-        assert all(sum(gen.states[j]) <= spec.cap for _, j, _ in offdiag)
+        assert all(gen.counts[j].sum() <= spec.cap for _, j, _ in offdiag)
 
 
 # SHA-256 over the generator's CSR arrays (indptr, indices, data),
@@ -156,9 +174,9 @@ def test_frequency_columns_match_snapshots(config):
     # suppressed_mask give the engine, state by state.
     gen = _digest_generator(config)
     m, threshold = config[0], config[5]
-    assert gen.counts.tolist() == [list(s) for s in gen.states]
+    assert np.array_equal(gen.counts, enumerate_states(TruncationSpec(m, config[1])))
     assert gen.y_vectors.tolist() == [
-        SwarmState(m, dict(enumerate(s))).y for s in gen.states
+        SwarmState(m, dict(enumerate(s))).y for s in gen.counts.tolist()
     ]
     for i, y in enumerate(gen.y_vectors.tolist()):
         snap = FrequencySnapshot(y)
@@ -200,7 +218,7 @@ def test_candidate_masks_match_each_states_own_snapshot(m, cap, threshold):
             ctx.sources[0] = b
             ctx.is_seed_push = b == n_profiles
             expected.append(ms_candidates(ctx, threshold))
-        assert masks[i].tolist() == expected, gen.states[i]
+        assert masks[i].tolist() == expected, gen.counts[i]
 
 
 @pytest.mark.parametrize("m,cap", [(2, 9), (3, 4), (4, 3)])
@@ -208,9 +226,10 @@ def test_index_arithmetic_matches_state_lookup(m, cap):
     # The builder finds each move's target by rank arithmetic on the
     # enumeration order; check every move against the {state: index} map.
     spec = TruncationSpec(m, cap)
-    states = enumerate_states(spec)
+    counts = enumerate_states(spec)
+    states = [tuple(row) for row in counts.tolist()]
     index = {s: i for i, s in enumerate(states)}
-    steps, ahead = _transfer_steps(np.array(states), cap)
+    steps, ahead = _transfer_steps(counts, cap)
     full = full_mask(m)
     moves = 0
     for i, state in enumerate(states):
@@ -249,7 +268,7 @@ class TestStationary:
         # from the recurrent class; the solve must park it at zero.
         gen = build_generator_ms(TruncationSpec(2, 8), PARAMS2, 1)
         p = stationary_distribution(gen)
-        assert p[gen.index[(0, 2, 0)]] == 0.0
+        assert p[state_index(gen)[(0, 2, 0)]] == 0.0
 
     @pytest.mark.parametrize("m,cap", [(2, 8), (3, 5)])
     def test_mass_exactly_on_closed_class(self, m, cap):
@@ -266,18 +285,8 @@ class TestStationary:
         assert (~recurrent).any()
 
     def test_multiple_closed_classes_rejected(self):
-        states = [(0, 0, 0), (1, 0, 0)]
-        matrix = sparse.csr_matrix(np.zeros((2, 2)))  # both absorbing
-        gen = GeneratorMatrix(
-            spec=TruncationSpec(2, 1),
-            params=PARAMS2,
-            threshold=1,
-            states=states,
-            index={s: i for i, s in enumerate(states)},
-            matrix=matrix,
-            populations=np.array([0, 1]),
-            y_vectors=np.zeros((2, 2), dtype=np.int64),
-        )
+        gen = build_generator_ms(TruncationSpec(2, 1), PARAMS2, 1)
+        gen = replace(gen, matrix=sparse.csr_matrix((4, 4)))  # every state absorbing
         with pytest.raises(ReducibleChainError, match=r"\(1, 0, 0\)"):
             stationary_distribution(gen)
 
@@ -318,14 +327,14 @@ class TestLyapunov:
 
     def test_empty_state_drift_is_arrival_term(self):
         gen = build_generator_ms(TruncationSpec(2, 6), PARAMS2, 1)
-        drift = mean_drift((0, 0, 0), gen, LP)
+        drift = mean_drift(state_index(gen)[(0, 0, 0)], gen, LP)
         assert drift == pytest.approx(PARAMS2.arrival_rate * LP.c1, rel=1e-12)
 
     def test_zero_row_zero_drift(self):
         # cap 0: the empty state has its arrival disabled, so nothing at all
         # can happen and the drift vanishes
         gen = build_generator_ms(TruncationSpec(2, 0), PARAMS2, 1)
-        assert mean_drift((0, 0, 0), gen, LP) == 0.0
+        assert mean_drift(state_index(gen)[(0, 0, 0)], gen, LP) == 0.0
 
     def test_one_club_drift_negative(self):
         # One-club states {(2): k}: the departure of a one-club peer drops
@@ -336,9 +345,10 @@ class TestLyapunov:
         cap = 10
         gen = build_generator_ms(TruncationSpec(2, cap), PARAMS2, 1)
         lp = LyapunovParams.compliant(PARAMS2, threshold=1, m_const=4.0)
+        index = state_index(gen)
         for k in (6, 7, 8, 9):
-            assert mean_drift((0, 0, k), gen, lp) < 0.0
-        assert mean_drift((0, 0, 2), gen, lp) > 0.0  # inside the finite set
+            assert mean_drift(index[(0, 0, k)], gen, lp) < 0.0
+        assert mean_drift(index[(0, 0, 2)], gen, lp) > 0.0  # inside the finite set
 
     def test_near_balanced_family_drift_is_positive(self):
         # At lambda=2, T=1, M=6 the state (n, 4, 3) has r = 7 > M and mode
@@ -350,9 +360,10 @@ class TestLyapunov:
         lp = LyapunovParams.compliant(params, threshold=1, m_const=6.0)
         cap = 30
         gen = build_generator_ms(TruncationSpec(2, cap), params, 1)
+        index = state_index(gen)
         for n in range(cap - 7):
             for state in ((n, 4, 3), (n, 3, 4)):
-                assert mean_drift(state, gen, lp) == pytest.approx(
+                assert mean_drift(index[state], gen, lp) == pytest.approx(
                     12.0 / (n + 7), rel=1e-12
                 )
 
@@ -363,10 +374,10 @@ class TestLyapunov:
         params = ModelParams(m=m, arrival_rate=1.0)
         gen = build_generator_ms(TruncationSpec(m, cap), params, 1)
         lp = LyapunovParams.compliant(params, threshold=1, m_const=2.0 * cap)
-        for row in drift_report(gen, lp):
-            assert row.drift == mean_drift(row.state, gen, lp)
+        for row, state in zip(drift_report(gen, lp), gen.counts.tolist()):
+            assert row.drift == mean_drift(row.index, gen, lp)
             assert row.value == lyapunov_value(
-                SwarmState(m, {s: n for s, n in enumerate(row.state) if n}), lp
+                SwarmState(m, {s: n for s, n in enumerate(state) if n}), lp
             )
 
     def test_drift_report_flags_boundary(self):
@@ -396,20 +407,11 @@ class TestLemmas:
         spec = TruncationSpec(2, 6)
         gen = build_generator_ms(spec, PARAMS2, 1)
         bad = gen.matrix.tolil()
-        i = gen.index[(0, 2, 1)]
-        j = gen.index[(0, 1, 1)]
+        index = state_index(gen)
+        i = index[(0, 2, 1)]
+        j = index[(0, 1, 1)]
         bad[i, j] = bad[i, j] * 3.0  # break the endgame equality case
-        corrupted = GeneratorMatrix(
-            spec=spec,
-            params=PARAMS2,
-            threshold=1,
-            states=gen.states,
-            index=gen.index,
-            matrix=bad.tocsr(),
-            populations=gen.populations,
-            y_vectors=gen.y_vectors,
-        )
-        report = verify_lemmas(corrupted)
+        report = verify_lemmas(replace(gen, matrix=bad.tocsr()))
         assert not report.ok
         assert report.violations.get("rate-equality") or report.violations.get(
             "rate-bounds"
@@ -421,18 +423,13 @@ class TestLemmas:
         # only for the doctored states.
         spec = TruncationSpec(2, 6)
         gen = build_generator_ms(spec, PARAMS2, 1)
+        index = state_index(gen)
         ys = gen.y_vectors.copy()
-        ys[gen.index[(0, 3, 3)]] = (6, 6)  # every peer holds every chunk
-        ys[gen.index[(0, 4, 2)]] = (1, 1)  # fewer holders than one-chunk peers
-        doctored = GeneratorMatrix(
-            spec=spec,
-            params=PARAMS2,
-            threshold=1,
-            states=gen.states,
-            index=gen.index,
-            matrix=gen.matrix,
-            populations=gen.populations,
-            y_vectors=ys,
+        ys[index[(0, 3, 3)]] = (6, 6)  # every peer holds every chunk
+        ys[index[(0, 4, 2)]] = (1, 1)  # fewer holders than one-chunk peers
+        y_max, y_min, mode_mask, sup = _frequency_columns(ys, 1)
+        doctored = replace(
+            gen, y_vectors=ys, y_max=y_max, y_min=y_min, mode_mask=mode_mask, sup=sup
         )
         report = verify_lemmas(doctored)
         assert report.violations["min-frequency"] == ["state=(0, 3, 3) pi_min=1.0"]

@@ -206,7 +206,6 @@ class TestEwma:
         est = EwmaEstimate.zero(3)
         ewma_update(est, mask_of([1, 3]), 0.1)
         assert est.values == [0.1, 0.0, 0.1]
-        assert est.ticks == 1
 
     def test_alpha_one_replaces(self):
         est = EwmaEstimate([0.4, 0.9])
