@@ -28,7 +28,6 @@ configuration error, 3 I/O failure, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import json
 import os
@@ -36,7 +35,7 @@ import shutil
 import sys
 import tempfile
 import warnings
-from itertools import chain, islice
+from itertools import chain, repeat, starmap
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -58,7 +57,6 @@ from .oracle import (
     TruncationSpec,
     build_generator_ms,
     drift_report,
-    state_name,
     stationary_distribution,
     verify_lemmas,
 )
@@ -198,11 +196,6 @@ def load_scenario_file(path: str | Path) -> Tuple[Scenario, int]:
 
 _BOOL_TEXT = {False: "false", True: "true"}
 
-# Types that csv.writer writes as _fmt would: int and str through str(),
-# float through repr() and None as an empty field.
-_NATIVE = frozenset((int, float, str, type(None)))
-_BATCH_ROWS = 1024
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):  # np.float64 too, whose repr names its type
@@ -214,46 +207,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
+def _field(value) -> str:
+    text = _fmt(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write atomically (temp file + rename), full float precision.  A
-    field holding a comma, such as a state tuple, is quoted.  The file
-    gets the mode a plain ``open`` would give it under the umask.
-
-    Rows go to csv.writer in batches.  A batch holding only int, float,
-    str and None values is written as it is; any other batch goes through
-    :func:`_fmt`, which spells bools ``true``/``false`` and numpy scalars
-    as the Python number they hold."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        os.chmod(tmp, 0o666 & ~_umask())
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-            writer.writerow(header)
-            it = iter(rows)
-            while batch := list(islice(it, _BATCH_ROWS)):
-                if not _NATIVE.issuperset(map(type, chain.from_iterable(batch))):
-                    batch = [[_fmt(v) for v in row] for row in batch]
-                writer.writerows(batch)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _line(row: Sequence) -> str:
+    line = ",".join(map(_field, row))
+    return '""\n' if not line and len(row) == 1 else line + "\n"
 
 
-Table = Tuple[str, Sequence[str], Iterable[Sequence]]
+def write_csv(
+    path: Path, header: Sequence[str], rows: Iterable[Sequence], template: str = ""
+) -> None:
+    """Write one table to ``path`` in one write; the file gets the mode
+    ``open`` gives it.
+
+    With a ``template``, row ``r`` is the line ``template.format(*r)``,
+    built once per table from ``{}`` for an int or str field, ``{!r}`` for
+    a float (its shortest round-trip text) and ``"{}"`` for a field that
+    holds a comma.  Without one, every value is spelled by :func:`_fmt`
+    (bools ``true``/``false``, None an empty field, numpy scalars as the
+    Python number they hold), for the small tables that mix such values.
+    Either way the text is what ``csv.writer`` with ``QUOTE_MINIMAL`` and
+    ``"\\n"`` line ends writes: a field holding a comma, a quote or a
+    newline is quoted with its quotes doubled, as is a lone empty field."""
+    lines = starmap(template.format, rows) if template else map(_line, rows)
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(chain([_line(header)], lines)))
+
+
+Table = Tuple[str, Sequence[str], Iterable[Sequence], str]
 
 
 def write_csvs(out_dir: Path, tables: Sequence[Table]) -> None:
-    """Write the ``(file name, header, rows)`` tables into ``out_dir`` all
-    or nothing.
+    """Write the ``(file name, header, rows, template)`` tables (see
+    :func:`write_csv`) into ``out_dir`` all or nothing.
 
     Every table is first written to a staging directory inside
     ``out_dir``.  The files are moved into place only after all of them
@@ -265,88 +256,55 @@ def write_csvs(out_dir: Path, tables: Sequence[Table]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
     try:
-        for name, header, rows in tables:
-            write_csv(stage / name, header, rows)
-        for name, _, _ in tables:
+        for name, header, rows, template in tables:
+            write_csv(stage / name, header, rows, template)
+        for name, *_ in tables:
             if (out_dir / name).is_dir():
                 raise IsADirectoryError(
                     errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / name)
                 )
-        for name, _, _ in tables:
+        for name, *_ in tables:
             os.replace(stage / name, out_dir / name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _policy_label(policy: PolicyConfig) -> str:
-    return policy.kind.value
+SUMMARY_HEADER = (
+    "replication", "policy", "params", "mean_sojourn", "stddev_sojourn",
+    "sojourn_count", "stabilization_time", "termination",
+)
 
 
-def _policy_params_label(policy: PolicyConfig) -> str:
-    return (
+def _summary_row(scenario: Scenario, rep: int, trace: EventTrace) -> List:
+    policy = scenario.policy
+    params = (
         f"T={policy.threshold};alpha={policy.alpha};"
         f"sample_peers={policy.sample_peers};cc_variant={policy.cc_variant}"
     )
-
-
-def _summary_row(
-    scenario: Scenario, rep: int, trace: EventTrace
-) -> List:
     st = sojourn_stats(trace, scenario.warmup_departures)
     stab = stabilization_time(trace, DEFAULT_EPSILON_GAP)
-    return [
-        rep,
-        _policy_label(scenario.policy),
-        _policy_params_label(scenario.policy),
-        st.mean,
-        st.stddev,
-        st.count,
-        stab,
-        trace.termination.value,
-    ]
-
-
-SUMMARY_HEADER = (
-    "replication",
-    "policy",
-    "params",
-    "mean_sojourn",
-    "stddev_sojourn",
-    "sojourn_count",
-    "stabilization_time",
-    "termination",
-)
+    return [rep, policy.kind.value, params, st.mean, st.stddev, st.count, stab,
+            trace.termination.value]
 
 
 def write_simulation_outputs(
     out_dir: Path, scenario: Scenario, traces: Sequence[EventTrace]
 ) -> None:
     m = scenario.params.m
-    pop_rows = []
-    freq_rows = []
-    dep_rows = []
-    sum_rows = []
+    pops, freqs, deps, summary = [], [], [], []
     for rep, trace in enumerate(traces):
-        for t, pop in zip(trace.times, trace.populations):
-            pop_rows.append([t, rep, pop])
-        for t, freqs in zip(trace.times, trace.frequencies):
-            freq_rows.append([t, rep, *freqs])
-        for arr, dep in trace.departures:
-            dep_rows.append([rep, arr, dep, dep - arr])
-        sum_rows.append(_summary_row(scenario, rep, trace))
+        pops.append(zip(trace.times, repeat(rep), trace.populations))
+        freqs.append(zip(trace.times, repeat(rep), *zip(*trace.frequencies)))
+        deps.extend((rep, arr, dep, dep - arr) for arr, dep in trace.departures)
+        summary.append(_summary_row(scenario, rep, trace))
+    pis = (f"pi_{j}" for j in range(1, m + 1))
     write_csvs(out_dir, [
-        ("population.csv", ("time", "replication", "population"), pop_rows),
-        (
-            "frequencies.csv",
-            ("time", "replication", *(f"pi_{j}" for j in range(1, m + 1))),
-            freq_rows,
-        ),
-        (
-            "departures.csv",
-            ("replication", "arrival_time", "departure_time", "sojourn"),
-            dep_rows,
-        ),
-        ("summary.csv", SUMMARY_HEADER, sum_rows),
+        ("population.csv", ("time", "replication", "population"), chain(*pops), "{!r},{},{}\n"),
+        ("frequencies.csv", ("time", "replication", *pis), chain(*freqs),
+         "{!r},{}" + ",{!r}" * m + "\n"),
+        ("departures.csv", ("replication", "arrival_time", "departure_time", "sojourn"), deps,
+         "{},{!r},{!r},{!r}\n"),
+        ("summary.csv", SUMMARY_HEADER, summary, ""),
     ])
 
 
@@ -458,11 +416,8 @@ def cmd_sweep(
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        write_csv(
-            Path(out_dir) / "sweep.csv",
-            ("parameter", "value", *SUMMARY_HEADER, "seed"),
-            rows,
-        )
+        header = ("parameter", "value", *SUMMARY_HEADER, "seed")
+        write_csvs(Path(out_dir), [("sweep.csv", header, rows, "")])
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -516,28 +471,32 @@ def cmd_oracle(
             print(f"internal error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
         drift = drift_report(gen, lp)
-    _, _, values, drifts, boundary, regions = zip(*drift)
-    if not np.isfinite(drifts).all():
+    if not np.isfinite(drift.drifts).all():
         print("internal error: non-finite drift (floating-point overflow)", file=sys.stderr)
         return EXIT_INTERNAL
     ids = range(gen.n_states)
-    names = list(map(state_name, gen.counts.tolist()))
-    pops = gen.populations.tolist()
+    # state_id, the quoted count tuple and population open every audit and
+    # stationary row: formatted once, for both.
+    state = ", ".join(["{}"] * gen.counts.shape[1])
+    prefix = list(starmap(
+        ('{},"(' + state + ')",{},').format,
+        np.column_stack((ids, gen.counts, gen.populations)).tolist(),
+    ))
     residuals = np.asarray(gen.matrix.sum(axis=1)).ravel().tolist()
     verdict = "pass" if report.ok else f"{report.total_violations()} violations"
-    lemma_row = ["lemma-checks", "", "", verdict]
-    audit_rows = chain(zip(ids, names, pops, residuals), [lemma_row])
-    stat_rows = zip(ids, names, pops, p.tolist())
-    drift_rows = zip(ids, pops, values, drifts, map(_BOOL_TEXT.__getitem__, boundary), regions)
+    # The verdict shares the residuals' field, so "{}": a float's str is its repr.
+    audit = chain(zip(prefix, residuals), [("lemma-checks,,,", verdict)])
+    boundary = map(_BOOL_TEXT.__getitem__, drift.boundary.tolist())
+    columns = (drift.populations, drift.values, drift.drifts)
+    drift_rows = zip(ids, *(c.tolist() for c in columns), boundary, drift.regions.tolist())
     try:
         write_csvs(Path(out_dir), [
-            (
-                "generator-audit.csv",
-                ("state_id", "state", "population", "row_sum_residual"),
-                audit_rows,
-            ),
-            ("stationary.csv", ("state_id", "state", "population", "probability"), stat_rows),
-            ("drift.csv", ("state_id", "population", "V", "QV", "boundary", "region"), drift_rows),
+            ("generator-audit.csv", ("state_id", "state", "population", "row_sum_residual"),
+             audit, "{}{}\n"),
+            ("stationary.csv", ("state_id", "state", "population", "probability"),
+             zip(prefix, p.tolist()), "{}{!r}\n"),
+            ("drift.csv", ("state_id", "population", "V", "QV", "boundary", "region"),
+             drift_rows, "{},{},{!r},{!r},{},{}\n"),
         ])
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

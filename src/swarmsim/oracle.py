@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -134,6 +134,12 @@ class GeneratorMatrix:
         return len(self.counts)
 
 
+def _binomials(p: int, cap: int) -> np.ndarray:
+    """``out[k - 1, r] = C(r + p - k, p - k)`` for ``k = 1..p``, ``r = 0..cap``."""
+    rows = [[math.comb(r + p - k, p - k) for r in range(cap + 1)] for k in range(1, p + 1)]
+    return np.array(rows, dtype=np.int64)
+
+
 def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarray]:
     """Index arithmetic on the order of :func:`enumerate_states`.
 
@@ -150,14 +156,44 @@ def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarra
     n_profiles = counts.shape[1]
     k = np.arange(1, n_profiles + 1)
     rests = cap - np.cumsum(counts, axis=1)  # column k-1 holds R_k
-    binom = np.array(
-        [[math.comb(r + n_profiles - kk, n_profiles - kk) for r in range(cap + 1)] for kk in k],
-        dtype=np.int64,
-    ).reshape(n_profiles, cap + 1)
+    binom = _binomials(n_profiles, cap)
     steps = np.zeros((len(counts), n_profiles + 1), dtype=np.int64)
     np.cumsum(binom[k - 1, rests], axis=1, out=steps[:, 1:])
     ahead = binom[k - 1, np.maximum(rests - 1, 0)].sum(axis=1)
     return steps, ahead
+
+
+def _move_targets(
+    counts: np.ndarray, cap: int, flat: np.ndarray, entry: np.ndarray, new: np.ndarray
+) -> np.ndarray:
+    """Index of the state reached by moving one peer from the profile of
+    ``flat[entry]`` (the flat indices of held counts, in row order) to the
+    larger profile ``new``, by the arithmetic of :func:`_transfer_steps`.
+
+    The target lies ``sum_{S<k<=new} C(R_k+P-k, P-k)`` indices back.  R_k
+    is constant from one held profile of a state to the next, so the sum
+    is taken a stretch at a time from ``cum[r, K]``, the sum of
+    ``C(r+P-k, P-k)`` over ``k = 1..K``.
+    """
+    n_profiles = counts.shape[1]
+    dest = flat % n_profiles
+    held = counts.ravel()[flat]
+    # R_k just past each entry: cap less its state's peers up to it.  As
+    # ``row``, it is scaled so that cum[row + K] is cum[R_k, K].
+    row = np.cumsum(held)
+    first = np.diff(flat // n_profiles, prepend=-1) != 0
+    row -= np.maximum.accumulate(np.where(first, row - held, 0))
+    row = (cap - row) * (n_profiles + 1)
+    cum = np.pad(np.cumsum(_binomials(n_profiles, cap).T, axis=1), ((0, 0), (1, 0))).ravel()
+    # The stretches that end at each entry, summed (across two states the
+    # terms cancel); then the part of the stretch past the last held
+    # profile below ``new``.
+    before = row + held * (n_profiles + 1)  # R_k up to each entry
+    runs = cum[before + dest] - cum[before + np.append(0, dest[:-1])]
+    np.cumsum(runs, out=runs)
+    last = np.searchsorted(flat, flat[entry] + (new - dest[entry])) - 1
+    back = runs[last] - runs[entry] + cum[row[last] + new] - cum[row[last] + dest[last]]
+    return flat[entry] // n_profiles - back
 
 
 def candidate_masks(
@@ -479,17 +515,31 @@ class DriftRow(NamedTuple):
     region: str
 
 
-_REGION_TAGS = ("within-threshold", "uniform", "suppressed")
+_REGION_TAGS = np.array(["within-threshold", "uniform", "suppressed"], dtype=object)
 
 
-def _region_tags(gen: GeneratorMatrix) -> List[str]:
-    """Per state: "suppressed" when the suppressed set is non-empty, else
-    "uniform" when every chunk count ties, else "within-threshold"."""
-    code = np.where(gen.sup != 0, 2, gen.y_max == gen.y_min)
-    return np.array(_REGION_TAGS)[code].tolist()
+@dataclass(frozen=True)
+class DriftReport:
+    """One array per column, one entry per state; ``len()`` and iteration
+    give a :class:`DriftRow` per state.  A region is "suppressed" when the
+    suppressed set is non-empty, else "uniform" when every chunk count
+    ties, else "within-threshold"."""
+
+    populations: np.ndarray
+    values: np.ndarray
+    drifts: np.ndarray
+    boundary: np.ndarray
+    regions: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[DriftRow]:
+        columns = (self.populations, self.values, self.drifts, self.boundary, self.regions)
+        return map(DriftRow._make, zip(range(len(self)), *(c.tolist() for c in columns)))
 
 
-def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> List[DriftRow]:
+def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> DriftReport:
     """Potential and drift for every enumerated state.
 
     The drift of state ``i`` is ``sum_j Q[i, j] (V_j - V_i)`` over the
@@ -500,25 +550,15 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> List[DriftRow]:
     drift = np.bincount(
         coo.row, weights=coo.data * (v[coo.col] - v[coo.row]), minlength=gen.n_states
     )
-    columns = zip(
-        range(gen.n_states),
-        gen.populations.tolist(),
-        v.tolist(),
-        drift.tolist(),
-        (gen.populations == gen.spec.cap).tolist(),
-        _region_tags(gen),
-    )
-    return list(map(DriftRow._make, columns))
+    regions = _REGION_TAGS[np.where(gen.sup != 0, 2, gen.y_max == gen.y_min)]
+    return DriftReport(gen.populations, v, drift, gen.populations == gen.spec.cap, regions)
 
 
 def exceptional_states(gen: GeneratorMatrix, lp: LyapunovParams) -> List[Tuple[int, ...]]:
     """Non-boundary states whose drift is not below ``-epsilon``, as
     count-vector tuples."""
-    hits = [
-        row.index
-        for row in drift_report(gen, lp)
-        if not row.boundary and row.drift > -lp.epsilon
-    ]
+    report = drift_report(gen, lp)
+    hits = ~report.boundary & (report.drifts > -lp.epsilon)
     return list(map(tuple, gen.counts[hits].tolist()))
 
 
@@ -554,16 +594,16 @@ def _check_rate_bounds(
     and equals the upper end exactly when S misses only chunk j.
     """
     params = gen.params
-    m = gen.spec.m
+    m, cap = gen.spec.m, gen.spec.cap
     full = full_mask(m)
     counts = gen.counts
-    state, dest = np.nonzero(counts)
+    flat = np.flatnonzero(counts)  # held entries, in row order
+    state, dest = np.divmod(flat, full)
     pair, j_bit = np.nonzero(_has_bits(full & ~dest & ~gen.sup[state], m))
     i = state[pair]
     s = dest[pair]
     new = s | 1 << j_bit
-    steps, _ = _transfer_steps(counts, gen.spec.cap)
-    q = np.asarray(gen.matrix[i, i - (steps[i, new] - steps[i, s])]).ravel()
+    q = np.asarray(gen.matrix[i, _move_targets(counts, cap, flat, pair, new)]).ravel()
     r_j = params.seed_contact_rate + params.peer_contact_rate * gen.y_vectors[i, j_bit]
     upper = counts[i, s] / gen.populations[i] * r_j
     lower = counts[i, s] / (m * gen.populations[i]) * r_j

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,8 +10,10 @@ import sys
 import warnings
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from swarmsim import cli
 from swarmsim.cli import (
@@ -288,6 +291,27 @@ class TestSweep:
         body = (out / "sweep.csv").read_text()
         assert "random" in body and "distributed-ms" in body
 
+    def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "sweep.csv").mkdir(parents=True)
+        (out / "summary.csv").write_text("from an earlier run\n")
+        assert cmd_sweep(str(cfg), "T", ["1"], str(out), replications=1, quiet=True) == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "sweep.csv"]
+        assert (out / "summary.csv").read_text() == "from an earlier run\n"
+        assert not list((out / "sweep.csv").iterdir())
+        assert not list(tmp_path.rglob(".staging-*")) and not list(tmp_path.rglob("*.tmp"))
+
+    def test_raw_value_with_newline_is_one_field(self, tmp_path):
+        # float() accepts "1\n", and the value column keeps the raw text.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cmd_sweep(str(cfg), "lambda", ["1\n"], str(out), replications=1, quiet=True) == 0
+        with (out / "sweep.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2 and rows[1][:2] == ["lambda", "1\n"]
+
     def test_m_sweep_table_skeleton(self, tmp_path):
         cfg = write_config(tmp_path, horizon=10.0)
         out = tmp_path / "out"
@@ -453,6 +477,65 @@ def test_write_csv_text_per_value_type(tmp_path):
     )
 
 
+def _csv_module_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerows([[cli._fmt(v) for v in row] for row in [header, *rows]])
+    return buf.getvalue()
+
+
+_TEXT = st.text(st.sampled_from('ab ,"\n\r;'), max_size=6)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]),
+)
+_VALUES = st.one_of(
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.lists(_TEXT, min_size=1, max_size=4),
+    rows=st.lists(st.lists(_VALUES, max_size=4), max_size=6),
+)
+def test_write_csv_matches_csv_module(tmp_path, header, rows):
+    # The text contract: csv.writer's minimal quoting, over _fmt's text.
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, header, rows)
+    with path.open(newline="") as fh:
+        assert fh.read() == _csv_module_text(header, rows)
+
+
+_KINDS = {
+    "int": ("{}", st.integers()),
+    "float": ("{!r}", _FLOATS),
+    # A field that always holds a comma, such as the oracle's state tuple.
+    "quoted": ('"{}"', st.text(st.sampled_from("ab ,;\r"), max_size=5).map("({}, 0)".format)),
+}
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    data=st.data(),
+    kinds=st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=4),
+)
+def test_write_csv_template_matches_csv_module(tmp_path, data, kinds):
+    template = ",".join(_KINDS[k][0] for k in kinds) + "\n"
+    row = st.tuples(*(_KINDS[k][1] for k in kinds))
+    rows = data.draw(st.lists(row, max_size=6))
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, kinds, rows, template)
+    with path.open(newline="") as fh:
+        assert fh.read() == _csv_module_text(kinds, rows)
+
+
 def test_write_csv_converts_batches_past_the_first(tmp_path):
     # A bool far down a long table is still spelled as _fmt spells it.
     rows = [[i, 0.5] for i in range(5000)] + [[5000, True]]
@@ -472,18 +555,20 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_csv_mode_follows_umask(tmp_path):
-    cfg = write_config(tmp_path)
-    old = os.umask(0o027)
-    try:
-        assert cmd_simulate(str(cfg), str(tmp_path / "sim"), quiet=True) == 0
-        assert cmd_sweep(str(cfg), "T", ["1"], str(tmp_path / "sweep"), quiet=True) == 0
-        assert cmd_oracle(2, 3, 1.0, 1.0, 1.0, 1, str(tmp_path / "oracle"), quiet=True) == 0
-    finally:
-        os.umask(old)
-    written = sorted(tmp_path.glob("*/*.csv"))
-    assert len(written) == 4 + 1 + 3
-    for path in written:
-        assert stat.S_IMODE(path.stat().st_mode) == 0o640, path
+    cfg = write_config(tmp_path, replications=1)
+    for mask in (0o027, 0o022, 0o077):
+        out = tmp_path / f"{mask:o}"
+        old = os.umask(mask)
+        try:
+            assert cmd_simulate(str(cfg), str(out / "sim"), quiet=True) == 0
+            assert cmd_sweep(str(cfg), "T", ["1"], str(out / "sweep"), quiet=True) == 0
+            assert cmd_oracle(2, 3, 1.0, 1.0, 1.0, 1, str(out / "oracle"), quiet=True) == 0
+        finally:
+            os.umask(old)
+        written = sorted(out.glob("*/*.csv"))
+        assert len(written) == 4 + 1 + 3
+        for path in written:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask, path
 
 
 class TestMain:

@@ -28,6 +28,7 @@ from swarmsim.oracle import (
     stationary_distribution,
     verify_lemmas,
     _frequency_columns,
+    _move_targets,
     _transfer_steps,
 )
 from swarmsim.policies import ContactContext, ms_candidates
@@ -249,6 +250,17 @@ def test_index_arithmetic_matches_state_lookup(m, cap):
                 assert i - (steps[i, new] - steps[i, s]) == index[tuple(target)]
                 moves += 1
     assert moves > 0
+    # The lemma check's sparse form, for a move from every held profile to
+    # every larger one.
+    flat = np.flatnonzero(counts)
+    entry, new = np.nonzero(np.arange(full + 1) > (flat % full)[:, None])
+    targets = _move_targets(counts, cap, flat, entry, new)
+    for k, (i, s) in enumerate(zip(*np.divmod(flat[entry], full))):
+        target = list(states[i])
+        target[s] -= 1
+        if new[k] != full:
+            target[new[k]] += 1
+        assert targets[k] == index[tuple(target)]
 
 
 class TestStationary:

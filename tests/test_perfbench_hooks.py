@@ -2,13 +2,17 @@
 
 ``perfbench/layers.py`` wraps package functions and class attributes by
 name and reads attributes of what they return.  A renamed function or a
-changed result type breaks ``perfbench/run.py --trace 1``; this runs one
-small traced oracle call to catch that in about a second.
+changed result type breaks ``perfbench/run.py --trace 1``; these run one
+small traced call of each subcommand to catch that in about a second.
 """
 
+import csv
 import importlib
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from swarmsim import cli
 from swarmsim.oracle import TruncationSpec
@@ -16,22 +20,70 @@ from swarmsim.oracle import TruncationSpec
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_full_instruments_count_an_oracle_run_and_restore(tmp_path, monkeypatch):
+@pytest.fixture
+def layers(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ there
-    layers = importlib.import_module("layers")
+    return importlib.import_module("layers")
+
+
+def _traced(layers, argv):
     instruments = layers.Instruments(full=True)
-    argv = ["oracle", "--m", "2", "--cap", "3", "--lambda", "1", "--out", str(tmp_path), "--quiet"]
     with instruments:
         wrapped = list(instruments._saved)
         code = cli.main(argv)
     assert code == 0
+    assert wrapped
+    for owner, attr, original in wrapped:
+        assert vars(owner)[attr] is original, attr
+    return instruments
+
+
+def _check_csv_counters(counters, out, n_files):
+    written = sorted(out.glob("*.csv"))
+    assert len(written) == n_files
+    assert counters.calls["cli.write_csv"] == n_files
+    assert counters.values["cli.write_csv.bytes"] == sum(p.stat().st_size for p in written)
+
+
+def test_full_instruments_count_an_oracle_run_and_restore(tmp_path, layers):
+    argv = ["oracle", "--m", "2", "--cap", "3", "--lambda", "1", "--out", str(tmp_path), "--quiet"]
+    instruments = _traced(layers, argv)
     counters = instruments.counters
     assert counters.values["oracle.states"] == TruncationSpec(2, 3).state_count()
     assert counters.values["oracle.nnz"] > 0
     for stage in ("enumerate", "build", "closed_classes", "solve", "drift", "lemmas"):
         assert counters.calls[f"oracle.{stage}"] == 1, stage
-    assert wrapped
-    for owner, attr, original in wrapped:
-        assert vars(owner)[attr] is original, attr
+    with (tmp_path / "drift.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    exceptional = sum(1 for r in rows if r["boundary"] == "false" and float(r["QV"]) > -0.5)
+    assert counters.values["oracle.exceptional"] == exceptional
+    _check_csv_counters(counters, tmp_path, 3)
+    layers.round_metrics(instruments.take())
+
+
+SCENARIO = {
+    "m": 3,
+    "lambda": 1.0,
+    "policy": {"kind": "mode-suppression"},
+    "initial": {"kind": "empty", "n": 4},
+    "horizon": 2.0,
+    "rng_seed": 7,
+    "warmup_departures": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "argv,n_files",
+    [(["simulate"], 4), (["sweep", "--param", "T", "--values", "1"], 1)],
+    ids=["simulate", "sweep"],
+)
+def test_full_instruments_count_a_simulation_run(tmp_path, layers, argv, n_files):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(SCENARIO))
+    out = tmp_path / "out"
+    instruments = _traced(layers, argv + ["--config", str(config), "--out", str(out), "--quiet"])
+    counters = instruments.counters
+    assert counters.values["engine.events"] > 0
+    _check_csv_counters(counters, out, n_files)
     layers.round_metrics(instruments.take())
