@@ -173,7 +173,7 @@ def parse_scenario_dict(doc: Dict) -> Tuple[Scenario, int]:
             sample_interval=_optional(doc, "sample_interval", float, 1.0, ""),
         )
     except ValueError as exc:
-        raise ConfigError("horizon/max_population/sample_interval", str(exc))
+        raise ConfigError("horizon/rng_seed/max_population/sample_interval", str(exc))
     return scenario, replications
 
 
@@ -209,7 +209,7 @@ def _fmt(value) -> str:
 
 def _field(value) -> str:
     text = _fmt(value)
-    if "," in text or '"' in text or "\n" in text:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -231,9 +231,9 @@ def write_csv(
     holds a comma.  Without one, every value is spelled by :func:`_fmt`
     (bools ``true``/``false``, None an empty field, numpy scalars as the
     Python number they hold), for the small tables that mix such values.
-    Either way the text is what ``csv.writer`` with ``QUOTE_MINIMAL`` and
-    ``"\\n"`` line ends writes: a field holding a comma, a quote or a
-    newline is quoted with its quotes doubled, as is a lone empty field."""
+    Either way a field holding a comma, a quote, a ``\\n`` or a ``\\r``
+    is quoted with its quotes doubled, as is a lone empty field, so that
+    ``csv.reader`` reads every file back."""
     lines = starmap(template.format, rows) if template else map(_line, rows)
     with open(path, "w", newline="") as fh:
         fh.write("".join(chain([_line(header)], lines)))

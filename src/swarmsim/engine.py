@@ -98,6 +98,8 @@ class Scenario:
             raise ValueError("horizon must be finite and > 0")
         if not 0 < self.sample_interval < inf:
             raise ValueError("sample_interval must be finite and > 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.warmup_departures < 0:
             raise ValueError("warmup_departures must be >= 0")
         if self.cap <= self.initial.n:
@@ -120,8 +122,6 @@ class EventTrace:
     """What one run produced: a sampled time series, every departure, and
     why the run stopped."""
 
-    m: int
-    sample_interval: float
     times: List[float] = field(default_factory=list)
     populations: List[int] = field(default_factory=list)
     frequencies: List[Tuple[float, ...]] = field(default_factory=list)
@@ -260,8 +260,6 @@ class Simulation:
                 ctx.sources = self._draw_samples(3, pop)
             else:
                 ctx.sources = self._full_sources
-            if self._is_ewma:
-                est = self.ewma[i]
         else:
             k = self._fixed_k
             if k is None:
@@ -363,7 +361,7 @@ class Simulation:
 
     def run(self) -> EventTrace:
         sc = self.scenario
-        trace = EventTrace(m=self.m, sample_interval=sc.sample_interval)
+        trace = EventTrace()
         horizon = sc.horizon
         interval = sc.sample_interval
         uniform = self._random

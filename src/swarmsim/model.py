@@ -196,13 +196,6 @@ class SwarmState:
         counts = self.counts
         return tuple(counts.get(mask, 0) for mask in range(full_mask(self.m)))
 
-    def copy(self) -> "SwarmState":
-        dup = SwarmState(self.m)
-        dup.counts = dict(self.counts)
-        dup.population = self.population
-        dup.y = list(self.y)
-        return dup
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SwarmState)

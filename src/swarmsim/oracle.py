@@ -95,14 +95,14 @@ def state_name(row: Sequence[int]) -> str:
 
 
 def _frequency_columns(y_vectors: np.ndarray, threshold: int):
-    """``y_max``, ``y_min``, ``mode_mask`` and the suppressed mask of every
-    row of ``y_vectors``, as :class:`~swarmsim.model.FrequencySnapshot`
-    and :func:`~swarmsim.model.suppressed_mask` define them."""
+    """``y_max``, ``y_min`` and the suppressed mask of every row of
+    ``y_vectors``, as :class:`~swarmsim.model.FrequencySnapshot` and
+    :func:`~swarmsim.model.suppressed_mask` define them."""
     y_max = y_vectors.max(axis=1)
     y_min = y_vectors.min(axis=1)
     is_mode = y_vectors == y_max[:, None]
     mode_mask = (is_mode.astype(np.int64) << np.arange(y_vectors.shape[1])).sum(axis=1)
-    return y_max, y_min, mode_mask, suppressed_mask(y_max, y_min, mode_mask, threshold)
+    return y_max, y_min, suppressed_mask(y_max, y_min, mode_mask, threshold)
 
 
 @dataclass
@@ -112,9 +112,9 @@ class GeneratorMatrix:
 
     State ``i`` is row ``i`` of ``counts`` (peers per profile, the rows of
     :func:`enumerate_states`).  ``populations`` and ``y_vectors`` (the
-    chunk counts) are its row sums and holder counts; ``y_max``, ``y_min``,
-    ``mode_mask`` and ``sup`` (the suppressed mask at ``threshold``) are
-    the frequency statistics of ``y_vectors``.
+    chunk counts) are its row sums and holder counts; ``y_max``, ``y_min``
+    and ``sup`` (the suppressed mask at ``threshold``) are the frequency
+    statistics of ``y_vectors``.
     """
 
     spec: TruncationSpec
@@ -126,18 +126,11 @@ class GeneratorMatrix:
     y_vectors: np.ndarray
     y_max: np.ndarray
     y_min: np.ndarray
-    mode_mask: np.ndarray
     sup: np.ndarray
 
     @property
     def n_states(self) -> int:
         return len(self.counts)
-
-
-def _binomials(p: int, cap: int) -> np.ndarray:
-    """``out[k - 1, r] = C(r + p - k, p - k)`` for ``k = 1..p``, ``r = 0..cap``."""
-    rows = [[math.comb(r + p - k, p - k) for r in range(cap + 1)] for k in range(1, p + 1)]
-    return np.array(rows, dtype=np.int64)
 
 
 def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -156,44 +149,17 @@ def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarra
     n_profiles = counts.shape[1]
     k = np.arange(1, n_profiles + 1)
     rests = cap - np.cumsum(counts, axis=1)  # column k-1 holds R_k
-    binom = _binomials(n_profiles, cap)
+    binom = np.array(  # binom[k - 1, r] = C(r + P - k, P - k)
+        [
+            [math.comb(r + n_profiles - c, n_profiles - c) for r in range(cap + 1)]
+            for c in range(1, n_profiles + 1)
+        ],
+        dtype=np.int64,
+    )
     steps = np.zeros((len(counts), n_profiles + 1), dtype=np.int64)
     np.cumsum(binom[k - 1, rests], axis=1, out=steps[:, 1:])
     ahead = binom[k - 1, np.maximum(rests - 1, 0)].sum(axis=1)
     return steps, ahead
-
-
-def _move_targets(
-    counts: np.ndarray, cap: int, flat: np.ndarray, entry: np.ndarray, new: np.ndarray
-) -> np.ndarray:
-    """Index of the state reached by moving one peer from the profile of
-    ``flat[entry]`` (the flat indices of held counts, in row order) to the
-    larger profile ``new``, by the arithmetic of :func:`_transfer_steps`.
-
-    The target lies ``sum_{S<k<=new} C(R_k+P-k, P-k)`` indices back.  R_k
-    is constant from one held profile of a state to the next, so the sum
-    is taken a stretch at a time from ``cum[r, K]``, the sum of
-    ``C(r+P-k, P-k)`` over ``k = 1..K``.
-    """
-    n_profiles = counts.shape[1]
-    dest = flat % n_profiles
-    held = counts.ravel()[flat]
-    # R_k just past each entry: cap less its state's peers up to it.  As
-    # ``row``, it is scaled so that cum[row + K] is cum[R_k, K].
-    row = np.cumsum(held)
-    first = np.diff(flat // n_profiles, prepend=-1) != 0
-    row -= np.maximum.accumulate(np.where(first, row - held, 0))
-    row = (cap - row) * (n_profiles + 1)
-    cum = np.pad(np.cumsum(_binomials(n_profiles, cap).T, axis=1), ((0, 0), (1, 0))).ravel()
-    # The stretches that end at each entry, summed (across two states the
-    # terms cancel); then the part of the stretch past the last held
-    # profile below ``new``.
-    before = row + held * (n_profiles + 1)  # R_k up to each entry
-    runs = cum[before + dest] - cum[before + np.append(0, dest[:-1])]
-    np.cumsum(runs, out=runs)
-    last = np.searchsorted(flat, flat[entry] + (new - dest[entry])) - 1
-    back = runs[last] - runs[entry] + cum[row[last] + new] - cum[row[last] + dest[last]]
-    return flat[entry] // n_profiles - back
 
 
 def candidate_masks(
@@ -269,7 +235,7 @@ def build_generator_ms(
     popcount = bits.sum(axis=1)  # of every candidate mask, the full one included
     pops = counts.sum(axis=1)
     ys = counts @ bits[:n_profiles]
-    y_max, y_min, mode_mask, sup = _frequency_columns(ys, threshold)
+    y_max, y_min, sup = _frequency_columns(ys, threshold)
     steps, ahead = _transfer_steps(counts, cap)
     # Every state's held profiles, in increasing order, as one flat list.
     held_profile = np.nonzero(counts)[1]
@@ -341,7 +307,6 @@ def build_generator_ms(
         y_vectors=ys,
         y_max=y_max,
         y_min=y_min,
-        mode_mask=mode_mask,
         sup=sup,
     )
 
@@ -591,19 +556,21 @@ def _check_rate_bounds(
 
     For a transferable chunk j (not suppressed), the rate out of profile S
     lies between (x_S / m pop) R_j and (x_S / pop) R_j with R_j = U + mu y_j,
-    and equals the upper end exactly when S misses only chunk j.
+    and equals the upper end exactly when S misses only chunk j.  Each
+    entry is found by the builder's own index arithmetic,
+    :func:`_transfer_steps`.
     """
     params = gen.params
-    m, cap = gen.spec.m, gen.spec.cap
+    m = gen.spec.m
     full = full_mask(m)
     counts = gen.counts
-    flat = np.flatnonzero(counts)  # held entries, in row order
-    state, dest = np.divmod(flat, full)
+    steps, _ = _transfer_steps(counts, gen.spec.cap)
+    state, dest = np.nonzero(counts)  # held entries, in row order
     pair, j_bit = np.nonzero(_has_bits(full & ~dest & ~gen.sup[state], m))
     i = state[pair]
     s = dest[pair]
     new = s | 1 << j_bit
-    q = np.asarray(gen.matrix[i, _move_targets(counts, cap, flat, pair, new)]).ravel()
+    q = np.asarray(gen.matrix[i, i - (steps[i, new] - steps[i, s])]).ravel()
     r_j = params.seed_contact_rate + params.peer_contact_rate * gen.y_vectors[i, j_bit]
     upper = counts[i, s] / gen.populations[i] * r_j
     lower = counts[i, s] / (m * gen.populations[i]) * r_j

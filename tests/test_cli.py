@@ -213,6 +213,27 @@ class TestNonFiniteInputs:
         assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["m", "initial.n", "rng_seed", "max_population", "warmup_departures", "replications",
+     "policy.T", "policy.sample_peers"],
+)
+@pytest.mark.parametrize("value", [-1, 0, 1, 2])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_small_integers_keep_exit_contract(tmp_path, key, value, command):
+    # Every integer key at the edge of its range either runs or is a
+    # config error that writes nothing; none reaches a traceback.
+    cfg = write_config(tmp_path, {key: value}, horizon=2.0)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--quiet"]
+    if command == "sweep":
+        argv += ["--param", "lambda", "--values", "1"]
+    code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert not list(tmp_path.rglob("*.csv"))
+
+
 class TestSimulate:
     def test_writes_all_csvs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -311,6 +332,17 @@ class TestSweep:
         with (out / "sweep.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2 and rows[1][:2] == ["lambda", "1\n"]
+
+    def test_raw_values_with_carriage_return_read_back(self, tmp_path):
+        # float() strips "\r" too: the field holding it must be quoted.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--param", "lambda", "--values", "2\r,3"]
+        assert main(argv + ["--out", str(out), "--replications", "1", "--quiet"]) == 0
+        with (out / "sweep.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [11, 11, 11]
+        assert [row[1] for row in rows[1:]] == ["2\r", "3"]
 
     def test_m_sweep_table_skeleton(self, tmp_path):
         cfg = write_config(tmp_path, horizon=10.0)
@@ -478,10 +510,17 @@ def test_write_csv_text_per_value_type(tmp_path):
 
 
 def _csv_module_text(header, rows):
+    # csv.writer quotes a field holding a character of its line end: a
+    # "\r\n" end quotes a bare "\r" too.  Each line then ends in "\n".
     buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerows([[cli._fmt(v) for v in row] for row in [header, *rows]])
-    return buf.getvalue()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    lines = []
+    for row in [header, *rows]:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([cli._fmt(v) for v in row])
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 _TEXT = st.text(st.sampled_from('ab ,"\n\r;'), max_size=6)
@@ -506,11 +545,15 @@ _VALUES = st.one_of(
     rows=st.lists(st.lists(_VALUES, max_size=4), max_size=6),
 )
 def test_write_csv_matches_csv_module(tmp_path, header, rows):
-    # The text contract: csv.writer's minimal quoting, over _fmt's text.
+    # The text contract: csv.writer's minimal quoting, over _fmt's text,
+    # and csv.reader reads that text back.
     path = tmp_path / "t.csv"
     cli.write_csv(path, header, rows)
     with path.open(newline="") as fh:
         assert fh.read() == _csv_module_text(header, rows)
+    with path.open(newline="") as fh:
+        expected = [[cli._fmt(v) for v in row] for row in [header, *rows]]
+        assert list(csv.reader(fh)) == expected
 
 
 _KINDS = {

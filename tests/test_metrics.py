@@ -14,8 +14,8 @@ from swarmsim.metrics import (
 )
 
 
-def trace_with(departures=(), times=(), populations=(), frequencies=(), m=2):
-    tr = EventTrace(m=m, sample_interval=1.0)
+def trace_with(departures=(), times=(), populations=(), frequencies=()):
+    tr = EventTrace()
     tr.departures = [(0.0, s) for s in departures]
     tr.times = list(times)
     tr.populations = list(populations)

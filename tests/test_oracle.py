@@ -28,7 +28,6 @@ from swarmsim.oracle import (
     stationary_distribution,
     verify_lemmas,
     _frequency_columns,
-    _move_targets,
     _transfer_steps,
 )
 from swarmsim.policies import ContactContext, ms_candidates
@@ -181,11 +180,7 @@ def test_frequency_columns_match_snapshots(config):
     ]
     for i, y in enumerate(gen.y_vectors.tolist()):
         snap = FrequencySnapshot(y)
-        assert (gen.y_max[i], gen.y_min[i], gen.mode_mask[i]) == (
-            snap.y_max,
-            snap.y_min,
-            snap.mode_mask,
-        )
+        assert (gen.y_max[i], gen.y_min[i]) == (snap.y_max, snap.y_min)
         assert gen.sup[i] == suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, threshold)
 
 
@@ -224,8 +219,9 @@ def test_candidate_masks_match_each_states_own_snapshot(m, cap, threshold):
 
 @pytest.mark.parametrize("m,cap", [(2, 9), (3, 4), (4, 3)])
 def test_index_arithmetic_matches_state_lookup(m, cap):
-    # The builder finds each move's target by rank arithmetic on the
-    # enumeration order; check every move against the {state: index} map.
+    # The builder and the lemma check find each move's target by rank
+    # arithmetic on the enumeration order; check every move against the
+    # {state: index} map.
     spec = TruncationSpec(m, cap)
     counts = enumerate_states(spec)
     states = [tuple(row) for row in counts.tolist()]
@@ -250,17 +246,6 @@ def test_index_arithmetic_matches_state_lookup(m, cap):
                 assert i - (steps[i, new] - steps[i, s]) == index[tuple(target)]
                 moves += 1
     assert moves > 0
-    # The lemma check's sparse form, for a move from every held profile to
-    # every larger one.
-    flat = np.flatnonzero(counts)
-    entry, new = np.nonzero(np.arange(full + 1) > (flat % full)[:, None])
-    targets = _move_targets(counts, cap, flat, entry, new)
-    for k, (i, s) in enumerate(zip(*np.divmod(flat[entry], full))):
-        target = list(states[i])
-        target[s] -= 1
-        if new[k] != full:
-            target[new[k]] += 1
-        assert targets[k] == index[tuple(target)]
 
 
 class TestStationary:
@@ -430,6 +415,28 @@ class TestLemmas:
         )
         assert "(0, 2, 1)" in str(report.violations)
 
+    @pytest.mark.parametrize(
+        "moved,onto",
+        [((1, 2, 1), (1, 1, 2)), ((2, 0, 1), (2, 1, 0))],
+        ids=["transfer", "departure"],
+    )
+    def test_misplaced_entry_detected(self, moved, onto):
+        # One rate of (2, 1, 1) moved onto the column of another of its
+        # moves keeps the row sum, so only a check that reads each move's
+        # own entry notices; it must name that state and no other.
+        gen = build_generator_ms(TruncationSpec(2, 6), PARAMS2, 1)
+        index = state_index(gen)
+        i, a, b = index[(2, 1, 1)], index[moved], index[onto]
+        bad = gen.matrix.tolil()
+        assert bad[i, a] > 0 and bad[i, b] > 0
+        bad[i, b] += bad[i, a]
+        bad[i, a] = 0.0
+        report = verify_lemmas(replace(gen, matrix=bad.tocsr()))
+        assert not report.ok
+        assert set(report.violations) <= {"rate-bounds", "rate-equality"}
+        named = {w.split(" S=")[0] for ws in report.violations.values() for w in ws}
+        assert named == {"state=(2, 1, 1)"}
+
     def test_frequency_checks_name_doctored_states(self):
         # Chunk counts that no state can have trip each frequency check, and
         # only for the doctored states.
@@ -439,10 +446,8 @@ class TestLemmas:
         ys = gen.y_vectors.copy()
         ys[index[(0, 3, 3)]] = (6, 6)  # every peer holds every chunk
         ys[index[(0, 4, 2)]] = (1, 1)  # fewer holders than one-chunk peers
-        y_max, y_min, mode_mask, sup = _frequency_columns(ys, 1)
-        doctored = replace(
-            gen, y_vectors=ys, y_max=y_max, y_min=y_min, mode_mask=mode_mask, sup=sup
-        )
+        y_max, y_min, sup = _frequency_columns(ys, 1)
+        doctored = replace(gen, y_vectors=ys, y_max=y_max, y_min=y_min, sup=sup)
         report = verify_lemmas(doctored)
         assert report.violations["min-frequency"] == ["state=(0, 3, 3) pi_min=1.0"]
         assert report.violations["max-frequency"] == ["state=(0, 3, 3) pi_max=1.0"]
