@@ -12,6 +12,15 @@ peers, itself included, so the chance of contacting a peer of profile B is
 exactly count(B)/population; a self-contact wastes the tick.  On a seed
 tick the seed pushes to a uniformly random peer.
 
+The offer gate: once a peer contact's sources are drawn (and an ewma-ms
+estimate has folded them in), the engine ORs their profiles together.  If
+that union holds nothing the destination lacks, the contact is wasted and
+the selector is not called.  This changes no draw: every policy picks a
+subset of ``pool & ~dest``, ``choose_chunk(0)`` draws nothing, and
+common-chunk's endgame refuses without a draw, so each would return None
+without touching the stream.  Seed pushes are never gated; the seed offers
+every chunk.  From a one-club start almost every contact ends at the gate.
+
 The engine's own draws (holding times, event choice, peer indices and
 samples) call ``random.Random.random`` and ``getrandbits`` directly, but
 consume the stream exactly as ``expovariate``, ``randrange`` and
@@ -202,9 +211,9 @@ class Simulation:
         )
         # Live snapshot shares the state's y vector.  Rarest-first reads
         # only y; mode-suppression also reads the aggregates, which are
-        # refreshed per contact.
-        self._refresh_snapshot = policy.kind is PolicyKind.MODE_SUPPRESSION
-        need_snapshot = self._refresh_snapshot or policy.kind is PolicyKind.RAREST_FIRST
+        # kept current after each transfer and departure.
+        self._track_modes = policy.kind is PolicyKind.MODE_SUPPRESSION
+        need_snapshot = self._track_modes or policy.kind is PolicyKind.RAREST_FIRST
         self._need_histogram = policy.kind is PolicyKind.GROUP_SUPPRESSION
         self._snapshot = FrequencySnapshot(self.state.y)
         self._ctx = ContactContext(
@@ -233,48 +242,53 @@ class Simulation:
     def _fire(self, lam: float, rate: float) -> None:
         """Resolve one event at the already-advanced clock."""
         u = self._random() * rate
+        state = self.state
         if u < lam:
-            self.state.add_empty_peer()
+            state.add_empty_peer()
             self.peers.append(0)
             self.arrived.append(self.t)
             if self._is_ewma:
                 self.ewma.append(EwmaEstimate.zero(self.m))
             self.n_arrivals += 1
             self._last_kind = _ARRIVAL
-            if not self._block and self.state.population >= self._cap:
+            if not self._block and state.population >= self._cap:
                 self.termination = TerminationReason.POPULATION_CAP_HIT
             return
-        pop = self.state.population
-        i = _randbelow(pop, self._getrandbits)
-        self._contact(i, pop, u < lam + self._seed_rate)
-
-    def _contact(self, i: int, pop: int, is_seed_push: bool) -> None:
         peers = self.peers
+        pop = state.population
+        getrandbits = self._getrandbits
+        i = _randbelow(pop, getrandbits)
         dest = peers[i]
-        ctx = self._ctx
-        ctx.dest_profile = dest
-        ctx.is_seed_push = is_seed_push
         est = None
-        if is_seed_push:
-            if self._is_dms:
-                ctx.sources = self._draw_samples(3, pop)
-            else:
-                ctx.sources = self._full_sources
+        push = u < lam + self._seed_rate
+        if push:
+            sources = self._draw_samples(3, pop) if self._is_dms else self._full_sources
         else:
             k = self._fixed_k
             if k is None:
                 k = samples_needed(self._policy, dest, self.m)
             if k == 1:
-                ctx.sources = [peers[_randbelow(pop, self._getrandbits)]]
+                offered = peers[_randbelow(pop, getrandbits)]
+                sources = [offered]
             else:
-                ctx.sources = self._draw_samples(k, pop)
+                sources = self._draw_samples(k, pop)
+                offered = 0
+                for b in sources:
+                    offered |= b
             if self._is_ewma:
                 est = self.ewma[i]
                 alpha = self._policy.alpha
-                for b in ctx.sources:
+                for b in sources:
                     ewma_update(est, b, alpha)
-        if self._refresh_snapshot:
-            self._snapshot.refresh()
+            # The offer gate: every policy picks from what is offered and
+            # needed, and returns None without a draw when that is empty.
+            if not offered & ~dest:
+                self._last_kind = _NONE
+                return
+        ctx = self._ctx
+        ctx.is_seed_push = push
+        ctx.sources = sources
+        ctx.dest_profile = dest
         chunk = self._selector(ctx, est, self.rng)
         if chunk is None:
             self._last_kind = _NONE
@@ -283,9 +297,11 @@ class Simulation:
         self._last_profile = dest
         self._last_chunk = chunk
         if new == self.full:
-            self.state.apply_departure(dest, chunk)
+            state.apply_departure(dest, chunk)
+            if self._track_modes:
+                self._snapshot.refresh()
             self.departures.append((self.arrived[i], self.t))
-            last = len(peers) - 1
+            last = pop - 1
             peers[i] = peers[last]
             peers.pop()
             self.arrived[i] = self.arrived[last]
@@ -295,7 +311,9 @@ class Simulation:
                 self.ewma.pop()
             self._last_kind = _DEPARTURE
         else:
-            self.state.apply_transfer(dest, chunk)
+            state.apply_transfer(dest, chunk)
+            if self._track_modes:
+                self._snapshot.count_rose(chunk - 1)
             peers[i] = new
             self._last_kind = _TRANSFER
 
@@ -397,9 +415,17 @@ class Simulation:
 
     def check_invariants(self) -> None:
         """Debug check: cached y and population match a full recount, no
-        stored profile is complete, and peers balance arrivals."""
+        stored profile is complete, peers balance arrivals, and under
+        mode-suppression the snapshot's aggregates match a fresh one."""
         state = self.state
         assert state.y == state.recompute_y(), "incremental y diverged"
+        snap = self._snapshot
+        assert snap.y is state.y, "snapshot no longer shares the state's y"
+        if self._track_modes:
+            fresh = FrequencySnapshot(list(state.y))
+            got = (snap.y_max, snap.y_min, snap.mode_mask)
+            want = (fresh.y_max, fresh.y_min, fresh.mode_mask)
+            assert got == want, f"incremental aggregates diverged: {got} != {want}"
         assert state.population == sum(state.counts.values())
         assert all(0 <= p < self.full for p in state.counts)
         assert state.population == len(self.peers)

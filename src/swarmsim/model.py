@@ -246,6 +246,13 @@ class FrequencySnapshot:
     ``y[j-1]`` is the peer count for chunk ``j``; ``mode_mask`` is the bit
     mask of the chunks attaining ``y_max`` (every chunk ties in the empty
     swarm).
+
+    The aggregates are not recomputed when ``y`` changes; the owner keeps
+    them current.  :meth:`refresh` recomputes them in O(m), as after a
+    departure, which lowers many counts.  :meth:`count_rose` updates them
+    in O(1) after a transfer raised one count by one: the new value can
+    only join or replace the modes, and ``y_min`` rises only when no
+    count is left at the old minimum.
     """
 
     y: List[int]
@@ -272,6 +279,18 @@ class FrequencySnapshot:
         self.y_max = y_max
         self.y_min = y_min
         self.mode_mask = mode
+
+    def count_rose(self, j: int) -> None:
+        """Update the aggregates after ``y[j]`` (0-based) rose by one."""
+        y = self.y
+        v = y[j]
+        if v > self.y_max:
+            self.y_max = v
+            self.mode_mask = 1 << j
+        elif v == self.y_max:
+            self.mode_mask |= 1 << j
+        if v - 1 == self.y_min and self.y_min not in y:
+            self.y_min = v
 
 
 def suppressed_mask(y_max: int, y_min: int, mode_mask: int, threshold: int) -> int:

@@ -154,8 +154,27 @@ def _planted_sim(m, profiles, policy, lam=1.0, seed=0):
     sim.peers = list(profiles)
     sim.arrived = [0.0] * len(profiles)
     sim._snapshot.y = sim.state.y
+    sim._snapshot.refresh()
     sim._ctx.histogram = sim.state.counts
     return sim
+
+
+@pytest.mark.parametrize("start", ["empty", "one-club"])
+@pytest.mark.parametrize("threshold", [1, 2])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_mode_suppression_aggregates_stay_exact(m, threshold, start):
+    # The snapshot's y_max, y_min and mode mask are updated in place after
+    # each transfer and departure; check them against a fresh snapshot
+    # after every event.
+    policy = PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=threshold)
+    sim = Simulation(scenario(m=m, lam=2.0, policy=policy,
+                              initial=InitialCondition(start, 8), seed=m + 10 * threshold))
+    kinds = Counter()
+    for _ in range(3000):
+        tr, _ = sim.step()
+        kinds[type(tr).__name__] += 1
+        sim.check_invariants()
+    assert kinds["Transfer"] > 100 and kinds["Departure"] > 20, kinds
 
 
 def test_single_step_frequencies_match_generator():

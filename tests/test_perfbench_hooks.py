@@ -87,3 +87,49 @@ def test_full_instruments_count_a_simulation_run(tmp_path, layers, argv, n_files
     assert counters.values["engine.events"] > 0
     _check_csv_counters(counters, out, n_files)
     layers.round_metrics(instruments.take())
+
+
+def _simulate_traced(tmp_path, layers, scenario):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(config), "--out", str(out), "--quiet"]
+    counters = _traced(layers, argv).counters
+    events = counters.values["engine.events"]
+    contacts = events - counters.calls["model.add_empty_peer"]
+    useful = counters.calls["model.apply_transfer"] + counters.calls["model.apply_departure"]
+    return counters, events, contacts, useful
+
+
+def test_mode_suppression_refreshes_per_departure_only(tmp_path, layers):
+    # The aggregates are updated in O(1) after a transfer; only a
+    # departure (and the snapshot's construction, once per replication)
+    # recomputes them.
+    reps = 2
+    scenario = dict(SCENARIO, horizon=20.0, replications=reps)
+    counters, _, contacts, useful = _simulate_traced(tmp_path, layers, scenario)
+    refreshes = counters.calls["model.refresh"]
+    assert refreshes <= counters.calls["model.apply_departure"] + reps
+    assert contacts > 2 * refreshes and useful > refreshes
+
+
+ONE_CLUB_EVENTS = 503  # the seeded run below; a gate that drew would change it
+
+
+def test_offer_gate_skips_rarest_first_on_one_club(tmp_path, layers):
+    # From a one-club start nearly every contact offers nothing needed, so
+    # the selector runs only on the contacts that transfer.
+    scenario = {
+        "m": 5,
+        "lambda": 1.0,
+        "policy": {"kind": "rarest-first"},
+        "initial": {"kind": "one-club", "n": 100},
+        "horizon": 5.0,
+        "rng_seed": 3,
+        "warmup_departures": 0,
+    }
+    counters, events, contacts, useful = _simulate_traced(tmp_path, layers, scenario)
+    assert events == ONE_CLUB_EVENTS
+    selected = counters.calls["policies.select.rarest-first"]
+    assert selected == useful
+    assert 10 * selected < contacts

@@ -380,21 +380,24 @@ def test_sample_counts_exhaustive_m4(select, reference):
 
 # -- safety across all policies --
 
-policy_configs = st.sampled_from(
-    [
-        PolicyConfig(PolicyKind.RANDOM),
-        PolicyConfig(PolicyKind.RANDOM, sample_peers=3),
-        PolicyConfig(PolicyKind.RAREST_FIRST),
-        PolicyConfig(PolicyKind.RARE_CHUNK),
-        PolicyConfig(PolicyKind.COMMON_CHUNK),
-        PolicyConfig(PolicyKind.COMMON_CHUNK, cc_variant="source"),
-        PolicyConfig(PolicyKind.GROUP_SUPPRESSION),
-        PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=1),
-        PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=3),
-        PolicyConfig(PolicyKind.DISTRIBUTED_MS),
-        PolicyConfig(PolicyKind.EWMA_MS),
-    ]
-)
+SAFETY_CONFIGS = [
+    PolicyConfig(PolicyKind.RANDOM),
+    PolicyConfig(PolicyKind.RANDOM, sample_peers=3),
+    PolicyConfig(PolicyKind.RAREST_FIRST),
+    PolicyConfig(PolicyKind.RARE_CHUNK),
+    PolicyConfig(PolicyKind.COMMON_CHUNK),
+    PolicyConfig(PolicyKind.COMMON_CHUNK, cc_variant="source"),
+    PolicyConfig(PolicyKind.GROUP_SUPPRESSION),
+    PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=1),
+    PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=3),
+    PolicyConfig(PolicyKind.DISTRIBUTED_MS),
+    PolicyConfig(PolicyKind.EWMA_MS),
+]
+policy_configs = st.sampled_from(SAFETY_CONFIGS)
+
+
+def test_safety_configs_cover_every_kind():
+    assert {config.kind for config in SAFETY_CONFIGS} == set(PolicyKind)
 
 
 @st.composite
@@ -435,6 +438,41 @@ def test_transfer_safety(case, rng_seed):
     if j is not None:
         assert not dest >> (j - 1) & 1, "transferred a chunk already held"
         assert ctx.pool() >> (j - 1) & 1, "transferred a chunk not on offer"
+
+
+@st.composite
+def gated_contacts(draw):
+    """Peer contacts whose sources offer nothing the downloader needs."""
+    m = draw(st.integers(min_value=2, max_value=6))
+    config = draw(policy_configs)
+    full = full_mask(m)
+    dest = draw(st.integers(min_value=0, max_value=full - 1))
+    k = samples_needed(config, dest, m)
+    sources = [draw(st.integers(min_value=0, max_value=full)) & dest for _ in range(k)]
+    y = [draw(st.integers(min_value=0, max_value=9)) for _ in range(m)]
+    hist = {p: draw(st.integers(min_value=1, max_value=5)) for p in sources}
+    values = [draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(m)]
+    return m, config, dest, sources, y, hist, EwmaEstimate(values)
+
+
+@given(gated_contacts(), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=300)
+def test_nothing_needed_on_offer_returns_none_without_a_draw(case, rng_seed):
+    # The engine's offer gate skips the selector on such a contact; that
+    # keeps the random stream only if every policy returns None here
+    # without touching the RNG.
+    m, config, dest, sources, y, hist, est = case
+    ctx = ContactContext(
+        m=m,
+        dest_profile=dest,
+        sources=sources,
+        snapshot=FrequencySnapshot(y),
+        histogram=hist,
+    )
+    rng = random.Random(rng_seed)
+    before = rng.getstate()
+    assert make_selector(config)(ctx, est, rng) is None
+    assert rng.getstate() == before
 
 
 @given(st.lists(st.tuples(st.integers(0, 7), st.floats(0.01, 1.0)), max_size=60))
