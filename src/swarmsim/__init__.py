@@ -11,7 +11,7 @@ from .model import (
     Transition,
     apply_transition,
 )
-from .policies import ContactContext, EwmaEstimate, PolicyConfig, PolicyKind
+from .policies import EwmaEstimate, PolicyConfig, PolicyKind
 from .engine import (
     EventTrace,
     InitialCondition,
@@ -24,7 +24,6 @@ from .engine import (
 
 __all__ = [
     "Arrival",
-    "ContactContext",
     "Departure",
     "EventTrace",
     "EwmaEstimate",

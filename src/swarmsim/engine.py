@@ -12,19 +12,31 @@ peers, itself included, so the chance of contacting a peer of profile B is
 exactly count(B)/population; a self-contact wastes the tick.  On a seed
 tick the seed pushes to a uniformly random peer.
 
+The policy is one flat selector from
+:func:`~swarmsim.policies.make_selector`, built once per simulation and
+called with plain ints: the destination's profile, the offer (the union
+of the sampled sources' profiles, or every chunk on a seed push), the
+sources, the ewma-ms estimate and the push flag, plus the
+:class:`~swarmsim.policies.SwarmView` that holds the random stream and the
+live statistics.  The engine keeps those statistics current only for the
+policy that reads them: mode-suppression's snapshot aggregates and
+group suppression's largest group.
+
 The offer gate: once a peer contact's sources are drawn (and an ewma-ms
-estimate has folded them in), the engine ORs their profiles together.  If
-that union holds nothing the destination lacks, the contact is wasted and
-the selector is not called.  This changes no draw: every policy picks a
-subset of ``pool & ~dest``, ``choose_chunk(0)`` draws nothing, and
-common-chunk's endgame refuses without a draw, so each would return None
-without touching the stream.  Seed pushes are never gated; the seed offers
-every chunk.  From a one-club start almost every contact ends at the gate.
+estimate has folded them in), if their union holds nothing the
+destination lacks, the contact is wasted and the selector is not called.
+This changes no draw: every policy picks from ``offer & ~dest``,
+``choose_chunk(0)`` draws nothing, and common-chunk's endgame refuses
+without a draw, so each would return None without touching the stream.
+Seed pushes are never gated; the seed offers every chunk.  From a
+one-club start almost every contact ends at the gate.
 
 The engine's own draws (holding times, event choice, peer indices and
-samples) call ``random.Random.random`` and ``getrandbits`` directly, but
-consume the stream exactly as ``expovariate``, ``randrange`` and
-``sample`` would, so seeded runs reproduce those of the stdlib calls.
+samples) and the selectors' draws call ``random.Random.random`` and
+``getrandbits`` directly, but consume the stream exactly as
+``expovariate``, ``randrange`` and ``sample`` would, so seeded runs
+reproduce those of the stdlib calls.  Three samples from more than 21
+peers are ``sample``'s set branch, unrolled into three rejection draws.
 """
 
 from __future__ import annotations
@@ -45,13 +57,14 @@ from .model import (
     Transfer,
     Transition,
     FrequencySnapshot,
+    LargestGroup,
     full_mask,
 )
 from .policies import (
-    ContactContext,
     EwmaEstimate,
     PolicyConfig,
     PolicyKind,
+    SwarmView,
     ewma_update,
     make_selector,
     samples_needed,
@@ -209,20 +222,16 @@ class Simulation:
             if policy.kind is PolicyKind.COMMON_CHUNK
             else samples_needed(policy, 0, self.m)
         )
-        # Live snapshot shares the state's y vector.  Rarest-first reads
-        # only y; mode-suppression also reads the aggregates, which are
-        # kept current after each transfer and departure.
+        # Live snapshot shares the state's y vector, and the largest group
+        # its counts.  Rarest-first reads only y; mode-suppression also
+        # reads the snapshot's aggregates, and group suppression the
+        # largest group's size, each kept current after every event under
+        # that policy only.
         self._track_modes = policy.kind is PolicyKind.MODE_SUPPRESSION
-        need_snapshot = self._track_modes or policy.kind is PolicyKind.RAREST_FIRST
-        self._need_histogram = policy.kind is PolicyKind.GROUP_SUPPRESSION
+        self._track_groups = policy.kind is PolicyKind.GROUP_SUPPRESSION
         self._snapshot = FrequencySnapshot(self.state.y)
-        self._ctx = ContactContext(
-            m=self.m,
-            dest_profile=0,
-            sources=[],
-            snapshot=self._snapshot if need_snapshot else None,
-            histogram=self.state.counts if self._need_histogram else None,
-        )
+        self._groups = LargestGroup(self.state.counts)
+        self._view = SwarmView(self.full, self._getrandbits, self._snapshot, self._groups)
         self._full_sources = [self.full]
         self._last_kind = _NONE
         self._last_profile = 0
@@ -245,6 +254,8 @@ class Simulation:
         state = self.state
         if u < lam:
             state.add_empty_peer()
+            if self._track_groups:
+                self._groups.joined(0)
             self.peers.append(0)
             self.arrived.append(self.t)
             if self._is_ewma:
@@ -261,20 +272,40 @@ class Simulation:
         dest = peers[i]
         est = None
         push = u < lam + self._seed_rate
-        if push:
-            sources = self._draw_samples(3, pop) if self._is_dms else self._full_sources
+        if push and not self._is_dms:
+            sources = self._full_sources
         else:
-            k = self._fixed_k
+            k = 3 if push else self._fixed_k
             if k is None:
                 k = samples_needed(self._policy, dest, self.m)
             if k == 1:
                 offered = peers[_randbelow(pop, getrandbits)]
                 sources = [offered]
+            elif pop > 21:
+                # random.sample's set branch for k = 3, unrolled: a, then
+                # b != a, then c not in {a, b}; a redraw of randbelow is a
+                # further run of the same getrandbits calls.
+                nbits = pop.bit_length()
+                a = getrandbits(nbits)
+                while a >= pop:
+                    a = getrandbits(nbits)
+                b = getrandbits(nbits)
+                while b >= pop or b == a:
+                    b = getrandbits(nbits)
+                c = getrandbits(nbits)
+                while c >= pop or c == a or c == b:
+                    c = getrandbits(nbits)
+                a, b, c = peers[a], peers[b], peers[c]
+                sources = [a, b, c]
+                offered = a | b | c
             else:
-                sources = self._draw_samples(k, pop)
+                sources = self._draw_samples(pop)
                 offered = 0
                 for b in sources:
                     offered |= b
+        if push:
+            offered = self.full
+        else:
             if self._is_ewma:
                 est = self.ewma[i]
                 alpha = self._policy.alpha
@@ -285,11 +316,7 @@ class Simulation:
             if not offered & ~dest:
                 self._last_kind = _NONE
                 return
-        ctx = self._ctx
-        ctx.is_seed_push = push
-        ctx.sources = sources
-        ctx.dest_profile = dest
-        chunk = self._selector(ctx, est, self.rng)
+        chunk = self._selector(dest, offered, sources, est, push, self._view)
         if chunk is None:
             self._last_kind = _NONE
             return
@@ -300,6 +327,8 @@ class Simulation:
             state.apply_departure(dest, chunk)
             if self._track_modes:
                 self._snapshot.refresh()
+            elif self._track_groups:
+                self._groups.left(dest)
             self.departures.append((self.arrived[i], self.t))
             last = pop - 1
             peers[i] = peers[last]
@@ -314,40 +343,32 @@ class Simulation:
             state.apply_transfer(dest, chunk)
             if self._track_modes:
                 self._snapshot.count_rose(chunk - 1)
+            elif self._track_groups:
+                self._groups.left(dest)
+                self._groups.joined(new)
             peers[i] = new
             self._last_kind = _TRANSFER
 
-    def _draw_samples(self, k: int, pop: int) -> List[int]:
-        """``k`` distinct peers, drawn as ``[peers[j] for j in
-        random.sample(range(pop), k)]`` draws them for ``k <= 5`` (every
-        policy samples 1 or 3 peers), or every peer when ``pop <= k``."""
+    def _draw_samples(self, pop: int) -> List[int]:
+        """Three distinct peers from ``pop <= 21``, drawn as ``[peers[j]
+        for j in random.sample(range(pop), 3)]`` draws them, or every peer
+        when ``pop <= 3``."""
         peers = self.peers
-        if pop <= k:
+        if pop <= 3:
             return peers[:]
+        # sample's pool branch: a partial Fisher-Yates shuffle of
+        # range(pop); ``moved`` holds the slots that no longer hold their
+        # own index.
         getrandbits = self._getrandbits
-        if pop <= 21:
-            # sample's pool branch: a partial Fisher-Yates shuffle of
-            # range(pop); ``moved`` holds the slots that no longer hold
-            # their own index.
-            moved = {}
-            out = []
-            n = pop
-            for _ in range(k):
-                j = _randbelow(n, getrandbits)
-                n -= 1
-                out.append(peers[moved.get(j, j)])
-                moved[j] = moved.get(n, n)
-            return out
-        # sample's set branch: redraw until the index is new; a redraw
-        # of randbelow is a further run of the same getrandbits calls.
-        nbits = pop.bit_length()
-        chosen = []
-        for _ in range(k):
-            j = getrandbits(nbits)
-            while j >= pop or j in chosen:
-                j = getrandbits(nbits)
-            chosen.append(j)
-        return [peers[j] for j in chosen]
+        moved = {}
+        out = []
+        n = pop
+        for _ in range(3):
+            j = _randbelow(n, getrandbits)
+            n -= 1
+            out.append(peers[moved.get(j, j)])
+            moved[j] = moved.get(n, n)
+        return out
 
     def step(self) -> Tuple[Optional[Transition], float]:
         """Advance exactly one event; horizon and sampling are the caller's
@@ -415,8 +436,9 @@ class Simulation:
 
     def check_invariants(self) -> None:
         """Debug check: cached y and population match a full recount, no
-        stored profile is complete, peers balance arrivals, and under
-        mode-suppression the snapshot's aggregates match a fresh one."""
+        stored profile is complete, peers balance arrivals, under
+        mode-suppression the snapshot's aggregates match a fresh one, and
+        under group suppression so does the largest group's size."""
         state = self.state
         assert state.y == state.recompute_y(), "incremental y diverged"
         snap = self._snapshot
@@ -426,6 +448,11 @@ class Simulation:
             got = (snap.y_max, snap.y_min, snap.mode_mask)
             want = (fresh.y_max, fresh.y_min, fresh.mode_mask)
             assert got == want, f"incremental aggregates diverged: {got} != {want}"
+        groups = self._groups
+        assert groups.counts is state.counts, "largest group no longer reads the state's counts"
+        if self._track_groups:
+            top = max(state.counts.values(), default=0)
+            assert groups.size == top, f"largest group diverged: {groups.size} != {top}"
         assert state.population == sum(state.counts.values())
         assert all(0 <= p < self.full for p in state.counts)
         assert state.population == len(self.peers)

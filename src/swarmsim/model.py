@@ -59,12 +59,21 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def choose_chunk(mask: int, rng) -> int | None:
-    """Uniformly random 1-based chunk from ``mask``, or None if empty."""
+def choose_chunk(mask: int, getrandbits) -> int | None:
+    """Uniformly random 1-based chunk from ``mask``, or None (and no draw)
+    if it is empty.
+
+    The index among the set bits is drawn from ``getrandbits`` exactly as
+    ``random.Random.randrange(popcount)`` draws it (CPython's
+    ``_randbelow_with_getrandbits``), so the stream moves the same way.
+    """
     n = mask.bit_count()
     if n == 0:
         return None
-    k = rng.randrange(n)
+    bits = n.bit_length()
+    k = getrandbits(bits)
+    while k >= n:
+        k = getrandbits(bits)
     while k:
         mask &= mask - 1
         k -= 1
@@ -291,6 +300,40 @@ class FrequencySnapshot:
             self.mode_mask |= 1 << j
         if v - 1 == self.y_min and self.y_min not in y:
             self.y_min = v
+
+
+class LargestGroup:
+    """The peer count of the most populous profile in ``counts`` (a
+    :class:`SwarmState`'s live map), 0 for an empty swarm.
+
+    Like :class:`FrequencySnapshot`, it is not recomputed when ``counts``
+    changes; the owner reports each peer that joins or leaves a profile.
+    A join can only raise the size.  A leave lowers it by one only when
+    the profile it left was the only one at the top, which a C scan of
+    the counts decides.
+    """
+
+    __slots__ = ("counts", "size")
+
+    def __init__(self, counts: Dict[int, int]):
+        self.counts = counts
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Recompute ``size`` from ``counts``."""
+        self.size = max(self.counts.values(), default=0)
+
+    def joined(self, profile: int) -> None:
+        """Update ``size`` after one peer was added to ``profile``."""
+        n = self.counts[profile]
+        if n > self.size:
+            self.size = n
+
+    def left(self, profile: int) -> None:
+        """Update ``size`` after one peer was removed from ``profile``."""
+        size = self.size
+        if self.counts.get(profile, 0) + 1 == size and size not in self.counts.values():
+            self.size = size - 1
 
 
 def suppressed_mask(y_max: int, y_min: int, mode_mask: int, threshold: int) -> int:

@@ -23,8 +23,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
-from .model import FrequencySnapshot, ModelParams, full_mask, suppressed_mask
-from .policies import ContactContext, ms_candidates
+from .model import ModelParams, full_mask, suppressed_mask
+from .policies import ms_candidates
 
 MAX_STATES = 1_000_000
 
@@ -164,8 +164,6 @@ def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarra
 
 def candidate_masks(
     m: int,
-    threshold: int,
-    y_vectors: np.ndarray,
     sup: np.ndarray,
     state: np.ndarray,
     dest,
@@ -174,32 +172,23 @@ def candidate_masks(
     """Mode-suppression's candidate mask of each contact ``k``: a peer of
     profile ``dest[k]`` in state ``state[k]`` pulls from a peer of profile
     ``source[k]``, or from the seed when ``source[k]`` is ``2^m - 1``
-    (``dest`` and ``source`` broadcast against ``state``).
+    (``dest`` and ``source`` broadcast against ``state``).  Either way
+    ``source[k]`` is the contact's offer.
 
     :func:`~swarmsim.policies.ms_candidates` reads a state only through its
     suppressed set ``sup`` (one entry per state), so it is called once per
-    distinct (suppressed set, dest, source), with the snapshot of the
-    first state that has that suppressed set.
+    distinct (suppressed set, dest, source).
     """
     n_profiles = full_mask(m)
     # Below 2^(3m): a contact needs cap >= 1, where the state-count guard
     # keeps 2^m <= MAX_STATES.
     key = (sup[state] * n_profiles + dest) * (n_profiles + 1) + source
     kinds = np.unique(key)
-    sets, first = np.unique(sup, return_index=True)
-    snapshots: Dict[int, FrequencySnapshot] = {}
-    ctx = ContactContext(m=m, dest_profile=0, sources=[0])
     masks = np.empty(len(kinds), dtype=np.int64)
     for u, kind in enumerate(kinds.tolist()):
-        rest, b = divmod(kind, n_profiles + 1)
-        suppressed, ctx.dest_profile = divmod(rest, n_profiles)
-        if suppressed not in snapshots:
-            i = int(first[np.searchsorted(sets, suppressed)])
-            snapshots[suppressed] = FrequencySnapshot(y_vectors[i].tolist())
-        ctx.snapshot = snapshots[suppressed]
-        ctx.sources[0] = b
-        ctx.is_seed_push = b == n_profiles
-        masks[u] = ms_candidates(ctx, threshold)
+        rest, offer = divmod(kind, n_profiles + 1)
+        suppressed, s = divmod(rest, n_profiles)
+        masks[u] = ms_candidates(offer, s, suppressed)
     return masks[np.searchsorted(kinds, key)]
 
 
@@ -255,8 +244,6 @@ def build_generator_ms(
         source = held_profile[np.repeat(first_held[state], held) + _ranges(held)]
         masks = candidate_masks(
             m,
-            threshold,
-            ys,
             sup,
             np.concatenate([state, state[pair_of]]),
             s,

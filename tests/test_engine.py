@@ -155,7 +155,8 @@ def _planted_sim(m, profiles, policy, lam=1.0, seed=0):
     sim.arrived = [0.0] * len(profiles)
     sim._snapshot.y = sim.state.y
     sim._snapshot.refresh()
-    sim._ctx.histogram = sim.state.counts
+    sim._groups.counts = sim.state.counts
+    sim._groups.refresh()
     return sim
 
 
@@ -175,6 +176,24 @@ def test_mode_suppression_aggregates_stay_exact(m, threshold, start):
         kinds[type(tr).__name__] += 1
         sim.check_invariants()
     assert kinds["Transfer"] > 100 and kinds["Departure"] > 20, kinds
+
+
+@pytest.mark.parametrize("start", ["empty", "one-club"])
+@pytest.mark.parametrize("sample_peers", [1, 3])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_group_suppression_largest_group_stays_exact(m, sample_peers, start):
+    # The largest group's size is updated in place after each arrival,
+    # transfer and departure; check it against max(counts) after every
+    # event.
+    policy = PolicyConfig(PolicyKind.GROUP_SUPPRESSION, sample_peers=sample_peers)
+    sim = Simulation(scenario(m=m, lam=2.0, policy=policy,
+                              initial=InitialCondition(start, 8), seed=m + 10 * sample_peers))
+    kinds = Counter()
+    for _ in range(3000):
+        tr, _ = sim.step()
+        kinds[type(tr).__name__] += 1
+        sim.check_invariants()
+    assert kinds["Arrival"] > 50 and kinds["Transfer"] > 50 and kinds["Departure"] > 20, kinds
 
 
 def test_single_step_frequencies_match_generator():
@@ -367,19 +386,37 @@ STREAM_POPS = range(1, 65)  # random.sample switches branch between 21 and 22
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_draw_samples_matches_random_sample(k):
-    sim = Simulation(scenario(initial=InitialCondition("empty", 0)))
+    # One step from a planted swarm of one-chunk profiles, with a selector
+    # that records its sources.  The twin replays the step with the stdlib
+    # calls: the holding time, the event choice, the destination, then
+    # random.sample of the sources (random pulls 1 peer, distributed-ms 3,
+    # on a seed push too); distributed-ms takes every peer from a
+    # population of 3 or less.
+    policy = PolicyConfig(PolicyKind.RANDOM if k == 1 else PolicyKind.DISTRIBUTED_MS)
+    rate_of = lambda pop: 1e-9 + 1.0 + pop  # lambda + U + mu * pop
     for seed in STREAM_SEEDS:
         for pop in STREAM_POPS:
-            sim.rng.seed(seed)
+            peers = [1 << j for j in range(pop)]
+            sim = _planted_sim(64, peers, policy, lam=1e-9, seed=seed)
+            seen = []
+            sim._selector = lambda dest, offer, sources, *rest: seen.append(sources)
             twin = random.Random(seed)
-            peers = sim.peers = list(range(100, 100 + pop))
-            for _ in range(4):
-                if pop <= k:
-                    assert sim._draw_samples(k, pop) == peers
-                else:
-                    expected = [peers[j] for j in twin.sample(range(pop), k)]
-                    assert sim._draw_samples(k, pop) == expected, (seed, pop)
-            assert sim.rng.random() == twin.random(), (seed, pop)
+            twin.random()
+            u = twin.random() * rate_of(pop)
+            assert u >= 1e-9, "an arrival; the twin does not replay it"
+            dest = twin.randrange(pop)
+            push = u < 1e-9 + 1.0
+            if push and k == 1:
+                expected = [[full_mask(64)]]
+            elif k == 3 and pop <= 3:
+                expected = [peers]
+            else:
+                expected = [[peers[j] for j in twin.sample(range(pop), k)]]
+            if not push and expected[0] == [peers[dest]]:
+                expected = []  # a self-contact, settled at the offer gate
+            sim.step()
+            assert seen == expected, (seed, pop)
+            assert sim.rng.getstate() == twin.getstate(), (seed, pop)
 
 
 def test_randbelow_matches_randrange():

@@ -18,7 +18,7 @@ from swarmsim.model import (
     mask_of,
     suppressed_mask,
 )
-from swarmsim.policies import ContactContext, ms_candidates
+from swarmsim.policies import ms_candidates
 
 
 def test_mask_roundtrip():
@@ -91,14 +91,10 @@ class TestSuppressedSet:
 
 def _ms_allowable(source, dest, y, seed_push=False):
     """Mode-suppression candidates (T=1) of one contact at chunk counts y."""
-    ctx = ContactContext(
-        m=len(y),
-        dest_profile=mask_of(dest),
-        sources=[mask_of(source)],
-        snapshot=FrequencySnapshot(list(y)),
-        is_seed_push=seed_push,
-    )
-    return ms_candidates(ctx, 1)
+    snap = FrequencySnapshot(list(y))
+    sup = suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, 1)
+    offer = full_mask(len(y)) if seed_push else mask_of(source)
+    return ms_candidates(offer, mask_of(dest), sup)
 
 
 class TestAllowableSet:

@@ -30,7 +30,7 @@ from swarmsim.oracle import (
     _frequency_columns,
     _transfer_steps,
 )
-from swarmsim.policies import ContactContext, ms_candidates
+from swarmsim.policies import ms_candidates
 
 PARAMS2 = ModelParams(m=2, arrival_rate=1.0)
 
@@ -186,11 +186,10 @@ def test_frequency_columns_match_snapshots(config):
 
 @pytest.mark.parametrize("m,cap,threshold", [(2, 8, 1), (3, 5, 2)])
 def test_candidate_masks_match_each_states_own_snapshot(m, cap, threshold):
-    # The builder calls ms_candidates once per (suppressed set, S, B) with a
-    # representative state's snapshot.  Every state, with its own snapshot,
-    # must get the same mask for every destination and every source or seed
-    # push; a rule that read more of the state than its suppressed set
-    # would fail here.
+    # The builder calls ms_candidates once per (suppressed set, S, B), with
+    # the suppressed set of its array column.  Every state, with the
+    # suppressed set of its own snapshot, must get the same mask for every
+    # destination and every source or seed push.
     params = ModelParams(m=m, arrival_rate=1.0)
     gen = build_generator_ms(TruncationSpec(m, cap), params, threshold)
     n_profiles = full_mask(m)
@@ -198,22 +197,17 @@ def test_candidate_masks_match_each_states_own_snapshot(m, cap, threshold):
     state = np.repeat(np.arange(gen.n_states), len(dest))
     masks = candidate_masks(
         m,
-        threshold,
-        gen.y_vectors,
         gen.sup,
         state,
         np.tile(dest, gen.n_states),
         np.tile(source, gen.n_states),
     ).reshape(gen.n_states, len(dest))
-    ctx = ContactContext(m=m, dest_profile=0, sources=[0])
     for i, y in enumerate(gen.y_vectors.tolist()):
-        ctx.snapshot = FrequencySnapshot(y)
-        expected = []
-        for s, b in zip(dest.tolist(), source.tolist()):
-            ctx.dest_profile = s
-            ctx.sources[0] = b
-            ctx.is_seed_push = b == n_profiles
-            expected.append(ms_candidates(ctx, threshold))
+        snap = FrequencySnapshot(y)
+        sup = suppressed_mask(snap.y_max, snap.y_min, snap.mode_mask, threshold)
+        # The offer is the source's profile, or every chunk on a seed push
+        # (source 2^m - 1).
+        expected = [ms_candidates(b, s, sup) for s, b in zip(dest.tolist(), source.tolist())]
         assert masks[i].tolist() == expected, gen.counts[i]
 
 

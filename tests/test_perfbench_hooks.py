@@ -133,3 +133,18 @@ def test_offer_gate_skips_rarest_first_on_one_club(tmp_path, layers):
     selected = counters.calls["policies.select.rarest-first"]
     assert selected == useful
     assert 10 * selected < contacts
+
+
+def test_traced_selectors_count_their_calls_and_draws(tmp_path, layers):
+    # The selectors look up choose_chunk, and the engine make_selector, by
+    # name at call time; a selector that bound either before the wrappers
+    # were installed would read zero here.
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(dict(SCENARIO, horizon=10.0)))
+    out = tmp_path / "out"
+    argv = ["sweep", "--param", "policy.kind", "--values", "distributed-ms",
+            "--config", str(config), "--out", str(out), "--quiet"]
+    metrics = layers.round_metrics(_traced(layers, argv).take())
+    assert metrics["policies.select.distributed-ms.calls"] > 0
+    assert metrics["model.choose_chunk.calls"] > 0
+    assert metrics["model.choose_chunk.calls"] <= metrics["policies.select.distributed-ms.calls"]

@@ -6,199 +6,232 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from swarmsim.model import FrequencySnapshot, choose_chunk, full_mask, mask_of
+from swarmsim.model import FrequencySnapshot, LargestGroup, choose_chunk, full_mask, mask_of
 from swarmsim.policies import (
-    ContactContext,
     EwmaEstimate,
     PolicyConfig,
     PolicyKind,
+    SwarmView,
     ewma_update,
     make_selector,
     samples_needed,
-    select_common_chunk,
-    select_dms,
-    select_ewma_ms,
-    select_group_suppression,
-    select_mode_suppression,
-    select_random,
-    select_rare_chunk,
-    select_rarest_first,
 )
 
+RANDOM = PolicyConfig(PolicyKind.RANDOM)
+RAREST_FIRST = PolicyConfig(PolicyKind.RAREST_FIRST)
+RARE_CHUNK = PolicyConfig(PolicyKind.RARE_CHUNK)
+COMMON_CHUNK = PolicyConfig(PolicyKind.COMMON_CHUNK)
+COMMON_CHUNK_SOURCE = PolicyConfig(PolicyKind.COMMON_CHUNK, cc_variant="source")
+GROUP_SUPPRESSION = PolicyConfig(PolicyKind.GROUP_SUPPRESSION)
+DMS = PolicyConfig(PolicyKind.DISTRIBUTED_MS)
+EWMA_MS = PolicyConfig(PolicyKind.EWMA_MS)
 
-def ctx_of(m, dest=(), sources=(), y=None, histogram=None, seed_push=False):
-    snap = FrequencySnapshot(list(y)) if y is not None else None
-    return ContactContext(
-        m=m,
-        dest_profile=mask_of(dest),
-        sources=[mask_of(s) for s in sources],
-        snapshot=snap,
-        histogram=histogram,
-        is_seed_push=seed_push,
+
+def mode_suppression(threshold):
+    return PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=threshold)
+
+
+def offer_of(sources):
+    offer = 0
+    for p in sources:
+        offer |= p
+    return offer
+
+
+def pick(config, m, bits, dest=(), sources=(), y=None, histogram=None, est=None,
+         seed_push=False):
+    """One contact through ``make_selector(config)``: chunks are given as
+    1-based lists, and a seed push offers every chunk."""
+    sources = [mask_of(s) for s in sources]
+    view = SwarmView(
+        full=full_mask(m),
+        getrandbits=bits,
+        snapshot=FrequencySnapshot(list(y)) if y is not None else None,
+        groups=LargestGroup(histogram) if histogram is not None else None,
     )
+    offer = full_mask(m) if seed_push else offer_of(sources)
+    return make_selector(config)(mask_of(dest), offer, sources, est, seed_push, view)
 
 
-class StubRng:
-    """randrange stub cycling through preset picks."""
+def seeded(seed=0):
+    return random.Random(seed).getrandbits
+
+
+class StubBits:
+    """getrandbits stub returning preset picks in turn, each reduced to
+    the requested width."""
 
     def __init__(self, picks):
         self.picks = list(picks)
 
-    def randrange(self, n):
-        return self.picks.pop(0) % n
+    def __call__(self, k):
+        return self.picks.pop(0) % (1 << k)
 
 
 def draw_many(select, n=400, seed=0):
     rng = random.Random(seed)
-    return Counter(select(rng) for _ in range(n))
+    return Counter(select(rng.getrandbits) for _ in range(n))
+
+
+def _randrange_draw(mask, rng):
+    """``choose_chunk`` as it drew before: ``rng.randrange`` over the set
+    bits, then the set-bit walk."""
+    n = mask.bit_count()
+    if n == 0:
+        return None
+    k = rng.randrange(n)
+    while k:
+        mask &= mask - 1
+        k -= 1
+    return (mask & -mask).bit_length()
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=300)
+def test_choose_chunk_draws_as_randrange(mask, seed):
+    # Same chunk as randrange picks, and a twin stream left in the same state.
+    rng, twin = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        assert choose_chunk(mask, rng.getrandbits) == _randrange_draw(mask, twin)
+    assert rng.getstate() == twin.getstate()
 
 
 class TestRandom:
     def test_nothing_needed(self):
-        ctx = ctx_of(2, dest=[1, 2], sources=[[1, 2]])
-        assert select_random(ctx, random.Random(0)) is None
+        assert pick(RANDOM, 2, seeded(), dest=[1, 2], sources=[[1, 2]]) is None
 
     def test_single_candidate(self):
-        ctx = ctx_of(3, dest=[], sources=[[1]])
-        assert select_random(ctx, random.Random(0)) == 1
+        assert pick(RANDOM, 3, seeded(), dest=[], sources=[[1]]) == 1
 
     def test_uniform_over_three_sources(self):
-        ctx = ctx_of(3, dest=[], sources=[[1], [2], [3]])
-        counts = draw_many(lambda rng: select_random(ctx, rng))
+        select = lambda bits: pick(RANDOM, 3, bits, dest=[], sources=[[1], [2], [3]])
+        counts = draw_many(select)
         assert set(counts) == {1, 2, 3}
         # replay with the same seed is deterministic
-        a = draw_many(lambda rng: select_random(ctx, rng), seed=7)
-        b = draw_many(lambda rng: select_random(ctx, rng), seed=7)
-        assert a == b
+        assert draw_many(select, seed=7) == draw_many(select, seed=7)
 
 
 class TestRarestFirst:
     def test_argmin(self):
-        ctx = ctx_of(3, dest=[], sources=[[1, 2]], y=(2, 9, 9))
-        assert select_rarest_first(ctx, random.Random(0)) == 1
+        assert pick(RAREST_FIRST, 3, seeded(), sources=[[1, 2]], y=(2, 9, 9)) == 1
 
     def test_symmetric_tie(self):
-        ctx = ctx_of(2, dest=[], sources=[[1, 2]], y=(5, 5))
-        counts = draw_many(lambda rng: select_rarest_first(ctx, rng))
+        counts = draw_many(lambda bits: pick(RAREST_FIRST, 2, bits, sources=[[1, 2]], y=(5, 5)))
         assert set(counts) == {1, 2}
 
     def test_no_candidates(self):
-        ctx = ctx_of(2, dest=[1, 2], sources=[[1]], y=(3, 3))
-        assert select_rarest_first(ctx, random.Random(0)) is None
+        assert pick(RAREST_FIRST, 2, seeded(), dest=[1, 2], sources=[[1]], y=(3, 3)) is None
 
 
 class TestModeSuppression:
     def test_one_club_seed_push_recovers_missing_chunk(self):
         # every peer holds {2,3}; the seed may only push chunk 1
-        ctx = ctx_of(3, dest=[2, 3], sources=[[1, 2, 3]], y=(0, 5, 5), seed_push=True)
         for s in range(20):
-            assert select_mode_suppression(ctx, 1, random.Random(s)) == 1
+            assert pick(mode_suppression(1), 3, seeded(s), dest=[2, 3], y=(0, 5, 5),
+                        seed_push=True) == 1
 
     def test_allowable_set_empty(self):
-        ctx = ctx_of(3, dest=[3], sources=[[1, 3]], y=(5, 5, 2))
-        assert select_mode_suppression(ctx, 1, random.Random(0)) is None
+        assert pick(mode_suppression(1), 3, seeded(), dest=[3], sources=[[1, 3]],
+                    y=(5, 5, 2)) is None
 
     def test_reduces_to_random_without_suppression(self):
-        ctx = ctx_of(3, dest=[1], sources=[[1, 2], [3]], y=(4, 4, 4))
-        # exhaustive stub enumeration: identical outcome for every pick
-        for pick in range(4):
-            ms = select_mode_suppression(ctx, 1, StubRng([pick]))
-            rnd = select_random(ctx, StubRng([pick]))
-            assert ms == rnd
+        # Candidates {2, 3}: 2-bit draws, where 0 and 1 pick and 2 and 3 are
+        # redrawn (here as 0).  Exhaustive stub enumeration: identical
+        # outcome for every pick.
+        contact = dict(dest=[1], sources=[[1, 2], [3]])
+        for bits, chunk in zip(range(4), (2, 3, 2, 2)):
+            ms = pick(mode_suppression(1), 3, StubBits([bits, 0]), y=(4, 4, 4), **contact)
+            rnd = pick(RANDOM, 3, StubBits([bits, 0]), **contact)
+            assert ms == rnd == chunk
 
     def test_huge_threshold_never_suppresses(self):
-        ctx = ctx_of(3, dest=[], sources=[[1, 2, 3]], y=(9, 1, 0))
         threshold = 10  # larger than y_max
-        for pick in range(6):
-            assert select_mode_suppression(ctx, threshold, StubRng([pick])) == \
-                select_random(ctx, StubRng([pick]))
+        contact = dict(dest=[], sources=[[1, 2, 3]])
+        for bits, chunk in zip(range(4), (1, 2, 3, 1)):
+            ms = pick(mode_suppression(threshold), 3, StubBits([bits, 0]), y=(9, 1, 0), **contact)
+            assert ms == pick(RANDOM, 3, StubBits([bits, 0]), **contact) == chunk
 
 
 class TestRareChunk:
     def test_count_exactly_one(self):
-        ctx = ctx_of(3, dest=[], sources=[[1, 2], [1, 2], [2, 3]])
-        assert select_rare_chunk(ctx, random.Random(0)) == 3
+        assert pick(RARE_CHUNK, 3, seeded(), sources=[[1, 2], [1, 2], [2, 3]]) == 3
 
     def test_no_rare_chunk(self):
-        ctx = ctx_of(3, dest=[], sources=[[1], [1], [1]])
-        assert select_rare_chunk(ctx, random.Random(0)) is None
+        assert pick(RARE_CHUNK, 3, seeded(), sources=[[1], [1], [1]]) is None
 
     def test_rare_chunks_already_held(self):
-        ctx = ctx_of(3, dest=[1, 2], sources=[[1], [2], []])
-        assert select_rare_chunk(ctx, random.Random(0)) is None
+        assert pick(RARE_CHUNK, 3, seeded(), dest=[1, 2], sources=[[1], [2], []]) is None
 
 
 class TestCommonChunk:
     def test_middle_phase_single_sample(self):
-        ctx = ctx_of(4, dest=[1], sources=[[1, 2, 3]])
-        counts = draw_many(lambda rng: select_common_chunk(ctx, rng))
+        counts = draw_many(lambda bits: pick(COMMON_CHUNK, 4, bits, dest=[1], sources=[[1, 2, 3]]))
         assert set(counts) == {2, 3}
 
     def test_endgame_accepts(self):
-        ctx = ctx_of(3, dest=[1, 2], sources=[[1, 2], [1, 2], [3]])
-        assert select_common_chunk(ctx, random.Random(0)) == 3
+        assert pick(COMMON_CHUNK, 3, seeded(), dest=[1, 2],
+                    sources=[[1, 2], [1, 2], [3]]) == 3
 
     def test_endgame_rejects_scarce_held_chunk(self):
-        ctx = ctx_of(3, dest=[1, 2], sources=[[1], [2], [3]])
-        assert select_common_chunk(ctx, random.Random(0)) is None
+        assert pick(COMMON_CHUNK, 3, seeded(), dest=[1, 2], sources=[[1], [2], [3]]) is None
+
+    def test_endgame_takes_its_chunk_without_a_draw(self):
+        bits = StubBits([])  # any draw would pop from an empty list
+        assert pick(COMMON_CHUNK, 3, bits, dest=[1, 2], sources=[[1, 2], [1, 2], [3]]) == 3
 
     def test_source_variant(self):
         # chunk 3 offered by the bare profile {3}: under the source
         # reading only {3}'s own chunks need multiplicity, and chunk 3
         # itself appears once, so the transfer is refused; the downloader
         # reading accepts (held chunks 1,2 appear twice each).
-        ctx = ctx_of(3, dest=[1, 2], sources=[[1, 2], [1, 2], [3]])
-        assert select_common_chunk(ctx, random.Random(0), variant="downloader") == 3
-        assert select_common_chunk(ctx, random.Random(0), variant="source") is None
+        contact = dict(dest=[1, 2], sources=[[1, 2], [1, 2], [3]])
+        assert pick(COMMON_CHUNK, 3, seeded(), **contact) == 3
+        assert pick(COMMON_CHUNK_SOURCE, 3, seeded(), **contact) is None
 
     def test_chunkless_phase_uses_rare_rule(self):
-        ctx = ctx_of(3, dest=[], sources=[[1, 2], [1, 2], [2, 3]])
-        assert select_common_chunk(ctx, random.Random(0)) == 3
+        assert pick(COMMON_CHUNK, 3, seeded(), sources=[[1, 2], [1, 2], [2, 3]]) == 3
 
 
 class TestGroupSuppression:
     def test_largest_group_blocks_poorer_peer(self):
         hist = {mask_of([1]): 5, mask_of([1, 2]): 3}
-        ctx = ctx_of(2, dest=[], sources=[[1]], histogram=hist)
-        assert select_group_suppression(ctx, random.Random(0)) is None
+        assert pick(GROUP_SUPPRESSION, 2, seeded(), sources=[[1]], histogram=hist) is None
 
     def test_non_largest_group_uploads(self):
         hist = {mask_of([1]): 5, mask_of([1, 2]): 3}
-        ctx = ctx_of(3, dest=[], sources=[[1, 2]], histogram=hist)
-        counts = draw_many(lambda rng: select_group_suppression(ctx, rng))
+        counts = draw_many(
+            lambda bits: pick(GROUP_SUPPRESSION, 3, bits, sources=[[1, 2]], histogram=hist)
+        )
         assert set(counts) == {1, 2}
 
     def test_equal_cardinality_not_suppressed(self):
         hist = {mask_of([1]): 5, mask_of([1, 2]): 3}
-        ctx = ctx_of(2, dest=[2], sources=[[1]], histogram=hist)
-        assert select_group_suppression(ctx, random.Random(0)) == 1
+        assert pick(GROUP_SUPPRESSION, 2, seeded(), dest=[2], sources=[[1]],
+                    histogram=hist) == 1
 
     def test_seed_push_never_suppressed(self):
         hist = {mask_of([1]): 5}
-        ctx = ctx_of(2, dest=[1], sources=[[1, 2]], histogram=hist, seed_push=True)
-        assert select_group_suppression(ctx, random.Random(0)) == 2
+        assert pick(GROUP_SUPPRESSION, 2, seeded(), dest=[1], histogram=hist,
+                    seed_push=True) == 2
 
 
 class TestDistributedMS:
     def test_local_mode_suppressed(self):
-        ctx = ctx_of(3, dest=[], sources=[[1, 2], [1, 2], [2, 3]])
-        counts = draw_many(lambda rng: select_dms(ctx, rng))
+        counts = draw_many(lambda bits: pick(DMS, 3, bits, sources=[[1, 2], [1, 2], [2, 3]]))
         assert set(counts) == {1, 3}  # chunk 2 is the local mode
 
     def test_full_local_mode_not_suppressed(self):
-        ctx = ctx_of(2, dest=[], sources=[[1, 2], [1, 2], [1, 2]])
-        counts = draw_many(lambda rng: select_dms(ctx, rng))
+        counts = draw_many(lambda bits: pick(DMS, 2, bits, sources=[[1, 2], [1, 2], [1, 2]]))
         assert set(counts) == {1, 2}
 
     def test_singletons_not_a_mode(self):
-        ctx = ctx_of(3, dest=[], sources=[[1], [2], []])
-        counts = draw_many(lambda rng: select_dms(ctx, rng))
+        counts = draw_many(lambda bits: pick(DMS, 3, bits, sources=[[1], [2], []]))
         assert set(counts) == {1, 2}
 
     def test_seed_push_uses_sampled_suppression(self):
         # local mode {2} suppressed, but the seed offers everything else
-        ctx = ctx_of(3, dest=[2, 3], sources=[[1, 2], [1, 2], [2, 3]], seed_push=True)
-        assert select_dms(ctx, random.Random(0)) == 1
+        assert pick(DMS, 3, seeded(), dest=[2, 3], sources=[[1, 2], [1, 2], [2, 3]],
+                    seed_push=True) == 1
 
 
 class TestEwma:
@@ -223,21 +256,19 @@ class TestEwma:
 
     def test_selection_forced_by_suppression(self):
         est = EwmaEstimate([0.5, 0.5, 0.1])
-        ctx = ctx_of(3, dest=[], sources=[[1, 2, 3]])
-        assert select_ewma_ms(ctx, est, random.Random(0)) == 3
+        assert pick(EWMA_MS, 3, seeded(), sources=[[1, 2, 3]], est=est) == 3
 
     def test_all_equal_reduces_to_random(self):
         est = EwmaEstimate([0.3, 0.3, 0.3])
-        ctx = ctx_of(3, dest=[1], sources=[[1, 2], [3]])
-        for pick in range(4):
-            assert select_ewma_ms(ctx, est, StubRng([pick])) == \
-                select_random(ctx, StubRng([pick]))
+        contact = dict(dest=[1], sources=[[1, 2], [3]])
+        for bits, chunk in zip(range(4), (2, 3, 2, 2)):
+            ewma = pick(EWMA_MS, 3, StubBits([bits, 0]), est=est, **contact)
+            assert ewma == pick(RANDOM, 3, StubBits([bits, 0]), **contact) == chunk
 
     def test_first_observation_blocks_its_own_source(self):
         est = EwmaEstimate.zero(3)
         ewma_update(est, mask_of([2]), 0.1)
-        ctx = ctx_of(3, dest=[], sources=[[2]])
-        assert select_ewma_ms(ctx, est, random.Random(0)) is None
+        assert pick(EWMA_MS, 3, seeded(), sources=[[2]], est=est) is None
 
 
 def test_policy_config_validation():
@@ -265,22 +296,20 @@ def test_samples_needed():
 def test_dms_local_mode_has_multiplicity():
     # m=2: whenever DMS suppresses, the suppressed chunk is a most
     # frequent sampled chunk seen more than once.
-    for s1 in range(3):
-        for s2 in range(3):
-            for s3 in range(3):
-                sources = [s1, s2, s3]
-                c = [sum(p >> j & 1 for p in sources) for j in range(2)]
-                ctx = ContactContext(m=2, dest_profile=0, sources=sources)
-                blocked = set()
-                for pick in range(4):
-                    j = select_dms(ctx, StubRng([pick]))
-                    if j is not None:
-                        blocked.add(j)
-                pool = s1 | s2 | s3
-                for j in (1, 2):
-                    if pool >> (j - 1) & 1 and j not in blocked:
-                        # j was offered yet never selected: suppressed
-                        assert c[j - 1] == max(c) > 1
+    view = SwarmView(full_mask(2), None, None, None)
+    select = make_selector(DMS)
+    for sources in itertools.product(range(3), repeat=3):
+        c = [sum(p >> j & 1 for p in sources) for j in range(2)]
+        blocked = set()
+        for bits in range(4):
+            view.getrandbits = StubBits([bits, 0])
+            j = select(0, offer_of(sources), list(sources), None, False, view)
+            if j is not None:
+                blocked.add(j)
+        for j in (1, 2):
+            if offer_of(sources) >> (j - 1) & 1 and j not in blocked:
+                # j was offered yet never selected: suppressed
+                assert c[j - 1] == max(c) > 1
 
 
 # -- bit-parallel sample counts against per-chunk counting --
@@ -297,44 +326,42 @@ def _ref_counts(sources, m):
     return counts
 
 
-def ref_rare_chunk(ctx, rng):
-    if ctx.is_seed_push:
-        return choose_chunk(full_mask(ctx.m) & ~ctx.dest_profile, rng)
-    counts = _ref_counts(ctx.sources, ctx.m)
+def ref_rare_chunk(m, dest, sources, seed_push, bits):
+    if seed_push:
+        return choose_chunk(full_mask(m) & ~dest, bits)
+    counts = _ref_counts(sources, m)
     rare = 0
     for j, c in enumerate(counts):
         if c == 1:
             rare |= 1 << j
-    return choose_chunk(rare & ~ctx.dest_profile, rng)
+    return choose_chunk(rare & ~dest, bits)
 
 
-def ref_common_chunk(ctx, rng, variant):
-    if ctx.is_seed_push:
-        return choose_chunk(full_mask(ctx.m) & ~ctx.dest_profile, rng)
-    m = ctx.m
-    held = ctx.dest_profile.bit_count()
+def ref_common_chunk(m, dest, sources, seed_push, bits, variant):
+    if seed_push:
+        return choose_chunk(full_mask(m) & ~dest, bits)
+    held = dest.bit_count()
     if held == 0:
-        return ref_rare_chunk(ctx, rng)
+        return ref_rare_chunk(m, dest, sources, seed_push, bits)
     if held < m - 1:
-        return choose_chunk(ctx.sources[0] & ~ctx.dest_profile, rng)
-    missing = full_mask(m) & ~ctx.dest_profile
+        return choose_chunk(sources[0] & ~dest, bits)
+    missing = full_mask(m) & ~dest
     j = missing.bit_length()
-    counts = _ref_counts(ctx.sources, m)
+    counts = _ref_counts(sources, m)
     if variant == "downloader":
-        ok = any(p & missing for p in ctx.sources) and all(
-            counts[b] >= 2 for b in range(m) if ctx.dest_profile >> b & 1
+        ok = any(p & missing for p in sources) and all(
+            counts[b] >= 2 for b in range(m) if dest >> b & 1
         )
     else:
         ok = any(
             p & missing and all(counts[b] >= 2 for b in range(m) if p >> b & 1)
-            for p in ctx.sources
+            for p in sources
         )
     return j if ok else None
 
 
-def ref_dms(ctx, rng):
-    m = ctx.m
-    counts = _ref_counts(ctx.sources, m)
+def ref_dms(m, dest, sources, seed_push, bits):
+    counts = _ref_counts(sources, m)
     top = max(counts) if counts else 0
     local_mode = 0
     if top > 1:
@@ -342,39 +369,42 @@ def ref_dms(ctx, rng):
             if c == top:
                 local_mode |= 1 << j
     sup = 0 if local_mode == full_mask(m) else local_mode
-    return choose_chunk(ctx.pool() & ~ctx.dest_profile & ~sup, rng)
+    offer = full_mask(m) if seed_push else offer_of(sources)
+    return choose_chunk(offer & ~dest & ~sup, bits)
 
 
 SAMPLED_SELECTORS = [
-    ("rare-chunk", select_rare_chunk, ref_rare_chunk),
-    ("distributed-ms", select_dms, ref_dms),
-    ("common-chunk-downloader",
-     lambda ctx, rng: select_common_chunk(ctx, rng, "downloader"),
-     lambda ctx, rng: ref_common_chunk(ctx, rng, "downloader")),
-    ("common-chunk-source",
-     lambda ctx, rng: select_common_chunk(ctx, rng, "source"),
-     lambda ctx, rng: ref_common_chunk(ctx, rng, "source")),
+    ("rare-chunk", RARE_CHUNK, ref_rare_chunk),
+    ("distributed-ms", DMS, ref_dms),
+    ("common-chunk-downloader", COMMON_CHUNK,
+     lambda *args: ref_common_chunk(*args, "downloader")),
+    ("common-chunk-source", COMMON_CHUNK_SOURCE,
+     lambda *args: ref_common_chunk(*args, "source")),
 ]
 
 
 @pytest.mark.parametrize(
-    "select, reference", [s[1:] for s in SAMPLED_SELECTORS],
+    "config, reference", [s[1:] for s in SAMPLED_SELECTORS],
     ids=[s[0] for s in SAMPLED_SELECTORS],
 )
-def test_sample_counts_exhaustive_m4(select, reference):
+def test_sample_counts_exhaustive_m4(config, reference):
     # Every list of 1-3 sources over the 15 proper-subset profiles, every
     # destination profile, peer contact and seed push.  Both streams run
     # side by side, so one extra or missing draw shows up as well.
     m = 4
-    profiles = range(full_mask(m))
+    full = full_mask(m)
     rng, twin = random.Random(4), random.Random(4)
+    view = SwarmView(full, rng.getrandbits, None, None)
+    select = make_selector(config)
     for n in (1, 2, 3):
-        for sources in itertools.product(profiles, repeat=n):
-            for dest in range(full_mask(m) + 1):
+        for sources in itertools.product(range(full), repeat=n):
+            sources = list(sources)
+            for dest in range(full + 1):
                 for seed_push in (False, True):
-                    ctx = ContactContext(m=m, dest_profile=dest, sources=list(sources),
-                                         is_seed_push=seed_push)
-                    assert select(ctx, rng) == reference(ctx, twin), (sources, dest)
+                    offer = full if seed_push else offer_of(sources)
+                    got = select(dest, offer, sources, None, seed_push, view)
+                    want = reference(m, dest, sources, seed_push, twin.getrandbits)
+                    assert got == want, (sources, dest, seed_push)
     assert rng.getstate() == twin.getstate()
 
 
@@ -420,24 +450,22 @@ def test_transfer_safety(case, rng_seed):
     # Whatever the policy, a transferred chunk is needed by the
     # downloader and on offer from the contact.
     m, config, dest, sources, y, seed_push, est_profile = case
-    snap = FrequencySnapshot(list(y))
     hist = {p: 1 for p in sources} or {0: 1}
-    ctx = ContactContext(
-        m=m,
-        dest_profile=dest,
-        sources=[full_mask(m)] if seed_push and config.kind not in
-        (PolicyKind.DISTRIBUTED_MS,) else sources,
-        snapshot=snap,
-        histogram=hist,
-        is_seed_push=seed_push,
+    if seed_push and config.kind is not PolicyKind.DISTRIBUTED_MS:
+        sources = [full_mask(m)]  # the engine's sources for a seed push
+    offer = full_mask(m) if seed_push else offer_of(sources)
+    view = SwarmView(
+        full=full_mask(m),
+        getrandbits=random.Random(rng_seed).getrandbits,
+        snapshot=FrequencySnapshot(list(y)),
+        groups=LargestGroup(hist),
     )
     est = EwmaEstimate.zero(m)
     ewma_update(est, est_profile, 0.5)
-    selector = make_selector(config)
-    j = selector(ctx, est, random.Random(rng_seed))
+    j = make_selector(config)(dest, offer, sources, est, seed_push, view)
     if j is not None:
         assert not dest >> (j - 1) & 1, "transferred a chunk already held"
-        assert ctx.pool() >> (j - 1) & 1, "transferred a chunk not on offer"
+        assert offer >> (j - 1) & 1, "transferred a chunk not on offer"
 
 
 @st.composite
@@ -462,16 +490,10 @@ def test_nothing_needed_on_offer_returns_none_without_a_draw(case, rng_seed):
     # keeps the random stream only if every policy returns None here
     # without touching the RNG.
     m, config, dest, sources, y, hist, est = case
-    ctx = ContactContext(
-        m=m,
-        dest_profile=dest,
-        sources=sources,
-        snapshot=FrequencySnapshot(y),
-        histogram=hist,
-    )
     rng = random.Random(rng_seed)
     before = rng.getstate()
-    assert make_selector(config)(ctx, est, rng) is None
+    view = SwarmView(full_mask(m), rng.getrandbits, FrequencySnapshot(y), LargestGroup(hist))
+    assert make_selector(config)(dest, offer_of(sources), sources, est, False, view) is None
     assert rng.getstate() == before
 
 
