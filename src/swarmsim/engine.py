@@ -7,6 +7,10 @@ This is distributionally identical to racing one exponential per entity;
 the oracle cross-checks enforce that as a tested property rather than an
 assumption.
 
+One event loop, ``Simulation._advance``, draws and applies every event.
+``run()`` calls it once, with no event limit, the scenario's horizon and
+a trace to sample into; ``step()`` for one event, with neither.
+
 On a peer tick the ticking peer samples its source(s) uniformly from all
 peers, itself included, so the chance of contacting a peer of profile B is
 exactly count(B)/population; a self-contact wastes the tick.  On a seed
@@ -14,13 +18,11 @@ tick the seed pushes to a uniformly random peer.
 
 The policy is one flat selector from
 :func:`~swarmsim.policies.make_selector`, built once per simulation and
-called with plain ints: the destination's profile, the offer (the union
-of the sampled sources' profiles, or every chunk on a seed push), the
-sources, the ewma-ms estimate and the push flag, plus the
-:class:`~swarmsim.policies.SwarmView` that holds the random stream and the
-live statistics.  The engine keeps those statistics current only for the
-policy that reads them: mode-suppression's snapshot aggregates and
-group suppression's largest group.
+called with plain ints and the :class:`~swarmsim.policies.SwarmView`
+that holds the random stream and the live statistics.  The engine keeps
+those statistics current only for the policy that reads them:
+mode-suppression's snapshot aggregates and group suppression's largest
+group.
 
 The offer gate: once a peer contact's sources are drawn (and an ewma-ms
 estimate has folded them in), if their union holds nothing the
@@ -164,9 +166,6 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     return out
 
 
-_NONE, _ARRIVAL, _TRANSFER, _DEPARTURE = 0, 1, 2, 3
-
-
 def _randbelow(n: int, getrandbits) -> int:
     """Uniform integer in ``[0, n)``, drawn as ``random.Random.randrange(n)``
     draws it (CPython's ``_randbelow_with_getrandbits``)."""
@@ -182,17 +181,15 @@ class Simulation:
 
     Use :func:`run` for the standard horizon-bounded run; :meth:`step`
     advances exactly one event for callers doing their own bookkeeping
-    (occupancy measurement, generator cross-checks).
+    (occupancy measurement, generator cross-checks).  Both drive the one
+    event loop, :meth:`_advance`, which reads the state afresh each call.
     """
 
     def __init__(self, scenario: Scenario, seed: Optional[int] = None):
         self.scenario = scenario
-        params = scenario.params
-        self.m = params.m
+        self.m = scenario.params.m
         self.full = full_mask(self.m)
         self.rng = random.Random(scenario.rng_seed if seed is None else seed)
-        self._random = self.rng.random
-        self._getrandbits = self.rng.getrandbits
         profiles = scenario.initial.profiles(self.m)
         self.state = SwarmState.from_profiles(self.m, profiles)
         self.peers: List[int] = list(profiles)
@@ -211,17 +208,9 @@ class Simulation:
         self._selector = make_selector(policy)
         self._policy = policy
         self._is_dms = policy.kind is PolicyKind.DISTRIBUTED_MS
-        # Everything the event race reads per event, resolved once.
-        self._lam = params.arrival_rate
-        self._mu = params.peer_contact_rate
-        self._seed_rate = params.seed_contact_rate
         self._cap = scenario.cap
-        self._block = scenario.block_arrivals_at_cap
-        self._fixed_k = (
-            None
-            if policy.kind is PolicyKind.COMMON_CHUNK
-            else samples_needed(policy, 0, self.m)
-        )
+        fixed = policy.kind is not PolicyKind.COMMON_CHUNK
+        self._fixed_k = samples_needed(policy, 0, self.m) if fixed else None
         # Live snapshot shares the state's y vector, and the largest group
         # its counts.  Rarest-first reads only y; mode-suppression also
         # reads the snapshot's aggregates, and group suppression the
@@ -231,123 +220,161 @@ class Simulation:
         self._track_groups = policy.kind is PolicyKind.GROUP_SUPPRESSION
         self._snapshot = FrequencySnapshot(self.state.y)
         self._groups = LargestGroup(self.state.counts)
-        self._view = SwarmView(self.full, self._getrandbits, self._snapshot, self._groups)
-        self._full_sources = [self.full]
-        self._last_kind = _NONE
+        self._view = SwarmView(self.full, self.rng.getrandbits, self._snapshot, self._groups)
+        # The last useful event's transition class, profile and chunk.
+        self._last_kind: Optional[type] = None
         self._last_profile = 0
         self._last_chunk = 0
 
-    # -- event machinery --
+    # -- the event loop --
 
-    def _total_rate(self) -> Tuple[float, float]:
-        """(effective arrival rate, total event rate) for the current state."""
-        pop = self.state.population
-        lam = 0.0 if (self._block and pop >= self._cap) else self._lam
-        rate = lam
-        if pop:
-            rate += self._seed_rate + self._mu * pop
-        return lam, rate
-
-    def _fire(self, lam: float, rate: float) -> None:
-        """Resolve one event at the already-advanced clock."""
-        u = self._random() * rate
-        state = self.state
-        if u < lam:
-            state.add_empty_peer()
-            if self._track_groups:
-                self._groups.joined(0)
-            self.peers.append(0)
-            self.arrived.append(self.t)
-            if self._is_ewma:
-                self.ewma.append(EwmaEstimate.zero(self.m))
-            self.n_arrivals += 1
-            self._last_kind = _ARRIVAL
-            if not self._block and state.population >= self._cap:
-                self.termination = TerminationReason.POPULATION_CAP_HIT
-            return
-        peers = self.peers
+    def _advance(self, stop: Optional[int], horizon: float, trace: Optional[EventTrace]) -> float:
+        """Race events from the current state until ``events`` reaches
+        ``stop`` (None: no limit), the next event would fall past
+        ``horizon``, or an arrival hits the population cap.  With a
+        ``trace``, record a sample at every multiple of the sample interval
+        up to the horizon.  Returns the last holding time drawn."""
+        uniform, getrandbits = self.rng.random, self.rng.getrandbits
+        state, snapshot, groups = self.state, self._snapshot, self._groups
+        peers, arrived, ewma = self.peers, self.arrived, self.ewma
+        departures, select, view = self.departures, self._selector, self._view
+        alpha = self._policy.alpha
+        m, full, full_sources = self.m, self.full, [self.full]
+        is_ewma, is_dms, fixed_k = self._is_ewma, self._is_dms, self._fixed_k
+        track_modes, track_groups = self._track_modes, self._track_groups
+        sc, p = self.scenario, self.scenario.params
+        lam_open, seed_rate, mu = p.arrival_rate, p.seed_contact_rate, p.peer_contact_rate
+        cap, block = self._cap, sc.block_arrivals_at_cap
+        if trace is None:
+            next_sample = inf
+        else:
+            interval = sc.sample_interval
+            next_sample = 0.0
+            k = 0
+        t = self.t
+        events = self.events
         pop = state.population
-        getrandbits = self._getrandbits
-        i = _randbelow(pop, getrandbits)
-        dest = peers[i]
-        est = None
-        push = u < lam + self._seed_rate
-        if push and not self._is_dms:
-            sources = self._full_sources
-        else:
-            k = 3 if push else self._fixed_k
-            if k is None:
-                k = samples_needed(self._policy, dest, self.m)
-            if k == 1:
-                offered = peers[_randbelow(pop, getrandbits)]
-                sources = [offered]
-            elif pop > 21:
-                # random.sample's set branch for k = 3, unrolled: a, then
-                # b != a, then c not in {a, b}; a redraw of randbelow is a
-                # further run of the same getrandbits calls.
+        rated = -1  # the population that lam, rate, push_below and nbits are for
+        while events != stop:
+            if pop != rated:
+                rated = pop
+                lam = 0.0 if (block and pop >= cap) else lam_open
+                rate = lam + (seed_rate + mu * pop) if pop else lam
+                push_below = lam + seed_rate
                 nbits = pop.bit_length()
-                a = getrandbits(nbits)
-                while a >= pop:
-                    a = getrandbits(nbits)
-                b = getrandbits(nbits)
-                while b >= pop or b == a:
-                    b = getrandbits(nbits)
-                c = getrandbits(nbits)
-                while c >= pop or c == a or c == b:
-                    c = getrandbits(nbits)
-                a, b, c = peers[a], peers[b], peers[c]
-                sources = [a, b, c]
-                offered = a | b | c
+            dt = -log(1.0 - uniform()) / rate  # random.expovariate(rate)
+            t_next = t + dt
+            while next_sample <= t_next and next_sample <= horizon:
+                self._record(trace, next_sample)
+                k += 1
+                next_sample = k * interval
+            if t_next > horizon:
+                t = horizon
+                self.termination = TerminationReason.HORIZON_REACHED
+                break
+            t = t_next
+            events += 1
+            u = uniform() * rate
+            if u < lam:
+                state.add_empty_peer()
+                if track_groups:
+                    groups.joined(0)
+                peers.append(0)
+                arrived.append(t)
+                if is_ewma:
+                    ewma.append(EwmaEstimate.zero(m))
+                self.n_arrivals += 1
+                self._last_kind = Arrival
+                pop += 1
+                if not block and pop >= cap:
+                    self.termination = TerminationReason.POPULATION_CAP_HIT
+                    break
+                continue
+            # randrange(pop) for the destination and a single source.
+            i = getrandbits(nbits)
+            while i >= pop:
+                i = getrandbits(nbits)
+            dest = peers[i]
+            est = None
+            push = u < push_below
+            if push and not is_dms:
+                sources = full_sources
             else:
-                sources = self._draw_samples(pop)
-                offered = 0
-                for b in sources:
-                    offered |= b
-        if push:
-            offered = self.full
-        else:
-            if self._is_ewma:
-                est = self.ewma[i]
-                alpha = self._policy.alpha
-                for b in sources:
-                    ewma_update(est, b, alpha)
-            # The offer gate: every policy picks from what is offered and
-            # needed, and returns None without a draw when that is empty.
-            if not offered & ~dest:
-                self._last_kind = _NONE
-                return
-        chunk = self._selector(dest, offered, sources, est, push, self._view)
-        if chunk is None:
-            self._last_kind = _NONE
-            return
-        new = dest | (1 << (chunk - 1))
-        self._last_profile = dest
-        self._last_chunk = chunk
-        if new == self.full:
-            state.apply_departure(dest, chunk)
-            if self._track_modes:
-                self._snapshot.refresh()
-            elif self._track_groups:
-                self._groups.left(dest)
-            self.departures.append((self.arrived[i], self.t))
-            last = pop - 1
-            peers[i] = peers[last]
-            peers.pop()
-            self.arrived[i] = self.arrived[last]
-            self.arrived.pop()
-            if self._is_ewma:
-                self.ewma[i] = self.ewma[last]
-                self.ewma.pop()
-            self._last_kind = _DEPARTURE
-        else:
-            state.apply_transfer(dest, chunk)
-            if self._track_modes:
-                self._snapshot.count_rose(chunk - 1)
-            elif self._track_groups:
-                self._groups.left(dest)
-                self._groups.joined(new)
-            peers[i] = new
-            self._last_kind = _TRANSFER
+                n = 3 if push else fixed_k
+                if n is None:
+                    n = samples_needed(self._policy, dest, m)
+                if n == 1:
+                    j = getrandbits(nbits)
+                    while j >= pop:
+                        j = getrandbits(nbits)
+                    offered = peers[j]
+                    sources = [offered]
+                elif pop > 21:
+                    # random.sample's set branch for k = 3, unrolled: a, then
+                    # b != a, then c not in {a, b}; a redraw of randbelow is a
+                    # further run of the same getrandbits calls.
+                    a = getrandbits(nbits)
+                    while a >= pop:
+                        a = getrandbits(nbits)
+                    b = getrandbits(nbits)
+                    while b >= pop or b == a:
+                        b = getrandbits(nbits)
+                    c = getrandbits(nbits)
+                    while c >= pop or c == a or c == b:
+                        c = getrandbits(nbits)
+                    a, b, c = peers[a], peers[b], peers[c]
+                    sources = [a, b, c]
+                    offered = a | b | c
+                else:
+                    sources = self._draw_samples(pop)
+                    offered = 0
+                    for b in sources:
+                        offered |= b
+            if push:
+                offered = full
+            else:
+                if is_ewma:
+                    est = ewma[i]
+                    for b in sources:
+                        ewma_update(est, b, alpha)
+                # The offer gate: every policy picks from what is offered and
+                # needed, and returns None without a draw when that is empty.
+                if not offered & ~dest:
+                    continue
+            chunk = select(dest, offered, sources, est, push, view)
+            if chunk is None:
+                continue
+            new = dest | (1 << (chunk - 1))
+            self._last_profile = dest
+            self._last_chunk = chunk
+            if new == full:
+                state.apply_departure(dest, chunk)
+                if track_modes:
+                    snapshot.refresh()
+                elif track_groups:
+                    groups.left(dest)
+                departures.append((arrived[i], t))
+                pop -= 1
+                peers[i] = peers[pop]
+                peers.pop()
+                arrived[i] = arrived[pop]
+                arrived.pop()
+                if is_ewma:
+                    ewma[i] = ewma[pop]
+                    ewma.pop()
+                self._last_kind = Departure
+            else:
+                state.apply_transfer(dest, chunk)
+                if track_modes:
+                    snapshot.count_rose(chunk - 1)
+                elif track_groups:
+                    groups.left(dest)
+                    groups.joined(new)
+                peers[i] = new
+                self._last_kind = Transfer
+        self.t = t
+        self.events = events
+        return dt
 
     def _draw_samples(self, pop: int) -> List[int]:
         """Three distinct peers from ``pop <= 21``, drawn as ``[peers[j]
@@ -359,7 +386,7 @@ class Simulation:
         # sample's pool branch: a partial Fisher-Yates shuffle of
         # range(pop); ``moved`` holds the slots that no longer hold their
         # own index.
-        getrandbits = self._getrandbits
+        getrandbits = self.rng.getrandbits
         moved = {}
         out = []
         n = pop
@@ -374,19 +401,14 @@ class Simulation:
         """Advance exactly one event; horizon and sampling are the caller's
         concern.  Returns the applied transition (None for a wasted
         contact) and the elapsed holding time."""
-        lam, rate = self._total_rate()
-        dt = -log(1.0 - self._random()) / rate  # random.expovariate(rate)
-        self.t += dt
-        self._fire(lam, rate)
-        self.events += 1
+        self._last_kind = None
+        dt = self._advance(self.events + 1, inf, None)
         kind = self._last_kind
-        if kind == _NONE:
+        if kind is None:
             return None, dt
-        if kind == _ARRIVAL:
+        if kind is Arrival:
             return Arrival(), dt
-        if kind == _TRANSFER:
-            return Transfer(self._last_profile, self._last_chunk), dt
-        return Departure(self._last_profile, self._last_chunk), dt
+        return kind(self._last_profile, self._last_chunk), dt
 
     def _record(self, trace: EventTrace, t: float) -> None:
         state = self.state
@@ -399,35 +421,8 @@ class Simulation:
             trace.frequencies.append((0.0,) * self.m)
 
     def run(self) -> EventTrace:
-        sc = self.scenario
         trace = EventTrace()
-        horizon = sc.horizon
-        interval = sc.sample_interval
-        uniform = self._random
-        state = self.state
-        # _total_rate and expovariate, inlined with the same arithmetic.
-        lam_open, seed_rate, mu = self._lam, self._seed_rate, self._mu
-        cap, block = self._cap, self._block
-        next_sample = 0.0
-        k = 0
-        while True:
-            pop = state.population
-            lam = 0.0 if (block and pop >= cap) else lam_open
-            rate = lam + (seed_rate + mu * pop) if pop else lam
-            t_next = self.t + -log(1.0 - uniform()) / rate
-            while next_sample <= t_next and next_sample <= horizon:
-                self._record(trace, next_sample)
-                k += 1
-                next_sample = k * interval
-            if t_next > horizon:
-                self.t = horizon
-                self.termination = TerminationReason.HORIZON_REACHED
-                break
-            self.t = t_next
-            self._fire(lam, rate)
-            self.events += 1
-            if self.termination is not None:
-                break
+        self._advance(None, self.scenario.horizon, trace)
         trace.termination = self.termination
         trace.final_time = self.t
         trace.departures = self.departures
@@ -436,7 +431,9 @@ class Simulation:
 
     def check_invariants(self) -> None:
         """Debug check: cached y and population match a full recount, no
-        stored profile is complete, peers balance arrivals, under
+        stored profile is complete, the per-peer lists (profiles, arrival
+        times, ewma-ms estimates) have one entry per peer, peers balance
+        arrivals, every arrival and departure counted as an event, under
         mode-suppression the snapshot's aggregates match a fresh one, and
         under group suppression so does the largest group's size."""
         state = self.state
@@ -455,7 +452,10 @@ class Simulation:
             assert groups.size == top, f"largest group diverged: {groups.size} != {top}"
         assert state.population == sum(state.counts.values())
         assert all(0 <= p < self.full for p in state.counts)
-        assert state.population == len(self.peers)
+        assert state.population == len(self.peers) == len(self.arrived)
+        if self._is_ewma:
+            assert len(self.ewma) == len(self.peers), "ewma estimates out of step with peers"
+        assert self.events >= self.n_arrivals + len(self.departures), "events undercounted"
         expected = self.scenario.initial.n + self.n_arrivals - len(self.departures)
         assert state.population == expected, "population conservation violated"
 

@@ -308,6 +308,42 @@ def test_departures_complete_profiles_only():
     sim.check_invariants()  # includes: no stored profile is ever complete
 
 
+# Every policy kind, with 1 and 3 samples where the kind takes sample_peers.
+CHAIN_POLICIES = [
+    PolicyConfig(kind, threshold=2, alpha=0.2, sample_peers=k)
+    for kind in PolicyKind
+    for k in (1, 3)
+    if k == 1 or kind not in (
+        PolicyKind.RARE_CHUNK, PolicyKind.COMMON_CHUNK, PolicyKind.DISTRIBUTED_MS
+    )
+]
+
+
+@pytest.mark.parametrize("start", ["empty", "one-club"])
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize(
+    "policy", CHAIN_POLICIES, ids=lambda p: f"{p.kind.value}-{p.sample_peers}"
+)
+def test_run_and_step_are_one_chain(policy, m, start):
+    # run() and trace.events calls of step() on a twin with the same seed
+    # make the same chain of events.  Populations cross 21, where three
+    # samples switch from sample's pool branch to the unrolled draws.
+    sc = scenario(m=m, lam=3.0, policy=policy, initial=InitialCondition(start, 20),
+                  horizon=25.0, seed=31 * m + len(start))
+    ran, stepped = Simulation(sc), Simulation(sc)
+    trace = ran.run()
+    for _ in range(trace.events):
+        stepped.step()
+    for sim in (ran, stepped):
+        sim.check_invariants()
+    assert max(trace.populations) > 21
+    assert len(trace.departures) > 0
+    for attr in ("peers", "arrived", "departures", "n_arrivals", "events"):
+        assert getattr(stepped, attr) == getattr(ran, attr), attr
+    assert stepped.state.counts == ran.state.counts
+    assert stepped.state.y == ran.state.y
+
+
 # -- golden determinism: seeded outputs are pinned across implementations --
 
 GOLDEN_POLICIES = [
