@@ -16,6 +16,23 @@ peers, itself included, so the chance of contacting a peer of profile B is
 exactly count(B)/population; a self-contact wastes the tick.  On a seed
 tick the seed pushes to a uniformly random peer.
 
+Same-profile contacts are skipped (the n-fold way of Bortz, Kalos and
+Lebowitz) when a contact samples one peer under a policy that keeps no
+per-peer state: random, rarest-first, mode-suppression and group
+suppression with ``sample_peers=1``.  Such a contact offers nothing the
+destination lacks, so it is a pure self-loop.  There the loop races only
+arrivals, seed pushes and cross-profile contacts, at total rate
+``lambda + U + mu * (pop**2 - S2) / pop``, where ``S2`` is the sum of the
+squared profile counts (the ordered same-profile peer pairs, self-pairs
+included).  A contact draws (destination, source) and redraws both until
+their profiles differ; each rejected pair is a same-profile contact,
+counted in ``events``.  Those pairs come at rate ``mu * S2 / pop`` per
+unit time, exactly the rate left out of the race, so ``events`` grows by
+the skipped contacts on average, and ``step()`` advances one event other
+than a same-profile contact.  Three-sample contacts, ewma-ms (whose
+estimate folds in every contact) and common-chunk (whose sample count
+depends on the destination) race every contact.
+
 The policy is one flat selector from
 :func:`~swarmsim.policies.make_selector`, built once per simulation and
 called with plain ints and the :class:`~swarmsim.policies.SwarmView`
@@ -30,8 +47,9 @@ destination lacks, the contact is wasted and the selector is not called.
 This changes no draw: every policy picks from ``offer & ~dest``,
 ``choose_chunk(0)`` draws nothing, and common-chunk's endgame refuses
 without a draw, so each would return None without touching the stream.
-Seed pushes are never gated; the seed offers every chunk.  From a
-one-club start almost every contact ends at the gate.
+Seed pushes are never gated; the seed offers every chunk.  Off the skip
+path almost every contact from a one-club start ends at the gate; on it,
+only cross-profile contacts reach the gate.
 
 The engine's own draws (holding times, event choice, peer indices and
 samples) and the selectors' draws call ``random.Random.random`` and
@@ -144,7 +162,9 @@ class Scenario:
 @dataclass
 class EventTrace:
     """What one run produced: a sampled time series, every departure, and
-    why the run stopped."""
+    why the run stopped.  ``events`` counts arrivals, seed pushes and peer
+    contacts, wasted ones included; where same-profile contacts are
+    skipped, it counts the rejected pairs that stand for them."""
 
     times: List[float] = field(default_factory=list)
     populations: List[int] = field(default_factory=list)
@@ -180,9 +200,10 @@ class Simulation:
     """Mutable simulation driver for one scenario.
 
     Use :func:`run` for the standard horizon-bounded run; :meth:`step`
-    advances exactly one event for callers doing their own bookkeeping
-    (occupancy measurement, generator cross-checks).  Both drive the one
-    event loop, :meth:`_advance`, which reads the state afresh each call.
+    advances one event other than a skipped same-profile contact, for
+    callers doing their own bookkeeping (occupancy measurement, generator
+    cross-checks).  Both drive the one event loop, :meth:`_advance`, which
+    reads the state afresh each call.
     """
 
     def __init__(self, scenario: Scenario, seed: Optional[int] = None):
@@ -211,6 +232,9 @@ class Simulation:
         self._cap = scenario.cap
         fixed = policy.kind is not PolicyKind.COMMON_CHUNK
         self._fixed_k = samples_needed(policy, 0, self.m) if fixed else None
+        # One-sample contacts under a policy with no per-peer state skip
+        # same-profile contacts (see the module docstring).
+        self._skip_same = self._fixed_k == 1 and not self._is_ewma
         # Live snapshot shares the state's y vector, and the largest group
         # its counts.  Rarest-first reads only y; mode-suppression also
         # reads the snapshot's aggregates, and group suppression the
@@ -231,9 +255,10 @@ class Simulation:
     def _advance(self, stop: Optional[int], horizon: float, trace: Optional[EventTrace]) -> float:
         """Race events from the current state until ``events`` reaches
         ``stop`` (None: no limit), the next event would fall past
-        ``horizon``, or an arrival hits the population cap.  With a
-        ``trace``, record a sample at every multiple of the sample interval
-        up to the horizon.  Returns the last holding time drawn."""
+        ``horizon``, or an arrival hits the population cap.  Skipped
+        same-profile contacts count in ``events`` but not toward ``stop``.
+        With a ``trace``, record a sample at every multiple of the sample
+        interval up to the horizon.  Returns the last holding time drawn."""
         uniform, getrandbits = self.rng.random, self.rng.getrandbits
         state, snapshot, groups = self.state, self._snapshot, self._groups
         peers, arrived, ewma = self.peers, self.arrived, self.ewma
@@ -242,6 +267,7 @@ class Simulation:
         m, full, full_sources = self.m, self.full, [self.full]
         is_ewma, is_dms, fixed_k = self._is_ewma, self._is_dms, self._fixed_k
         track_modes, track_groups = self._track_modes, self._track_groups
+        skip, counts = self._skip_same, state.counts
         sc, p = self.scenario, self.scenario.params
         lam_open, seed_rate, mu = p.arrival_rate, p.seed_contact_rate, p.peer_contact_rate
         cap, block = self._cap, sc.block_arrivals_at_cap
@@ -253,14 +279,26 @@ class Simulation:
             k = 0
         t = self.t
         events = self.events
+        skipped = 0  # same-profile contacts, kept out of the stop test
+        s2 = sum(c * c for c in counts.values()) if skip else 0
         pop = state.population
-        rated = -1  # the population that lam, rate, push_below and nbits are for
+        # The population that lam, rate, push_below and nbits are for; -1
+        # after a transfer changed s2.
+        rated = -1
         while events != stop:
             if pop != rated:
                 rated = pop
                 lam = 0.0 if (block and pop >= cap) else lam_open
-                rate = lam + (seed_rate + mu * pop) if pop else lam
                 push_below = lam + seed_rate
+                if not pop:
+                    rate = lam
+                elif not skip:
+                    rate = lam + (seed_rate + mu * pop)
+                else:
+                    cross = pop * pop - s2  # ordered cross-profile pairs
+                    rate = lam + (seed_rate + mu * cross / pop)
+                    if not cross:
+                        push_below = inf  # no contact to race
                 nbits = pop.bit_length()
             dt = -log(1.0 - uniform()) / rate  # random.expovariate(rate)
             t_next = t + dt
@@ -279,6 +317,8 @@ class Simulation:
                 state.add_empty_peer()
                 if track_groups:
                     groups.joined(0)
+                if skip:
+                    s2 += 2 * counts[0] - 1
                 peers.append(0)
                 arrived.append(t)
                 if is_ewma:
@@ -308,7 +348,18 @@ class Simulation:
                     while j >= pop:
                         j = getrandbits(nbits)
                     offered = peers[j]
-                    sources = [offered]
+                    if skip:
+                        # Redraw the pair until its profiles differ.
+                        while offered == dest:
+                            skipped += 1
+                            i = getrandbits(nbits)
+                            while i >= pop:
+                                i = getrandbits(nbits)
+                            j = getrandbits(nbits)
+                            while j >= pop:
+                                j = getrandbits(nbits)
+                            dest, offered = peers[i], peers[j]
+                    sources = None  # [offered], built past the offer gate
                 elif pop > 21:
                     # random.sample's set branch for k = 3, unrolled: a, then
                     # b != a, then c not in {a, b}; a redraw of randbelow is a
@@ -335,12 +386,14 @@ class Simulation:
             else:
                 if is_ewma:
                     est = ewma[i]
-                    for b in sources:
+                    for b in sources or (offered,):
                         ewma_update(est, b, alpha)
                 # The offer gate: every policy picks from what is offered and
                 # needed, and returns None without a draw when that is empty.
                 if not offered & ~dest:
                     continue
+                if sources is None:
+                    sources = [offered]
             chunk = select(dest, offered, sources, est, push, view)
             if chunk is None:
                 continue
@@ -353,6 +406,8 @@ class Simulation:
                     snapshot.refresh()
                 elif track_groups:
                     groups.left(dest)
+                if skip:
+                    s2 -= 2 * counts.get(dest, 0) + 1
                 departures.append((arrived[i], t))
                 pop -= 1
                 peers[i] = peers[pop]
@@ -370,10 +425,13 @@ class Simulation:
                 elif track_groups:
                     groups.left(dest)
                     groups.joined(new)
+                if skip:
+                    s2 += 2 * (counts[new] - counts.get(dest, 0) - 1)
+                    rated = -1
                 peers[i] = new
                 self._last_kind = Transfer
         self.t = t
-        self.events = events
+        self.events = events + skipped
         return dt
 
     def _draw_samples(self, pop: int) -> List[int]:
@@ -398,9 +456,11 @@ class Simulation:
         return out
 
     def step(self) -> Tuple[Optional[Transition], float]:
-        """Advance exactly one event; horizon and sampling are the caller's
-        concern.  Returns the applied transition (None for a wasted
-        contact) and the elapsed holding time."""
+        """Advance one event other than a skipped same-profile contact;
+        horizon and sampling are the caller's concern.  ``events`` grows by
+        one plus the same-profile contacts skipped on the way.  Returns the
+        applied transition (None for a wasted contact) and the elapsed
+        holding time."""
         self._last_kind = None
         dt = self._advance(self.events + 1, inf, None)
         kind = self._last_kind

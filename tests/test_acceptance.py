@@ -347,7 +347,7 @@ def test_criterion_8_oracle_equivalence():
     ok = report(
         "criterion 8 (oracle equivalence)",
         tv <= 0.05 and elapsed < 60.0,
-        f"total variation {tv:.4f} <= 0.05 over 1e6 events, {elapsed:.0f}s",
+        f"total variation {tv:.4f} <= 0.05 over 1e6 steps, {elapsed:.0f}s",
     )
     assert ok
 

@@ -139,7 +139,7 @@ def test_empty_system_only_arrivals():
     assert dt > 0
 
 
-def _planted_sim(m, profiles, policy, lam=1.0, seed=0):
+def _planted_sim(m, profiles, policy, lam=1.0, seed=0, cap=10_000, block=False):
     """Simulation surgically placed at an arbitrary state."""
     sc = Scenario(
         params=ModelParams(m=m, arrival_rate=lam),
@@ -147,7 +147,8 @@ def _planted_sim(m, profiles, policy, lam=1.0, seed=0):
         initial=InitialCondition("empty", 0),
         horizon=1e9,
         rng_seed=seed,
-        max_population=10_000,
+        max_population=cap,
+        block_arrivals_at_cap=block,
     )
     sim = Simulation(sc)
     sim.state = SwarmState.from_profiles(m, profiles)
@@ -196,21 +197,33 @@ def test_group_suppression_largest_group_stays_exact(m, sample_peers, start):
     assert kinds["Arrival"] > 50 and kinds["Transfer"] > 50 and kinds["Departure"] > 20, kinds
 
 
+def _skip_rate(profiles, lam=1.0, mu=1.0, u=1.0):
+    """Total rate of the events that step() races when same-profile
+    contacts are skipped: lambda + U + mu * (pop**2 - S2) / pop, where S2
+    counts the ordered same-profile peer pairs, self-pairs included."""
+    pop = len(profiles)
+    s2 = sum(c * c for c in Counter(profiles).values())
+    return lam + (u + mu * (pop * pop - s2) / pop)
+
+
 def test_single_step_frequencies_match_generator():
     # State {(1): 2, (2): 1} at m=2 under mode suppression T=1:
     # exact transition rates are arrival 1.0 and 4/3 for the chunk-2
-    # departure of a {1}-peer (chunk 1 is suppressed).  Total event rate
-    # is lambda + U + 3 mu = 5.
+    # departure of a {1}-peer (chunk 1 is suppressed).  Same-profile
+    # contacts are skipped, so the total rate step() races is
+    # lambda + U + mu (pop^2 - S2) / pop = 1 + 1 + (9 - 5) / 3 = 10/3.
     profiles = [mask_of([1]), mask_of([1]), mask_of([2])]
     policy = PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=1)
+    total_rate = _skip_rate(profiles)
+    assert total_rate == pytest.approx(10.0 / 3.0)
     n = 100_000
     counts = Counter()
     for i in range(n):
         sim = _planted_sim(2, profiles, policy, seed=i)
         tr, _ = sim.step()
         counts[type(tr).__name__ if tr else "none"] += 1
-    p_arrival = 1.0 / 5.0
-    p_depart = (4.0 / 3.0) / 5.0
+    p_arrival = 1.0 / total_rate
+    p_depart = (4.0 / 3.0) / total_rate
     expected = {
         "Arrival": n * p_arrival,
         "Departure": n * p_depart,
@@ -249,9 +262,8 @@ def _check_step_against_generator(m, profiles, cap, n):
         new = diff.index(1) if 1 in diff else full_mask(m)
         rates[(s, (new & ~s).bit_length())] = rate
     assert "arrival" in rates, "the planted state must sit below the cap"
-    total_rate = (
-        params.arrival_rate + params.seed_contact_rate
-        + params.peer_contact_rate * len(profiles)
+    total_rate = _skip_rate(
+        profiles, params.arrival_rate, params.peer_contact_rate, params.seed_contact_rate
     )
     counts = Counter()
     for seed in range(n):
@@ -288,10 +300,11 @@ def test_transfer_rates_match_generator_on_m3_instance():
 
 
 def test_holding_times_exponential():
-    # At a frozen population the inter-event times are iid Exp(total rate).
+    # At a frozen state the inter-event times are iid Exp(total rate), the
+    # rate without the skipped same-profile contacts: 1 + 1 + (9 - 5) / 3.
     profiles = [mask_of([1]), mask_of([1]), mask_of([2])]
     policy = PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=1)
-    total_rate = 5.0
+    total_rate = _skip_rate(profiles)
     samples = []
     for i in range(8000):
         sim = _planted_sim(2, profiles, policy, seed=i)
@@ -299,6 +312,54 @@ def test_holding_times_exponential():
         samples.append(dt)
     d, p = stats.kstest(samples, "expon", args=(0, 1 / total_rate))
     assert p > 0.01, (d, p)
+
+
+def test_events_per_step_count_the_skipped_contacts():
+    # Each step() races R' = lambda + U + mu (pop^2 - S2) / pop and counts
+    # the same-profile pairs it redrew, which stand for the contacts
+    # racing at mu S2 / pop; so events grow by R / R' per step on average,
+    # with R = lambda + U + mu pop the rate of every event.
+    profiles = [0, 0, 0, mask_of([1]), mask_of([1]), mask_of([1, 2])]
+    policy = PolicyConfig(PolicyKind.RAREST_FIRST)
+    ratio = (1.0 + 1.0 + len(profiles)) / _skip_rate(profiles)
+    grew = []
+    for seed in range(20_000):
+        sim = _planted_sim(3, profiles, policy, seed=seed)
+        sim.step()
+        grew.append(sim.events)
+    mean = sum(grew) / len(grew)
+    se = math.sqrt(sum((g - mean) ** 2 for g in grew) / (len(grew) - 1) / len(grew))
+    assert min(grew) == 1 and max(grew) > 1
+    assert abs(mean - ratio) <= 3 * se, (mean, ratio, se)
+
+
+class _BoundedStream(random.Random):
+    """A stream that fails after ``limit`` bit draws, so a redraw loop
+    that never ends fails the test instead of hanging it."""
+
+    def __init__(self, seed, limit):
+        super().__init__(seed)
+        self.left = limit
+
+    def getrandbits(self, k):
+        self.left -= 1
+        assert self.left >= 0, "the event loop drew without end"
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("pop", [1, 2, 6])
+def test_one_profile_swarm_steps_through_seed_pushes(pop):
+    # At the cap with arrivals blocked, a swarm whose peers share one
+    # profile has no cross-profile contact to race: pop^2 = S2, so every
+    # event is a seed push and no pair is ever redrawn.
+    policy = PolicyConfig(PolicyKind.MODE_SUPPRESSION)
+    for seed in range(20):
+        sim = _planted_sim(3, [0] * pop, policy, seed=seed, cap=pop, block=True)
+        sim.rng = _BoundedStream(seed, 100)
+        sim._view.getrandbits = sim.rng.getrandbits
+        tr, _ = sim.step()
+        assert isinstance(tr, Transfer) and tr.profile == 0, tr
+        assert sim.events == 1 and sim.state.population == pop
 
 
 def test_departures_complete_profiles_only():
@@ -325,15 +386,22 @@ CHAIN_POLICIES = [
     "policy", CHAIN_POLICIES, ids=lambda p: f"{p.kind.value}-{p.sample_peers}"
 )
 def test_run_and_step_are_one_chain(policy, m, start):
-    # run() and trace.events calls of step() on a twin with the same seed
-    # make the same chain of events.  Populations cross 21, where three
-    # samples switch from sample's pool branch to the unrolled draws.
+    # run() and calls of step() on a twin with the same seed, until the
+    # twin's events reach trace.events, make the same chain of events; a
+    # step may count skipped same-profile contacts too, but never past
+    # the run.  Populations cross 21, where three samples switch from
+    # sample's pool branch to the unrolled draws.
     sc = scenario(m=m, lam=3.0, policy=policy, initial=InitialCondition(start, 20),
                   horizon=25.0, seed=31 * m + len(start))
     ran, stepped = Simulation(sc), Simulation(sc)
+    # run() keeps S2 by increments; one that drifted low would race
+    # contacts with no cross-profile pair left and redraw without end.
+    ran.rng = _BoundedStream(sc.rng_seed, 10**6)
+    ran._view.getrandbits = ran.rng.getrandbits
     trace = ran.run()
-    for _ in range(trace.events):
+    while stepped.events < trace.events:
         stepped.step()
+    assert stepped.events == trace.events
     for sim in (ran, stepped):
         sim.check_invariants()
     assert max(trace.populations) > 21
@@ -363,11 +431,26 @@ GOLDEN_POLICIES = [
     PolicyConfig(PolicyKind.EWMA_MS, alpha=0.2, sample_peers=3),
 ]
 
+
+def _skips_same_profile(policy) -> bool:
+    """One-sample contacts under a policy with no per-peer state."""
+    return policy.sample_peers == 1 and policy.kind in (
+        PolicyKind.RANDOM, PolicyKind.RAREST_FIRST,
+        PolicyKind.GROUP_SUPPRESSION, PolicyKind.MODE_SUPPRESSION,
+    )
+
+
 # SHA-256 of the traces below, recorded from the implementation that drew
 # through random.Random.randrange / sample / expovariate.  A change here
-# means seeded outputs no longer match earlier versions.
+# means seeded outputs no longer match earlier versions.  The policies that
+# skip same-profile contacts race fewer events and redraw same-profile
+# pairs, so their runs have a digest of their own, recorded when the skip
+# came in; the other ten still match the stdlib-call implementation.
 GOLDEN_RUNS_SHA256 = (
-    "9b54de8dba3589277629026f2f100d1f96b7a98596f553de8f98e192b977daaa"
+    "ceb821ac2f3a62bef3a1185f40ec87f5f726290ccdd505feac90959040fae55c"
+)
+GOLDEN_SKIP_RUNS_SHA256 = (
+    "c71a4b07c544c2753776788d3c076441c683bfd21b0ae162c152d3fb17993d2d"
 )
 GOLDEN_STEPS_SHA256 = (
     "5087c51456a5af2fb985c60df5307042e724ebf050d2d4e6788ec678ea1f1858"
@@ -386,17 +469,27 @@ def _trace_digest_input(trace) -> bytes:
     )).encode()
 
 
-def test_golden_run_digest():
+def _golden_runs_digest(skips: bool) -> str:
     # Populations start at 15 and move between 0 and about 45, so the
     # 3-sample draws cross random.sample's pool/rejection edge at 21.
     h = hashlib.sha256()
     for m in (2, 5):
         for i, policy in enumerate(GOLDEN_POLICIES):
+            if _skips_same_profile(policy) != skips:
+                continue
             sc = scenario(m=m, lam=2.0, policy=policy,
                           initial=InitialCondition("empty", 15),
                           horizon=15.0, seed=1000 * m + i)
             h.update(_trace_digest_input(run(sc)))
-    assert h.hexdigest() == GOLDEN_RUNS_SHA256
+    return h.hexdigest()
+
+
+def test_golden_run_digest():
+    assert _golden_runs_digest(skips=False) == GOLDEN_RUNS_SHA256
+
+
+def test_golden_skip_run_digest():
+    assert _golden_runs_digest(skips=True) == GOLDEN_SKIP_RUNS_SHA256
 
 
 def test_golden_step_digest():
@@ -422,29 +515,36 @@ STREAM_POPS = range(1, 65)  # random.sample switches branch between 21 and 22
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_draw_samples_matches_random_sample(k):
-    # One step from a planted swarm of one-chunk profiles, with a selector
-    # that records its sources.  The twin replays the step with the stdlib
-    # calls: the holding time, the event choice, the destination, then
-    # random.sample of the sources (random pulls 1 peer, distributed-ms 3,
-    # on a seed push too); distributed-ms takes every peer from a
-    # population of 3 or less.
+    # One step from a planted swarm of distinct one-chunk profiles, with a
+    # selector that records its sources.  The twin replays the step with
+    # the stdlib calls: the holding time, the event choice, the
+    # destination, then the sources.  Random pulls 1 peer with randrange
+    # and, skipping same-profile contacts, races only the pop^2 - pop
+    # ordered pairs of distinct peers: a pair that repeats a peer is
+    # redrawn whole.  Distributed-ms pulls 3 with random.sample, on a seed
+    # push too, and takes every peer from a population of 3 or less.
     policy = PolicyConfig(PolicyKind.RANDOM if k == 1 else PolicyKind.DISTRIBUTED_MS)
-    rate_of = lambda pop: 1e-9 + 1.0 + pop  # lambda + U + mu * pop
     for seed in STREAM_SEEDS:
         for pop in STREAM_POPS:
             peers = [1 << j for j in range(pop)]
+            rate = _skip_rate(peers, lam=1e-9) if k == 1 else 1e-9 + 1.0 + pop
             sim = _planted_sim(64, peers, policy, lam=1e-9, seed=seed)
             seen = []
             sim._selector = lambda dest, offer, sources, *rest: seen.append(sources)
             twin = random.Random(seed)
             twin.random()
-            u = twin.random() * rate_of(pop)
+            u = twin.random() * rate
             assert u >= 1e-9, "an arrival; the twin does not replay it"
             dest = twin.randrange(pop)
             push = u < 1e-9 + 1.0
             if push and k == 1:
                 expected = [[full_mask(64)]]
-            elif k == 3 and pop <= 3:
+            elif k == 1:
+                source = twin.randrange(pop)
+                while source == dest:
+                    dest, source = twin.randrange(pop), twin.randrange(pop)
+                expected = [[peers[source]]]
+            elif pop <= 3:
                 expected = [peers]
             else:
                 expected = [[peers[j] for j in twin.sample(range(pop), k)]]
@@ -464,11 +564,16 @@ def test_randbelow_matches_randrange():
 
 
 def test_holding_time_matches_expovariate():
-    # The first step from a planted state draws its holding time first.
-    policy = PolicyConfig(PolicyKind.RANDOM)
-    for seed in STREAM_SEEDS:
-        for pop in STREAM_POPS:
-            sim = _planted_sim(2, [0] * pop, policy, seed=seed)
-            rate = 1.0 + (1.0 + 1.0 * pop)  # lambda + (U + mu * pop)
-            _, dt = sim.step()
-            assert dt == random.Random(seed).expovariate(rate), (seed, pop)
+    # The first step from a planted state draws its holding time first, at
+    # lambda + (U + mu * pop) when every contact is raced (three samples),
+    # and at lambda + (U + mu (pop^2 - S2) / pop) when same-profile
+    # contacts are skipped (one sample).
+    for k in (1, 3):
+        policy = PolicyConfig(PolicyKind.RANDOM, sample_peers=k)
+        for seed in STREAM_SEEDS:
+            for pop in STREAM_POPS:
+                profiles = [j % 3 for j in range(pop)]
+                sim = _planted_sim(2, profiles, policy, seed=seed)
+                rate = _skip_rate(profiles) if k == 1 else 1.0 + (1.0 + 1.0 * pop)
+                _, dt = sim.step()
+                assert dt == random.Random(seed).expovariate(rate), (k, seed, pop)
