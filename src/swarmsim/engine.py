@@ -26,12 +26,14 @@ arrivals, seed pushes and cross-profile contacts, at total rate
 squared profile counts (the ordered same-profile peer pairs, self-pairs
 included).  A contact draws (destination, source) and redraws both until
 their profiles differ; each rejected pair is a same-profile contact,
-counted in ``events``.  Those pairs come at rate ``mu * S2 / pop`` per
-unit time, exactly the rate left out of the race, so ``events`` grows by
-the skipped contacts on average, and ``step()`` advances one event other
-than a same-profile contact.  Three-sample contacts, ewma-ms (whose
-estimate folds in every contact) and common-chunk (whose sample count
-depends on the destination) race every contact.
+counted in ``events``.  While a cross-profile pair exists, those pairs
+come at rate ``mu * S2 / pop`` per unit time, exactly the rate left out
+of the race.  When every peer holds one profile (``pop**2 == S2``, as at
+an empty or one-club start), no contact is raced and no pair is drawn,
+so the skipped contacts there are not counted.  ``step()`` advances one
+event other than a same-profile contact.  Three-sample contacts, ewma-ms
+(whose estimate folds in every contact) and common-chunk (whose sample
+count depends on the destination) race every contact.
 
 The policy is one flat selector from
 :func:`~swarmsim.policies.make_selector`, built once per simulation and
@@ -164,7 +166,8 @@ class EventTrace:
     """What one run produced: a sampled time series, every departure, and
     why the run stopped.  ``events`` counts arrivals, seed pushes and peer
     contacts, wasted ones included; where same-profile contacts are
-    skipped, it counts the rejected pairs that stand for them."""
+    skipped, it counts the rejected pairs that stand for them, which a
+    swarm of one profile has none of."""
 
     times: List[float] = field(default_factory=list)
     populations: List[int] = field(default_factory=list)
@@ -282,9 +285,7 @@ class Simulation:
         skipped = 0  # same-profile contacts, kept out of the stop test
         s2 = sum(c * c for c in counts.values()) if skip else 0
         pop = state.population
-        # The population that lam, rate, push_below and nbits are for; -1
-        # after a transfer changed s2.
-        rated = -1
+        rated = -1  # the population that lam, rate, push_below and nbits are for
         while events != stop:
             if pop != rated:
                 rated = pop
@@ -295,10 +296,9 @@ class Simulation:
                 elif not skip:
                     rate = lam + (seed_rate + mu * pop)
                 else:
-                    cross = pop * pop - s2  # ordered cross-profile pairs
-                    rate = lam + (seed_rate + mu * cross / pop)
-                    if not cross:
-                        push_below = inf  # no contact to race
+                    # pop * pop - s2 ordered cross-profile pairs.  With none,
+                    # rate == push_below and u < rate: no contact is raced.
+                    rate = lam + (seed_rate + mu * (pop * pop - s2) / pop)
                 nbits = pop.bit_length()
             dt = -log(1.0 - uniform()) / rate  # random.expovariate(rate)
             t_next = t + dt
@@ -359,7 +359,7 @@ class Simulation:
                             while j >= pop:
                                 j = getrandbits(nbits)
                             dest, offered = peers[i], peers[j]
-                    sources = None  # [offered], built past the offer gate
+                    sources = [offered]
                 elif pop > 21:
                     # random.sample's set branch for k = 3, unrolled: a, then
                     # b != a, then c not in {a, b}; a redraw of randbelow is a
@@ -386,14 +386,12 @@ class Simulation:
             else:
                 if is_ewma:
                     est = ewma[i]
-                    for b in sources or (offered,):
+                    for b in sources:
                         ewma_update(est, b, alpha)
                 # The offer gate: every policy picks from what is offered and
                 # needed, and returns None without a draw when that is empty.
                 if not offered & ~dest:
                     continue
-                if sources is None:
-                    sources = [offered]
             chunk = select(dest, offered, sources, est, push, view)
             if chunk is None:
                 continue
@@ -427,7 +425,7 @@ class Simulation:
                     groups.joined(new)
                 if skip:
                     s2 += 2 * (counts[new] - counts.get(dest, 0) - 1)
-                    rated = -1
+                    rate = lam + (seed_rate + mu * (pop * pop - s2) / pop)
                 peers[i] = new
                 self._last_kind = Transfer
         self.t = t
@@ -458,9 +456,9 @@ class Simulation:
     def step(self) -> Tuple[Optional[Transition], float]:
         """Advance one event other than a skipped same-profile contact;
         horizon and sampling are the caller's concern.  ``events`` grows by
-        one plus the same-profile contacts skipped on the way.  Returns the
-        applied transition (None for a wasted contact) and the elapsed
-        holding time."""
+        one plus the same-profile pairs rejected on the way, none while the
+        swarm holds one profile.  Returns the applied transition (None for
+        a wasted contact) and the elapsed holding time."""
         self._last_kind = None
         dt = self._advance(self.events + 1, inf, None)
         kind = self._last_kind

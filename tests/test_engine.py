@@ -351,7 +351,8 @@ class _BoundedStream(random.Random):
 def test_one_profile_swarm_steps_through_seed_pushes(pop):
     # At the cap with arrivals blocked, a swarm whose peers share one
     # profile has no cross-profile contact to race: pop^2 = S2, so every
-    # event is a seed push and no pair is ever redrawn.
+    # event is a seed push and no pair is ever redrawn.  Its skipped
+    # contacts are therefore not counted: events grows by exactly one.
     policy = PolicyConfig(PolicyKind.MODE_SUPPRESSION)
     for seed in range(20):
         sim = _planted_sim(3, [0] * pop, policy, seed=seed, cap=pop, block=True)
