@@ -291,17 +291,28 @@ def write_simulation_outputs(
     out_dir: Path, scenario: Scenario, traces: Sequence[EventTrace]
 ) -> None:
     m = scenario.params.m
+    # Each distinct frequency row is spelled once, as its m fields with
+    # their leading commas, for every sample of it in every replication.
+    # Its values are y/pop >= 0, so no -0.0 or NaN key merges two texts.
+    spell = (",{!r}" * m).format
+    row_text: Dict[Tuple[float, ...], str] = {}
     pops, freqs, deps, summary = [], [], [], []
     for rep, trace in enumerate(traces):
-        pops.append(zip(trace.times, repeat(rep), trace.populations))
-        freqs.append(zip(trace.times, repeat(rep), *zip(*trace.frequencies)))
+        texts = []
+        for row in trace.frequencies:
+            text = row_text.get(row)
+            if text is None:
+                text = row_text[row] = spell(*row)
+            texts.append(text)
+        times = list(map(repr, trace.times))  # spelled once, for both files
+        pops.append(zip(times, repeat(rep), trace.populations))
+        freqs.append(zip(times, repeat(rep), texts))
         deps.extend((rep, arr, dep, dep - arr) for arr, dep in trace.departures)
         summary.append(_summary_row(scenario, rep, trace))
     pis = (f"pi_{j}" for j in range(1, m + 1))
     write_csvs(out_dir, [
-        ("population.csv", ("time", "replication", "population"), chain(*pops), "{!r},{},{}\n"),
-        ("frequencies.csv", ("time", "replication", *pis), chain(*freqs),
-         "{!r},{}" + ",{!r}" * m + "\n"),
+        ("population.csv", ("time", "replication", "population"), chain(*pops), "{},{},{}\n"),
+        ("frequencies.csv", ("time", "replication", *pis), chain(*freqs), "{},{}{}\n"),
         ("departures.csv", ("replication", "arrival_time", "departure_time", "sojourn"), deps,
          "{},{!r},{!r},{!r}\n"),
         ("summary.csv", SUMMARY_HEADER, summary, ""),

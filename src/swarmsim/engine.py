@@ -9,7 +9,10 @@ assumption.
 
 One event loop, ``Simulation._advance``, draws and applies every event.
 ``run()`` calls it once, with no event limit, the scenario's horizon and
-a trace to sample into; ``step()`` for one event, with neither.
+a trace to sample into; ``step()`` for one event, with neither.  The
+samples that fall in one holding interval all see one state, so the loop
+builds that state's frequency row once and appends the same tuple for
+each of them.
 
 On a peer tick the ticking peer samples its source(s) uniformly from all
 peers, itself included, so the chance of contacting a peer of profile B is
@@ -167,7 +170,8 @@ class EventTrace:
     why the run stopped.  ``events`` counts arrivals, seed pushes and peer
     contacts, wasted ones included; where same-profile contacts are
     skipped, it counts the rejected pairs that stand for them, which a
-    swarm of one profile has none of."""
+    swarm of one profile has none of.  Consecutive samples may share one
+    immutable row tuple in ``frequencies``."""
 
     times: List[float] = field(default_factory=list)
     populations: List[int] = field(default_factory=list)
@@ -280,6 +284,7 @@ class Simulation:
             interval = sc.sample_interval
             next_sample = 0.0
             k = 0
+            times, populations, frequencies = trace.times, trace.populations, trace.frequencies
         t = self.t
         events = self.events
         skipped = 0  # same-profile contacts, kept out of the stop test
@@ -302,10 +307,16 @@ class Simulation:
                 nbits = pop.bit_length()
             dt = -log(1.0 - uniform()) / rate  # random.expovariate(rate)
             t_next = t + dt
-            while next_sample <= t_next and next_sample <= horizon:
-                self._record(trace, next_sample)
-                k += 1
-                next_sample = k * interval
+            if next_sample <= t_next and next_sample <= horizon:
+                # Every sample in this holding interval sees one state, so
+                # they share one frequency row.
+                row = tuple(v / pop for v in state.y) if pop else (0.0,) * m
+                while next_sample <= t_next and next_sample <= horizon:
+                    times.append(next_sample)
+                    populations.append(pop)
+                    frequencies.append(row)
+                    k += 1
+                    next_sample = k * interval
             if t_next > horizon:
                 t = horizon
                 self.termination = TerminationReason.HORIZON_REACHED
@@ -467,16 +478,6 @@ class Simulation:
         if kind is Arrival:
             return Arrival(), dt
         return kind(self._last_profile, self._last_chunk), dt
-
-    def _record(self, trace: EventTrace, t: float) -> None:
-        state = self.state
-        pop = state.population
-        trace.times.append(t)
-        trace.populations.append(pop)
-        if pop:
-            trace.frequencies.append(tuple(v / pop for v in state.y))
-        else:
-            trace.frequencies.append((0.0,) * self.m)
 
     def run(self) -> EventTrace:
         trace = EventTrace()

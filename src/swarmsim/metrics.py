@@ -71,12 +71,18 @@ def frequency_gap(freqs: Tuple[float, ...]) -> float:
 
 def stabilization_time(trace: EventTrace, epsilon: float) -> Optional[float]:
     """First sampled time at which all chunk frequencies agree to within
-    ``epsilon``; None if that never happens within the trace."""
+    ``epsilon``; None if that never happens within the trace.  A row that
+    is the very row just rejected (consecutive samples of one state share
+    it) is skipped unread."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
+    rejected = None
     for t, freqs in zip(trace.times, trace.frequencies):
+        if freqs is rejected:
+            continue
         if frequency_gap(freqs) <= epsilon:
             return t
+        rejected = freqs
     return None
 
 

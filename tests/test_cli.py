@@ -481,6 +481,56 @@ def test_oracle_csv_digests(tmp_path, config, digests):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+SIMULATE_CSV_DIGESTS = [
+    (
+        # A one-club rarest-first run sampled every 0.05: 801 samples of
+        # 227 distinct states, 571 of them the state of the sample before.
+        "oneclub-rarest",
+        {
+            "policy.kind": "rarest-first",
+            "initial.kind": "one-club",
+            "initial.n": 10,
+            "m": 5,
+            "horizon": 40.0,
+            "rng_seed": 13,
+            "sample_interval": 0.05,
+            "replications": 1,
+        },
+        {
+            "population.csv": "4c3ed848c1a1531b3e397feb6d0bf8cc52ac11f23cbb83d723a57786d503aa27",
+            "frequencies.csv": "498b2ee6eb720194eb8685bd5bcb2890a8bb27f5f836af982a6869caccbe7538",
+            "departures.csv": "b098e722b97c1772e97f752107bee91a6d585739a9090b74c277ba781489c6b8",
+            "summary.csv": "44ea2047c6c78180d8cbda8bebf69e07ec47860d4352d419e8455041785ed059",
+        },
+    ),
+    (
+        # BASE_CONFIG: two replications from an empty start, whose traces
+        # share rows such as the all-zero one.
+        "empty-2reps",
+        {},
+        {
+            "population.csv": "14ca1030f4d23d3af07968c315c509e0435df89f64291a197d9c01ac7449b77e",
+            "frequencies.csv": "e1fc6dd19137d757edecaf8f42f702e11d0c383527de0d3648db6b6053881c46",
+            "departures.csv": "f09ed69bc36ef34e0e39eef490784ab1e45a10488d7260469ef730a0161d8d15",
+            "summary.csv": "fd656b4137651a9b6d1c72086c0546f0999bc9475e89a3fbb181cfcee06ece38",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides,digests",
+    [c[1:] for c in SIMULATE_CSV_DIGESTS],
+    ids=[c[0] for c in SIMULATE_CSV_DIGESTS],
+)
+def test_simulate_csv_digests(tmp_path, overrides, digests):
+    cfg = write_config(tmp_path, overrides)
+    assert cmd_simulate(str(cfg), str(tmp_path / "out"), quiet=True) == 0
+    for name, digest in digests.items():
+        data = (tmp_path / "out" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_write_csv_text_per_value_type(tmp_path):
     # csv.writer writes int, float, str and None itself; bools and numpy
     # scalars go through _fmt.  Each row is one type, and one row mixes them.
@@ -573,6 +623,8 @@ def test_write_csv_template_matches_csv_module(tmp_path, data, kinds):
     template = ",".join(_KINDS[k][0] for k in kinds) + "\n"
     row = st.tuples(*(_KINDS[k][1] for k in kinds))
     rows = data.draw(st.lists(row, max_size=6))
+    # One row object repeated, and a distinct row of equal values.
+    rows += rows[:1] * 2 + [tuple(list(r)) for r in rows[:1]]
     path = tmp_path / "t.csv"
     cli.write_csv(path, kinds, rows, template)
     with path.open(newline="") as fh:

@@ -79,6 +79,16 @@ class TestStabilization:
         )
         assert stabilization_time(tr, 0.05) == 2.0
 
+    def test_new_row_after_a_repeated_one(self):
+        # Samples of one state share one row object; the first new object
+        # is read, and its time returned.
+        stuck = (0.0, 1.0)
+        tr = trace_with(
+            times=(0.0, 0.5, 1.0, 1.5),
+            frequencies=[stuck, stuck, stuck, (0.5, 0.52)],
+        )
+        assert stabilization_time(tr, 0.05) == 1.5
+
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=20))
     def test_monotone_in_epsilon(self, gaps):
         tr = trace_with(
