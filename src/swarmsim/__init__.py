@@ -4,12 +4,10 @@ from .model import (
     Arrival,
     Departure,
     FrequencySnapshot,
-    InvalidTransitionError,
     ModelParams,
     SwarmState,
     Transfer,
     Transition,
-    apply_transition,
 )
 from .policies import EwmaEstimate, PolicyConfig, PolicyKind
 from .engine import (
@@ -29,7 +27,6 @@ __all__ = [
     "EwmaEstimate",
     "FrequencySnapshot",
     "InitialCondition",
-    "InvalidTransitionError",
     "ModelParams",
     "PolicyConfig",
     "PolicyKind",
@@ -39,7 +36,6 @@ __all__ = [
     "Transfer",
     "Transition",
     "TerminationReason",
-    "apply_transition",
     "run",
     "run_replications",
 ]

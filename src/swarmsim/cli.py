@@ -22,13 +22,15 @@ are rejected, naming the offending path)::
 ``policy.cc_variant``, ``max_population``, ``warmup_departures``,
 ``sample_interval`` and ``replications`` are optional with the defaults
 shown by ``Scenario``/``PolicyConfig``.  Exit codes: 0 success, 2 usage or
-configuration error, 3 I/O failure, 4 internal invariant violation.
+configuration error, 3 I/O failure, 4 internal error (any unexpected
+fault), no CSV written.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import shutil
@@ -50,7 +52,7 @@ from .engine import (
     run_replications,
 )
 from .metrics import sojourn_stats, stabilization_time
-from .model import InvalidTransitionError, ModelParams
+from .model import ModelParams
 from .oracle import (
     LyapunovParams,
     ReducibleChainError,
@@ -319,32 +321,45 @@ def write_simulation_outputs(
     ])
 
 
+def _exit_code(command):
+    """Run ``command`` under the exit-code contract: its own return code
+    when it returns, else one stderr line and 2 for a :class:`ConfigError`
+    or :class:`ReducibleChainError`, 3 for an ``OSError`` and 4 for any
+    other exception.  Every command writes its CSVs last, through the
+    all-or-nothing :func:`write_csvs`, so a failure leaves no CSV."""
+
+    @functools.wraps(command)
+    def mapped(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except (ConfigError, ReducibleChainError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except Exception as exc:
+            # A bare KeyError or AssertionError has no message to show.
+            print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return EXIT_INTERNAL
+
+    return mapped
+
+
+@_exit_code
 def cmd_simulate(
     config_path: str,
     out_dir: str,
     replications: Optional[int] = None,
     quiet: bool = False,
 ) -> int:
-    try:
-        scenario, reps = load_scenario_file(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    scenario, reps = load_scenario_file(config_path)
     if replications is not None:
         if replications < 1:
-            print("config error: replications: must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("replications", "must be >= 1")
         reps = replications
-    try:
-        traces = run_replications(scenario, reps)
-    except InvalidTransitionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    try:
-        write_simulation_outputs(Path(out_dir), scenario, traces)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    traces = run_replications(scenario, reps)
+    write_simulation_outputs(Path(out_dir), scenario, traces)
     if not quiet:
         for rep, tr in enumerate(traces):
             print(
@@ -382,6 +397,7 @@ def _apply_sweep_value(scenario: Scenario, parameter: str, raw: str) -> Scenario
     return replace(scenario, params=params, policy=policy)
 
 
+@_exit_code
 def cmd_sweep(
     config_path: str,
     parameter: str,
@@ -391,50 +407,32 @@ def cmd_sweep(
     quiet: bool = False,
 ) -> int:
     if parameter not in SWEEP_PARAMETERS:
-        print(
-            f"config error: parameter: must be one of {SWEEP_PARAMETERS}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
+        raise ConfigError("parameter", f"must be one of {SWEEP_PARAMETERS}")
     if not values:
-        print("config error: values: empty value list", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        base, reps = load_scenario_file(config_path)
-        if replications is not None:
-            reps = replications
-        if reps < 1:
-            raise ConfigError("replications", "must be >= 1")
-        cells = [
-            (idx, raw, _apply_sweep_value(base, parameter, raw))
-            for idx, raw in enumerate(values)
-        ]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("values", "empty value list")
+    base, reps = load_scenario_file(config_path)
+    if replications is not None:
+        reps = replications
+    if reps < 1:
+        raise ConfigError("replications", "must be >= 1")
+    cells = [
+        (idx, raw, _apply_sweep_value(base, parameter, raw))
+        for idx, raw in enumerate(values)
+    ]
     rows = []
-    try:
-        for idx, raw, scenario in cells:
-            for rep in range(reps):
-                seed = derive_seed(scenario.rng_seed, idx, rep)
-                trace = run(scenario, seed=seed)
-                rows.append(
-                    [parameter, raw, *_summary_row(scenario, rep, trace), seed]
-                )
-                if not quiet:
-                    print(f"{parameter}={raw} replication {rep}: done")
-    except InvalidTransitionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    try:
-        header = ("parameter", "value", *SUMMARY_HEADER, "seed")
-        write_csvs(Path(out_dir), [("sweep.csv", header, rows, "")])
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for idx, raw, scenario in cells:
+        for rep in range(reps):
+            seed = derive_seed(scenario.rng_seed, idx, rep)
+            trace = run(scenario, seed=seed)
+            rows.append([parameter, raw, *_summary_row(scenario, rep, trace), seed])
+            if not quiet:
+                print(f"{parameter}={raw} replication {rep}: done")
+    header = ("parameter", "value", *SUMMARY_HEADER, "seed")
+    write_csvs(Path(out_dir), [("sweep.csv", header, rows, "")])
     return EXIT_OK
 
 
+@_exit_code
 def cmd_oracle(
     m: int,
     cap: int,
@@ -448,8 +446,7 @@ def cmd_oracle(
     quiet: bool = False,
 ) -> int:
     if m not in (2, 3):
-        print("config error: m: oracle supports m=2 or m=3", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("m", "oracle supports m=2 or m=3")
     try:
         spec = TruncationSpec(m=m, cap=cap)
         params = ModelParams(
@@ -465,26 +462,18 @@ def cmd_oracle(
             epsilon=epsilon,
         )
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    # Rates that overflow are caught below and reported as one internal
-    # error; numpy's and the solver's warnings on the way would bury it.
+        raise ConfigError("m/cap/lambda/mu/u/T/epsilon/m-const", str(exc))
+    # Rates that overflow end in one internal error (a failed solve or the
+    # drift check below); numpy's and the solver's warnings on the way
+    # would bury it.
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.filterwarnings("ignore", "Matrix is exactly singular")
         gen = build_generator_ms(spec, params, threshold)
         report = verify_lemmas(gen)
-        try:
-            p = stationary_distribution(gen)
-        except ReducibleChainError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except RuntimeError as exc:
-            print(f"internal error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
+        p = stationary_distribution(gen)
         drift = drift_report(gen, lp)
     if not np.isfinite(drift.drifts).all():
-        print("internal error: non-finite drift (floating-point overflow)", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise FloatingPointError("non-finite drift (floating-point overflow)")
     ids = range(gen.n_states)
     # state_id, the quoted count tuple and population open every audit and
     # stationary row: formatted once, for both.
@@ -500,18 +489,14 @@ def cmd_oracle(
     boundary = map(_BOOL_TEXT.__getitem__, drift.boundary.tolist())
     columns = (drift.populations, drift.values, drift.drifts)
     drift_rows = zip(ids, *(c.tolist() for c in columns), boundary, drift.regions.tolist())
-    try:
-        write_csvs(Path(out_dir), [
-            ("generator-audit.csv", ("state_id", "state", "population", "row_sum_residual"),
-             audit, "{}{}\n"),
-            ("stationary.csv", ("state_id", "state", "population", "probability"),
-             zip(prefix, p.tolist()), "{}{!r}\n"),
-            ("drift.csv", ("state_id", "population", "V", "QV", "boundary", "region"),
-             drift_rows, "{},{},{!r},{!r},{},{}\n"),
-        ])
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_csvs(Path(out_dir), [
+        ("generator-audit.csv", ("state_id", "state", "population", "row_sum_residual"),
+         audit, "{}{}\n"),
+        ("stationary.csv", ("state_id", "state", "population", "probability"),
+         zip(prefix, p.tolist()), "{}{!r}\n"),
+        ("drift.csv", ("state_id", "population", "V", "QV", "boundary", "region"),
+         drift_rows, "{},{},{!r},{!r},{},{}\n"),
+    ])
     if not quiet:
         print(
             f"{gen.n_states} states; lemma checks "

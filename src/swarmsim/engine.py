@@ -242,6 +242,9 @@ class Simulation:
         # One-sample contacts under a policy with no per-peer state skip
         # same-profile contacts (see the module docstring).
         self._skip_same = self._fixed_k == 1 and not self._is_ewma
+        # Sum of squared profile counts as the last _advance left it, for
+        # check_invariants; the skip path keeps it by increments.
+        self._s2 = sum(c * c for c in self.state.counts.values())
         # Live snapshot shares the state's y vector, and the largest group
         # its counts.  Rarest-first reads only y; mode-suppression also
         # reads the snapshot's aggregates, and group suppression the
@@ -441,6 +444,7 @@ class Simulation:
                 self._last_kind = Transfer
         self.t = t
         self.events = events + skipped
+        self._s2 = s2
         return dt
 
     def _draw_samples(self, pop: int) -> List[int]:
@@ -493,8 +497,10 @@ class Simulation:
         stored profile is complete, the per-peer lists (profiles, arrival
         times, ewma-ms estimates) have one entry per peer, peers balance
         arrivals, every arrival and departure counted as an event, under
-        mode-suppression the snapshot's aggregates match a fresh one, and
-        under group suppression so does the largest group's size."""
+        mode-suppression the snapshot's aggregates match a fresh one,
+        under group suppression so does the largest group's size, and on
+        the same-profile skip path the sum of squared profile counts that
+        the race used matches a recount."""
         state = self.state
         assert state.y == state.recompute_y(), "incremental y diverged"
         snap = self._snapshot
@@ -509,6 +515,9 @@ class Simulation:
         if self._track_groups:
             top = max(state.counts.values(), default=0)
             assert groups.size == top, f"largest group diverged: {groups.size} != {top}"
+        if self._skip_same:
+            s2 = sum(c * c for c in state.counts.values())
+            assert self._s2 == s2, f"incremental S2 diverged: {self._s2} != {s2}"
         assert state.population == sum(state.counts.values())
         assert all(0 <= p < self.full for p in state.counts)
         assert state.population == len(self.peers) == len(self.arrived)

@@ -17,18 +17,9 @@ from typing import Dict, Iterable, Iterator, List, Tuple, Union
 MAX_CHUNKS = 64
 
 
-class InvalidTransitionError(ValueError):
-    """A transition whose preconditions do not hold against the state."""
-
-
 def full_mask(m: int) -> int:
     """Bit mask of the complete chunk set {1, .., m}."""
     return (1 << m) - 1
-
-
-def chunk_bit(chunk: int) -> int:
-    """Bit mask holding only ``chunk`` (1-based)."""
-    return 1 << (chunk - 1)
 
 
 def mask_of(chunks: Iterable[int]) -> int:
@@ -162,7 +153,7 @@ class SwarmState:
     def from_profiles(cls, m: int, profiles: Iterable[int]) -> "SwarmState":
         return cls(m, Counter(profiles))
 
-    # -- fast mutators used by the event loop (no precondition checks) --
+    # -- mutators used by the event loop (no precondition checks) --
 
     def add_empty_peer(self) -> None:
         self.counts[0] = self.counts.get(0, 0) + 1
@@ -217,35 +208,6 @@ class SwarmState:
             f"{set(chunks_of(p)) or '{}'}: {n}" for p, n in sorted(self.counts.items())
         )
         return f"SwarmState(m={self.m}, {{{body}}})"
-
-
-def apply_transition(state: SwarmState, t: Transition) -> SwarmState:
-    """Apply ``t`` to ``state`` in place and return it.
-
-    Raises :class:`InvalidTransitionError` when the transition's
-    preconditions do not hold; that always signals a caller bug.
-    """
-    if isinstance(t, Arrival):
-        state.add_empty_peer()
-        return state
-    if not isinstance(t, (Transfer, Departure)):
-        raise InvalidTransitionError(f"unknown transition {t!r}")
-    if not 1 <= t.chunk <= state.m:
-        raise InvalidTransitionError(f"chunk {t.chunk} is not in 1..{state.m}")
-    if state.counts.get(t.profile, 0) <= 0:
-        raise InvalidTransitionError(f"no peer with profile {chunks_of(t.profile)}")
-    if t.profile & chunk_bit(t.chunk):
-        raise InvalidTransitionError(f"chunk {t.chunk} already in profile")
-    size = t.profile.bit_count()
-    if isinstance(t, Transfer):
-        if size >= state.m - 1:
-            raise InvalidTransitionError("transfer would complete the profile; use Departure")
-        state.apply_transfer(t.profile, t.chunk)
-    else:
-        if size != state.m - 1:
-            raise InvalidTransitionError("departure requires a profile of size m-1")
-        state.apply_departure(t.profile, t.chunk)
-    return state
 
 
 @dataclass

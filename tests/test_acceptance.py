@@ -12,9 +12,12 @@ runs in roughly 6-10 minutes on one core.  Tolerances fixed up front:
 * the one-club horizon is 5000, sampled every 0.05: group suppression
   stabilizes by flushing the club, so at arrival rate 1 its small
   stationary swarm satisfies the 0.05 gap only intermittently; 5000 lies
-  between the slowest stable-policy hit (group suppression at 3997) and
-  the earliest rarest-first club extinction (6358), which is population
-  collapse rather than chunk recovery;
+  below the earliest rarest-first club extinction (6358), which is
+  population collapse rather than chunk recovery, but not above every
+  stable-policy hit: group suppression recovered at 3997 at most in the
+  pilot runs, yet one of 80 one-club GS runs (seed derive_seed(999, 7))
+  took 5262, so a new stream of ten GS runs fails this criterion with a
+  probability of roughly 1 - (79/80)^10, about 12%;
 * the threshold near-optimality margin delta is 1% of the T=2m mean
   sojourn.  The paper claims near-optimal download times for the
   threshold variants, not that T=2m is the exact minimiser: at m=10,
@@ -170,11 +173,12 @@ def test_criterion_3_missing_piece_syndrome(random_lambda4_traces):
 # post-recovery swarm is small, so the 0.05 frequency gap is met during
 # brief balanced moments that unit-spaced samples mostly miss (group
 # suppression flushes the club rather than refilling chunk 1 at high
-# population).  Horizon 5000 sits between the slowest stable-policy hit
-# (GS 3997) and the earliest rarest-first club extinction (6358): at the
-# critical arrival rate lambda = u, rarest-first eventually flushes its
-# club by population collapse on a ~1e4 timescale, a different phenomenon
-# from chunk recovery.
+# population).  Horizon 5000 sits below the earliest rarest-first club
+# extinction (6358): at the critical arrival rate lambda = u, rarest-first
+# eventually flushes its club by population collapse on a ~1e4 timescale,
+# a different phenomenon from chunk recovery.  It is not above every GS
+# recovery: the pilot's slowest was 3997, but one of 80 one-club GS runs
+# (seed derive_seed(999, 7)) took 5262.
 ONE_CLUB_HORIZON = 5000.0
 ONE_CLUB_SEED = 303
 ONE_CLUB_INTERVAL = 0.05

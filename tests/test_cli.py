@@ -214,6 +214,33 @@ class TestNonFiniteInputs:
 
 
 @pytest.mark.parametrize(
+    "command, target, fault, line",
+    [
+        ("simulate", "run_replications", KeyError(5), "internal error: 5"),
+        ("sweep", "run", KeyError(5), "internal error: 5"),
+        ("oracle", "build_generator_ms", AssertionError(), "internal error: AssertionError"),
+    ],
+)
+def test_planted_fault_exit_4(tmp_path, monkeypatch, capsys, command, target, fault, line):
+    # A fault no check anticipates, here planted in the engine or the
+    # oracle, exits 4 with one stderr line (naming the exception type when
+    # it has no message) and leaves no CSV.
+    def fail(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli, target, fail)
+    cfg = write_config(tmp_path)
+    argv = {
+        "simulate": ["simulate", "--config", str(cfg)],
+        "sweep": ["sweep", "--config", str(cfg), "--param", "lambda", "--values", "1,2"],
+        "oracle": ["oracle", "--m", "2", "--cap", "3", "--lambda", "1"],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out"), "--quiet"]) == 4
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
     "key",
     ["m", "initial.n", "rng_seed", "max_population", "warmup_departures", "replications",
      "policy.T", "policy.sample_peers"],

@@ -5,14 +5,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from swarmsim.model import (
-    Arrival,
-    Departure,
     FrequencySnapshot,
-    InvalidTransitionError,
     ModelParams,
     SwarmState,
-    Transfer,
-    apply_transition,
     chunks_of,
     full_mask,
     mask_of,
@@ -112,55 +107,6 @@ class TestAllowableSet:
         assert _ms_allowable([2, 3], [2], (5, 3, 3)) == mask_of([3])
 
 
-class TestApplyTransition:
-    def test_departure(self):
-        state = SwarmState(2, {mask_of([1]): 2})
-        apply_transition(state, Departure(mask_of([1]), 2))
-        assert state.counts == {mask_of([1]): 1}
-        assert state.population == 1
-
-    def test_arrival(self):
-        state = SwarmState(3, {mask_of([1]): 1})
-        apply_transition(state, Arrival())
-        assert state.counts[0] == 1
-        assert state.population == 2
-
-    def test_transfer(self):
-        state = SwarmState(3, {mask_of([1]): 1})
-        apply_transition(state, Transfer(mask_of([1]), 2))
-        assert state.counts == {mask_of([1, 2]): 1}
-
-    def test_transfer_missing_peer_rejected(self):
-        state = SwarmState(3, {mask_of([1]): 1})
-        with pytest.raises(InvalidTransitionError):
-            apply_transition(state, Transfer(mask_of([2]), 3))
-
-    def test_transfer_of_held_chunk_rejected(self):
-        state = SwarmState(3, {mask_of([1]): 1})
-        with pytest.raises(InvalidTransitionError):
-            apply_transition(state, Transfer(mask_of([1]), 1))
-
-    def test_completing_transfer_rejected(self):
-        state = SwarmState(2, {mask_of([1]): 1})
-        with pytest.raises(InvalidTransitionError):
-            apply_transition(state, Transfer(mask_of([1]), 2))
-
-    @pytest.mark.parametrize(
-        "transition", [Transfer(0, 4), Transfer(0, 0), Departure(mask_of([1, 2]), 4)]
-    )
-    def test_chunk_out_of_range_rejected_before_any_change(self, transition):
-        state = SwarmState(3, {0: 2, mask_of([1, 2]): 1})
-        counts, y = dict(state.counts), list(state.y)
-        with pytest.raises(InvalidTransitionError, match="not in 1..3"):
-            apply_transition(state, transition)
-        assert state.counts == counts and state.y == y and state.population == 3
-
-    def test_early_departure_rejected(self):
-        state = SwarmState(3, {mask_of([1]): 1})
-        with pytest.raises(InvalidTransitionError):
-            apply_transition(state, Departure(mask_of([1]), 2))
-
-
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(m=1, arrival_rate=1.0)
@@ -221,7 +167,7 @@ def test_random_walk_conserves_population(seed):
     arrivals = departures = 0
     for _ in range(200):
         if not state.counts or rng.random() < 0.3:
-            apply_transition(state, Arrival())
+            state.add_empty_peer()
             arrivals += 1
             continue
         profile = rng.choice(list(state.counts))
@@ -231,10 +177,10 @@ def test_random_walk_conserves_population(seed):
         chunk = rng.choice(missing)
         before = profile
         if profile.bit_count() == m - 1:
-            apply_transition(state, Departure(profile, chunk))
+            state.apply_departure(profile, chunk)
             departures += 1
         else:
-            apply_transition(state, Transfer(profile, chunk))
+            state.apply_transfer(profile, chunk)
             assert before | mask_of([chunk]) == before + mask_of([chunk])
         assert state.population == arrivals - departures
         assert state.y == state.recompute_y()
