@@ -4,6 +4,10 @@ Three subcommands: ``simulate`` runs a scenario file and writes the
 population / frequency / departure / summary CSVs, ``sweep`` repeats a
 scenario across one parameter's values, and ``oracle`` builds the exact
 truncated chain and writes its audit, stationary and drift CSVs.
+``simulate`` and ``sweep`` hand all of their replications to one
+:func:`~swarmsim.engine.run_replications` call, which runs them in
+parallel on the CPUs the process may use; the CSVs do not depend on how
+many there are.
 
 Scenario files are JSON documents with exactly these keys (unknown keys
 are rejected, naming the offending path)::
@@ -23,7 +27,7 @@ are rejected, naming the offending path)::
 ``sample_interval`` and ``replications`` are optional with the defaults
 shown by ``Scenario``/``PolicyConfig``.  Exit codes: 0 success, 2 usage or
 configuration error, 3 I/O failure, 4 internal error (any unexpected
-fault), no CSV written.
+fault, printed as its type and message), no CSV written.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# ``run`` is imported though no command calls it: perfbench's tap wraps
+# ``cli.run`` and ``cli.run_replications`` by name.
 from .engine import (
     EventTrace,
     InitialCondition,
@@ -339,8 +345,9 @@ def _exit_code(command):
             print(f"i/o error: {exc}", file=sys.stderr)
             return EXIT_IO
         except Exception as exc:
-            # A bare KeyError or AssertionError has no message to show.
-            print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            # As a traceback's last line: the type, then the message if any.
+            text = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+            print(f"internal error: {text}", file=sys.stderr)
             return EXIT_INTERNAL
 
     return mapped
@@ -358,7 +365,9 @@ def cmd_simulate(
         if replications < 1:
             raise ConfigError("replications", "must be >= 1")
         reps = replications
-    traces = run_replications(scenario, reps)
+    traces = run_replications(
+        (scenario, derive_seed(scenario.rng_seed, rep)) for rep in range(reps)
+    )
     write_simulation_outputs(Path(out_dir), scenario, traces)
     if not quiet:
         for rep, tr in enumerate(traces):
@@ -419,14 +428,17 @@ def cmd_sweep(
         (idx, raw, _apply_sweep_value(base, parameter, raw))
         for idx, raw in enumerate(values)
     ]
+    runs = [
+        (raw, scenario, rep, derive_seed(scenario.rng_seed, idx, rep))
+        for idx, raw, scenario in cells
+        for rep in range(reps)
+    ]
+    traces = run_replications((scenario, seed) for _, scenario, _, seed in runs)
     rows = []
-    for idx, raw, scenario in cells:
-        for rep in range(reps):
-            seed = derive_seed(scenario.rng_seed, idx, rep)
-            trace = run(scenario, seed=seed)
-            rows.append([parameter, raw, *_summary_row(scenario, rep, trace), seed])
-            if not quiet:
-                print(f"{parameter}={raw} replication {rep}: done")
+    for (raw, scenario, rep, seed), trace in zip(runs, traces):
+        rows.append([parameter, raw, *_summary_row(scenario, rep, trace), seed])
+        if not quiet:
+            print(f"{parameter}={raw} replication {rep}: done")
     header = ("parameter", "value", *SUMMARY_HEADER, "seed")
     write_csvs(Path(out_dir), [("sweep.csv", header, rows, "")])
     return EXIT_OK

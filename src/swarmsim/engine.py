@@ -62,15 +62,31 @@ samples) and the selectors' draws call ``random.Random.random`` and
 ``expovariate``, ``randrange`` and ``sample`` would, so seeded runs
 reproduce those of the stdlib calls.  Three samples from more than 21
 peers are ``sample``'s set branch, unrolled into three rejection draws.
+
+Replications are independent, so :func:`run_replications` runs a list of
+``(scenario, seed)`` jobs in parallel.  It forks one worker process per
+CPU this process may use, and no more than there are jobs; fork, not
+spawn, so that the workers start with the package and numpy already
+loaded.  A worker runs one job at a time, sends its trace back through a
+pipe and is handed the next job, and the traces are put back in job
+order.  Nothing a run draws depends on where it runs, so the traces are
+the same on any number of workers.  The workers live for one call: they
+exit when no job is left and are killed if the call ends in an
+exception.  ``multiprocessing`` is imported only then, not with this
+module.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from math import inf, log
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -528,17 +544,79 @@ class Simulation:
         assert state.population == expected, "population conservation violated"
 
 
+# A replication: a scenario and its seed (None: the scenario's rng_seed).
+Job = Tuple[Scenario, Optional[int]]
+
+
 def run(scenario: Scenario, seed: Optional[int] = None) -> EventTrace:
     """Run one scenario to its horizon (or population cap)."""
     return Simulation(scenario, seed=seed).run()
 
 
-def run_replications(scenario: Scenario, n_reps: int) -> List[EventTrace]:
-    """Independent replications with per-index derived seeds.
+def _serve(jobs: Sequence[Job], conn) -> None:
+    """A worker's loop: run the job whose index arrives on ``conn`` and
+    send back its trace, or the exception it raised, until None arrives."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    for index in iter(conn.recv, None):
+        try:
+            reply = run(*jobs[index])
+        except Exception as exc:
+            reply = exc
+        conn.send(reply)
 
-    Replication ``i`` always uses ``derive_seed(scenario.rng_seed, i)``,
-    so it is the same run whichever replications run alongside it.
+
+def run_replications(jobs: Iterable[Job]) -> List[EventTrace]:
+    """Run each ``(scenario, seed)`` job as :func:`run` does and return
+    the traces in job order, the jobs spread over forked workers (see the
+    module docstring).  With one job, one usable CPU, no ``fork``, or a
+    second thread running (fork is unsafe then), the jobs run here, one
+    after another.  A job's exception is raised again here; a worker that
+    dies raises ``RuntimeError``.  On any exception here, an interrupt
+    included, the workers are killed before it propagates.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
-    return [run(scenario, seed=derive_seed(scenario.rng_seed, rep)) for rep in range(n_reps)]
+    jobs = list(jobs)
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    n_workers = min(len(jobs), len(cpus))
+    if n_workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [run(scenario, seed) for scenario, seed in jobs]
+
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    traces: List[Optional[EventTrace]] = [None] * len(jobs)
+    pending = iter(range(len(jobs)))
+    workers = []
+    running = {}  # connection -> index of the job its worker runs
+    try:
+        for index in islice(pending, n_workers):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_serve, args=(jobs, child), daemon=True)
+            proc.start()
+            workers.append((proc, conn))
+            child.close()  # the worker holds the only copy, so its death reads as EOF
+            conn.send(index)
+            running[conn] = index
+        while running:
+            for conn in wait(list(running)):
+                index = running.pop(conn)
+                try:
+                    reply = conn.recv()
+                except EOFError:
+                    raise RuntimeError(f"a worker died running replication job {index}") from None
+                if isinstance(reply, BaseException):
+                    raise reply
+                traces[index] = reply
+                index = next(pending, None)
+                conn.send(index)  # None: no job left, so the worker exits
+                if index is not None:
+                    running[conn] = index
+    except BaseException:
+        for proc, _ in workers:
+            proc.kill()
+        raise
+    finally:
+        for proc, conn in workers:
+            proc.join()
+            conn.close()
+    return traces

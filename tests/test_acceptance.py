@@ -41,7 +41,7 @@ from swarmsim.engine import (
     Simulation,
     TerminationReason,
     derive_seed,
-    run,
+    run_replications,
 )
 from swarmsim.metrics import (
     is_growing,
@@ -77,7 +77,7 @@ def batch(m, lam, policy, initial, horizon, seed, reps, **kw):
         rng_seed=seed,
         **kw,
     )
-    return [run(scenario, seed=derive_seed(seed, rep)) for rep in range(reps)]
+    return run_replications((scenario, derive_seed(seed, rep)) for rep in range(reps))
 
 
 @pytest.fixture(scope="module")
@@ -271,14 +271,8 @@ def test_criterion_6_threshold_2m_minimizes():
     stats = {}
     for T in (1, m, 2 * m, 4 * m):
         policy = PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=T, sample_peers=3)
-        means = []
-        for rep in range(reps):
-            sc = Scenario(
-                params=ModelParams(m=m, arrival_rate=lam), policy=policy,
-                initial=InitialCondition("empty", 0), horizon=260.0, rng_seed=505,
-            )
-            tr = run(sc, seed=derive_seed(505, rep))
-            means.append(sojourn_stats(tr, 2000).mean)
+        traces = batch(m, lam, policy, InitialCondition("empty", 0), 260.0, 505, reps)
+        means = [sojourn_stats(tr, 2000).mean for tr in traces]
         mu = sum(means) / reps
         se = math.sqrt(sum((x - mu) ** 2 for x in means) / (reps - 1)) / math.sqrt(reps)
         stats[T] = (mu, se)

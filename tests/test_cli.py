@@ -3,16 +3,21 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
+import random
+import signal
 import stat
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from conftest import TimeLimitExceeded
 from hypothesis import HealthCheck, given, settings
 
 from swarmsim import cli
@@ -25,7 +30,7 @@ from swarmsim.cli import (
     main,
     parse_scenario_dict,
 )
-from swarmsim.engine import InitialCondition, Scenario
+from swarmsim.engine import InitialCondition, Scenario, Simulation, derive_seed
 from swarmsim.model import ModelParams
 from swarmsim.policies import PolicyConfig, PolicyKind
 
@@ -216,15 +221,15 @@ class TestNonFiniteInputs:
 @pytest.mark.parametrize(
     "command, target, fault, line",
     [
-        ("simulate", "run_replications", KeyError(5), "internal error: 5"),
-        ("sweep", "run", KeyError(5), "internal error: 5"),
+        ("simulate", "run_replications", KeyError(5), "internal error: KeyError: 5"),
+        ("sweep", "run_replications", KeyError(5), "internal error: KeyError: 5"),
         ("oracle", "build_generator_ms", AssertionError(), "internal error: AssertionError"),
     ],
 )
 def test_planted_fault_exit_4(tmp_path, monkeypatch, capsys, command, target, fault, line):
     # A fault no check anticipates, here planted in the engine or the
-    # oracle, exits 4 with one stderr line (naming the exception type when
-    # it has no message) and leaves no CSV.
+    # oracle, exits 4 with one stderr line (naming the exception type, then
+    # its message if it has one) and leaves no CSV.
     def fail(*args, **kwargs):
         raise fault
 
@@ -238,6 +243,99 @@ def test_planted_fault_exit_4(tmp_path, monkeypatch, capsys, command, target, fa
     assert main(argv + ["--out", str(tmp_path / "out"), "--quiet"]) == 4
     assert capsys.readouterr().err.splitlines() == [line]
     assert not list(tmp_path.rglob("*.csv"))
+
+
+# BASE_CONFIG's commands and the seed of their second job: simulate's
+# replication 1, and sweep's replication 1 of its first value.
+WORKER_CASES = {
+    "simulate": (["simulate"], derive_seed(BASE_CONFIG["rng_seed"], 1)),
+    "sweep": (["sweep", "--param", "lambda", "--values", "1,2"],
+              derive_seed(BASE_CONFIG["rng_seed"], 0, 1)),
+}
+
+
+def _two_workers(monkeypatch):
+    # Two CPUs to run on whatever this machine has, so that jobs leave this process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _plant_in_second_job(monkeypatch, seed, fault):
+    """Call ``fault()`` where the job seeded ``seed`` starts, and assert
+    that it runs in a worker."""
+    start = random.Random(seed).getstate()
+    parent = os.getpid()
+    advance = Simulation._advance
+
+    def planted(self, *args):
+        if self.rng.getstate() == start:
+            assert os.getpid() != parent, "the job ran in the parent"
+            fault()
+        return advance(self, *args)
+
+    monkeypatch.setattr(Simulation, "_advance", planted)
+
+
+def _run_worker_case(tmp_path, command):
+    argv, _ = WORKER_CASES[command]
+    cfg = write_config(tmp_path)
+    return main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+
+
+def _raise_key_error():
+    raise KeyError(5)
+
+
+@pytest.mark.parametrize(
+    "fault, line",
+    [(_raise_key_error, "internal error: KeyError: 5"),
+     (lambda: os._exit(1), "internal error: RuntimeError: a worker died running replication job 1")],
+    ids=["raises", "dies"],
+)
+@pytest.mark.parametrize("command", list(WORKER_CASES))
+def test_fault_in_a_worker_exit_4(tmp_path, monkeypatch, capsys, command, fault, line):
+    # A fault raised in a worker, or a worker that dies, exits 4 like a
+    # fault in this process: one stderr line, no CSV, and no worker left.
+    _two_workers(monkeypatch)
+    _plant_in_second_job(monkeypatch, WORKER_CASES[command][1], fault)
+    assert _run_worker_case(tmp_path, command) == 4
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not list(tmp_path.rglob("*.csv"))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", list(WORKER_CASES))
+def test_hung_worker_is_killed_on_interrupt(tmp_path, monkeypatch, command):
+    # An exception that reaches the waiting parent, here the alarm's, is
+    # not turned into an exit code: it propagates, and the workers die first.
+    _two_workers(monkeypatch)
+    _plant_in_second_job(monkeypatch, WORKER_CASES[command][1], lambda: time.sleep(60))
+    # The alarm repeats, so a parent that waited on its workers would fail here, not hang.
+    signal.setitimer(signal.ITIMER_REAL, 2, 5)
+    try:
+        with pytest.raises(TimeLimitExceeded):
+            _run_worker_case(tmp_path, command)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    assert multiprocessing.active_children() == []
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command", list(WORKER_CASES))
+def test_csvs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, command):
+    # One worker (the jobs run in this process) and two write the same bytes.
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv, _ = WORKER_CASES[command]
+    cfg = write_config(tmp_path)
+    written = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert main(argv + ["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(forks) == 2 * (len(cpus) - 1)
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(
@@ -435,7 +533,9 @@ class TestOracleCmd:
         monkeypatch.setattr(cli, "stationary_distribution", fail)
         out = tmp_path / "oracle"
         assert cmd_oracle(2, 4, 1.0, 1.0, 1.0, 1, str(out), quiet=True) == 4
-        assert "internal error: stationary residual" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "internal error: RuntimeError: stationary residual 1.000e-03 exceeds 1e-10"
+        ]
         assert not list(tmp_path.rglob("*.csv"))
 
 
@@ -556,6 +656,19 @@ def test_simulate_csv_digests(tmp_path, overrides, digests):
     for name, digest in digests.items():
         data = (tmp_path / "out" / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+# sweep.csv of BASE_CONFIG across lambda 1 and 2 (two values, two
+# replications each), recorded while sweep still ran its replications one
+# after another in this process.
+SWEEP_CSV_SHA256 = "2ff9b2b845d58df7fb479354218cad7c5251c9eb8c7d69188fd49af072b73907"
+
+
+def test_sweep_csv_digest(tmp_path):
+    cfg = write_config(tmp_path)
+    assert cmd_sweep(str(cfg), "lambda", ["1", "2"], str(tmp_path / "out"), quiet=True) == 0
+    data = (tmp_path / "out" / "sweep.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SWEEP_CSV_SHA256
 
 
 def test_write_csv_text_per_value_type(tmp_path):

@@ -96,7 +96,7 @@ def test_deterministic_replay():
 
 def test_replications_derive_distinct_seeds():
     sc = scenario(horizon=20.0)
-    traces = run_replications(sc, 3)
+    traces = run_replications((sc, derive_seed(sc.rng_seed, rep)) for rep in range(3))
     assert traces[0].departures != traces[1].departures
     # replication i is exactly run() with the derived seed
     again = run(sc, seed=derive_seed(sc.rng_seed, 1))

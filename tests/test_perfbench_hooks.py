@@ -9,12 +9,14 @@ small traced call of each subcommand to catch that in about a second.
 import csv
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from swarmsim import cli
+from swarmsim import cli, engine
 from swarmsim.oracle import TruncationSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -101,12 +103,35 @@ def _simulate_traced(tmp_path, layers, scenario):
     return counters, events, contacts, useful
 
 
+def test_traced_sweep_counts_the_events_of_its_workers(tmp_path, layers, monkeypatch):
+    # Two values are two jobs, run in two worker processes.  The model
+    # wrappers do not see the work done there, but the tap reads the
+    # returned traces, so engine.events still counts every event.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    traces = []
+
+    def recorded(jobs):
+        out = engine.run_replications(jobs)
+        traces.extend(out)
+        return out
+
+    monkeypatch.setattr(cli, "run_replications", recorded)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(dict(SCENARIO, horizon=10.0)))
+    argv = ["sweep", "--param", "T", "--values", "1,2", "--config", str(config),
+            "--out", str(tmp_path / "out"), "--quiet"]
+    counters = _traced(layers, argv).counters
+    assert len(traces) == 2
+    assert counters.values["engine.events"] == sum(t.events for t in traces) > 0
+
+
 def test_mode_suppression_refreshes_per_departure_only(tmp_path, layers):
     # The aggregates are updated in O(1) after a transfer; only a
     # departure (and the snapshot's construction, once per replication)
-    # recomputes them.
-    reps = 2
-    scenario = dict(SCENARIO, horizon=20.0, replications=reps)
+    # recomputes them.  The wrappers count calls in this process only, so
+    # the run is one replication, which runs here, not in a worker.
+    reps = 1
+    scenario = dict(SCENARIO, horizon=40.0, replications=reps)
     counters, _, contacts, useful = _simulate_traced(tmp_path, layers, scenario)
     refreshes = counters.calls["model.refresh"]
     assert refreshes <= counters.calls["model.apply_departure"] + reps
@@ -150,3 +175,14 @@ def test_traced_selectors_count_their_calls_and_draws(tmp_path, layers):
     assert metrics["policies.select.distributed-ms.calls"] > 0
     assert metrics["model.choose_chunk.calls"] > 0
     assert metrics["model.choose_chunk.calls"] <= metrics["policies.select.distributed-ms.calls"]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # Workers are started only by a call with several replications, so
+    # importing the CLI (perfbench's setup_s) pays nothing for them.
+    code = "import sys, swarmsim.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
