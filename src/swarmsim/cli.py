@@ -227,8 +227,24 @@ def _line(row: Sequence) -> str:
     return '""\n' if not line and len(row) == 1 else line + "\n"
 
 
+def _spell_floats(values: np.ndarray) -> List[str]:
+    """``list(map(repr, values.tolist()))`` for a float64 array, with one
+    ``repr`` per distinct bit pattern.  Keyed on the bits, not the value,
+    so that ``-0.0`` and ``0.0`` keep their own texts."""
+    if values.dtype != np.float64:
+        raise TypeError(f"expected a float64 array, got {values.dtype}")
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _body(*columns: Sequence[str]) -> str:
+    """The lines of a table whose columns are already spelled as text."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
 def write_csv(
-    path: Path, header: Sequence[str], rows: Iterable[Sequence], template: str = ""
+    path: Path, header: Sequence[str], rows: Iterable[Sequence] | str, template: str = ""
 ) -> None:
     """Write one table to ``path`` in one write; the file gets the mode
     ``open`` gives it.
@@ -241,13 +257,18 @@ def write_csv(
     Python number they hold), for the small tables that mix such values.
     Either way a field holding a comma, a quote, a ``\\n`` or a ``\\r``
     is quoted with its quotes doubled, as is a lone empty field, so that
-    ``csv.reader`` reads every file back."""
-    lines = starmap(template.format, rows) if template else map(_line, rows)
+    ``csv.reader`` reads every file back.  ``rows`` may instead be the
+    table's body as one ``str``, every line already spelled and ended by
+    the caller (see :func:`cmd_oracle`); it is written as it is."""
+    if isinstance(rows, str):
+        lines = [rows]
+    else:
+        lines = starmap(template.format, rows) if template else map(_line, rows)
     with open(path, "w", newline="") as fh:
         fh.write("".join(chain([_line(header)], lines)))
 
 
-Table = Tuple[str, Sequence[str], Iterable[Sequence], str]
+Table = Tuple[str, Sequence[str], Iterable[Sequence] | str, str]
 
 
 def write_csvs(out_dir: Path, tables: Sequence[Table]) -> None:
@@ -486,28 +507,33 @@ def cmd_oracle(
         drift = drift_report(gen, lp)
     if not np.isfinite(drift.drifts).all():
         raise FloatingPointError("non-finite drift (floating-point overflow)")
-    ids = range(gen.n_states)
+    # Each field is spelled once per distinct value.  Populations and
+    # counts are at most the cap, which is below the number of states, so
+    # they index the texts of the state ids; floats go through
+    # _spell_floats.  Each row is then the comma-join of its text columns.
+    ids = list(map(str, range(gen.n_states)))
+    ints = np.array(ids, dtype=object)
+    populations = ints[gen.populations].tolist()
+    digits = ints[: cap + 1]
+    first, *rest = gen.counts.T
+    state = ('"(' + digits)[first]
+    after = ", " + digits
+    for column in rest:
+        state = state + after[column]
     # state_id, the quoted count tuple and population open every audit and
-    # stationary row: formatted once, for both.
-    state = ", ".join(["{}"] * gen.counts.shape[1])
-    prefix = list(starmap(
-        ('{},"(' + state + ')",{},').format,
-        np.column_stack((ids, gen.counts, gen.populations)).tolist(),
-    ))
-    residuals = np.asarray(gen.matrix.sum(axis=1)).ravel().tolist()
+    # stationary row: joined once, for both.
+    prefix = list(map(",".join, zip(ids, (state + ')"').tolist(), populations)))
+    residuals = np.asarray(gen.matrix.sum(axis=1)).ravel()
     verdict = "pass" if report.ok else f"{report.total_violations()} violations"
-    # The verdict shares the residuals' field, so "{}": a float's str is its repr.
-    audit = chain(zip(prefix, residuals), [("lemma-checks,,,", verdict)])
     boundary = map(_BOOL_TEXT.__getitem__, drift.boundary.tolist())
-    columns = (drift.populations, drift.values, drift.drifts)
-    drift_rows = zip(ids, *(c.tolist() for c in columns), boundary, drift.regions.tolist())
     write_csvs(Path(out_dir), [
         ("generator-audit.csv", ("state_id", "state", "population", "row_sum_residual"),
-         audit, "{}{}\n"),
+         _body(prefix, _spell_floats(residuals)) + f"lemma-checks,,,{verdict}\n", ""),
         ("stationary.csv", ("state_id", "state", "population", "probability"),
-         zip(prefix, p.tolist()), "{}{!r}\n"),
+         _body(prefix, _spell_floats(p)), ""),
         ("drift.csv", ("state_id", "population", "V", "QV", "boundary", "region"),
-         drift_rows, "{},{},{!r},{!r},{},{}\n"),
+         _body(ids, populations, _spell_floats(drift.values), _spell_floats(drift.drifts),
+               boundary, drift.regions.tolist()), ""),
     ])
     if not quiet:
         print(

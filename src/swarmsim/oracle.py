@@ -499,9 +499,10 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> DriftReport:
     """
     v = _lyapunov(gen.y_vectors, gen.populations, lp)
     coo = gen.matrix.tocoo()
+    # float64 even with no transition, where bincount would return int64.
     drift = np.bincount(
         coo.row, weights=coo.data * (v[coo.col] - v[coo.row]), minlength=gen.n_states
-    )
+    ).astype(np.float64, copy=False)
     regions = _REGION_TAGS[np.where(gen.sup != 0, 2, gen.y_max == gen.y_min)]
     return DriftReport(gen.populations, v, drift, gen.populations == gen.spec.cap, regions)
 

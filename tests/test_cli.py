@@ -18,7 +18,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from conftest import TimeLimitExceeded
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from swarmsim import cli
 from swarmsim.cli import (
@@ -32,6 +32,15 @@ from swarmsim.cli import (
 )
 from swarmsim.engine import InitialCondition, Scenario, Simulation, derive_seed
 from swarmsim.model import ModelParams
+from swarmsim.oracle import (
+    LyapunovParams,
+    TruncationSpec,
+    build_generator_ms,
+    drift_report,
+    state_name,
+    stationary_distribution,
+    verify_lemmas,
+)
 from swarmsim.policies import PolicyConfig, PolicyKind
 
 BASE_CONFIG = {
@@ -512,6 +521,9 @@ class TestOracleCmd:
         stationary = (out / "stationary.csv").read_text().splitlines()
         assert len(stationary) == 2
         assert stationary[1].endswith(",1.0")
+        # No transition at all, yet QV is a float like every other drift.
+        drift = (out / "drift.csv").read_text().splitlines()
+        assert drift[1:] == ["0,0,20.0,0.0,true,uniform"]
 
     def test_unsupported_m_exit_2(self, tmp_path):
         assert cmd_oracle(4, 3, 1.0, 1.0, 1.0, 1, str(tmp_path)) == 2
@@ -606,6 +618,56 @@ def test_oracle_csv_digests(tmp_path, config, digests):
     assert cmd_oracle(m, cap, lam, mu, u, threshold, str(tmp_path), quiet=True) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _csv_writer_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [(2, 0, 1.0, 1.0, 1.0, 1), (2, 4, 1.0, 1.0, 1.0, 1), (3, 5, 1.0, 0.7, 1.3, 2)],
+    ids=["m2-cap0", "m2-cap4-T1", "m3-cap5-T2"],
+)
+def test_oracle_csvs_match_csv_writer(tmp_path, config):
+    # The oracle spells whole columns at once; csv.writer over one Python
+    # object per field (ints, state tuples, floats, true/false, region
+    # tags) must write the same bytes.
+    m, cap, lam, mu, u, threshold = config
+    assert cmd_oracle(m, cap, lam, mu, u, threshold, str(tmp_path), quiet=True) == 0
+    params = ModelParams(m=m, arrival_rate=lam, peer_contact_rate=mu, seed_contact_rate=u)
+    gen = build_generator_ms(TruncationSpec(m=m, cap=cap), params, threshold)
+    lp = LyapunovParams.compliant(params, threshold, m_const=max(2.0 * cap, 1.0), epsilon=0.5)
+    report = verify_lemmas(gen)
+    states = [
+        [i, state_name(row), pop]
+        for i, (row, pop) in enumerate(zip(gen.counts.tolist(), gen.populations.tolist()))
+    ]
+    residuals = np.asarray(gen.matrix.sum(axis=1)).ravel().tolist()
+    verdict = "pass" if report.ok else f"{report.total_violations()} violations"
+    expected = {
+        "generator-audit.csv": [
+            ["state_id", "state", "population", "row_sum_residual"],
+            *(state + [float(r)] for state, r in zip(states, residuals)),
+            ["lemma-checks", "", "", verdict],
+        ],
+        "stationary.csv": [
+            ["state_id", "state", "population", "probability"],
+            *(state + [float(x)] for state, x in zip(states, stationary_distribution(gen))),
+        ],
+        "drift.csv": [
+            ["state_id", "population", "V", "QV", "boundary", "region"],
+            *(
+                [row.index, row.population, float(row.value), float(row.drift),
+                 "true" if row.boundary else "false", row.region]
+                for row in drift_report(gen, lp)
+            ),
+        ],
+    }
+    for name, rows in expected.items():
+        assert (tmp_path / name).read_bytes().decode() == _csv_writer_text(rows), name
 
 
 SIMULATE_CSV_DIGESTS = [
@@ -769,6 +831,32 @@ def test_write_csv_template_matches_csv_module(tmp_path, data, kinds):
     cli.write_csv(path, kinds, rows, template)
     with path.open(newline="") as fh:
         assert fh.read() == _csv_module_text(kinds, rows)
+
+
+@given(
+    st.lists(_FLOATS, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=60) if pool else st.just([])
+    )
+)
+@example([0.0, -0.0, 0.0, -0.0, 0.0])
+@example([math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05, 5e-324, 1e16])
+def test_spell_floats_matches_repr(values):
+    # Heavy repeats: every value is drawn from a pool of at most six.
+    array = np.array(values, dtype=np.float64)
+    assert cli._spell_floats(array) == list(map(repr, array.tolist()))
+
+
+def test_spell_floats_keys_on_bits_and_takes_only_float64():
+    # Two NaN payloads, a negative NaN, 0.0 and -0.0, read backwards
+    # through a strided view.
+    bits = np.array(
+        [0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000 - 2**64, 0, -(2**63)],
+        dtype=np.int64,
+    )
+    values = bits.view(np.float64)[::-1]
+    assert cli._spell_floats(values) == ["-0.0", "0.0", "nan", "nan", "nan"]
+    with pytest.raises(TypeError, match="int64"):
+        cli._spell_floats(np.zeros(2, dtype=np.int64))
 
 
 def test_write_csv_converts_batches_past_the_first(tmp_path):

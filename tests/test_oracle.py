@@ -326,6 +326,9 @@ class TestLyapunov:
         # can happen and the drift vanishes
         gen = build_generator_ms(TruncationSpec(2, 0), PARAMS2, 1)
         assert mean_drift(state_index(gen)[(0, 0, 0)], gen, LP) == 0.0
+        # With no stored entry at all the drift column is still float64.
+        drifts = drift_report(gen, LP).drifts
+        assert drifts.dtype == np.float64 and drifts.tolist() == [0.0]
 
     def test_one_club_drift_negative(self):
         # One-club states {(2): k}: the departure of a one-club peer drops
