@@ -9,22 +9,25 @@ the selector's own candidate mask, solve for the stationary
 distribution, evaluate the quadratic-potential drift, and check the
 model's structural inequalities for every state.  Each of these stages
 is an array computation over per-state columns; the rule itself is
-called once per kind of contact, not once per state.
+called once per kind of contact, not once per state.  Only the build,
+closed-class and solve stages import scipy, inside the functions, so
+``simulate`` and ``sweep``, which import this module through the CLI,
+never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
 
 from .model import ModelParams, full_mask, suppressed_mask
 from .policies import ms_candidates
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 MAX_STATES = 1_000_000
 
@@ -120,7 +123,7 @@ class GeneratorMatrix:
     spec: TruncationSpec
     params: ModelParams
     threshold: int
-    matrix: sparse.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     counts: np.ndarray
     populations: np.ndarray
     y_vectors: np.ndarray
@@ -213,6 +216,9 @@ def build_generator_ms(
     diagonal sums the arrival and then the (S, j) rates in increasing S
     and j.
     """
+    # Imported here, not at the top: see the module docstring.  A cold
+    # ``swarmsim oracle`` measured slower with ``from scipy import sparse``.
+    import scipy.sparse
     if params.m != spec.m:
         raise ValueError("params.m must match the truncation spec")
     if threshold < 1:
@@ -277,7 +283,7 @@ def build_generator_ms(
     vals = np.concatenate(vals)
     diag = np.bincount(rows, weights=vals, minlength=n)
     moving = np.flatnonzero(diag)
-    matrix = sparse.csr_matrix(
+    matrix = scipy.sparse.csr_matrix(
         (
             np.concatenate([vals, -diag[moving]]),
             (np.concatenate([rows, moving]), np.concatenate(cols + [moving])),
@@ -301,10 +307,13 @@ def build_generator_ms(
 def closed_classes(gen: GeneratorMatrix) -> List[List[int]]:
     """Strongly connected components with no outgoing rate, i.e. the
     recurrent classes of the truncated chain."""
+    import scipy.sparse.csgraph
     adj = gen.matrix.copy()
     adj.setdiag(0)
     adj.eliminate_zeros()
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    n_comp, labels = scipy.sparse.csgraph.connected_components(
+        adj, directed=True, connection="strong"
+    )
     coo = adj.tocoo()
     src, dst = labels[coo.row], labels[coo.col]
     is_open = np.zeros(n_comp, dtype=bool)
@@ -325,6 +334,7 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     closed class means the stationary law is not unique and raises
     :class:`ReducibleChainError` naming states from the competing classes.
     """
+    import scipy.sparse.linalg
     classes = closed_classes(gen)
     if len(classes) > 1:
         names = []
@@ -340,7 +350,7 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     # generator on its own.
     qt = gen.matrix[cls][:, cls].transpose().tocoo()
     keep = qt.row != 0
-    a = sparse.csc_matrix(
+    a = scipy.sparse.csc_matrix(
         (
             np.append(qt.data[keep], 1.0),
             (np.append(qt.row[keep], 0), np.append(qt.col[keep], 0)),
@@ -349,7 +359,7 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     )
     b = np.zeros(size)
     b[0] = 1.0
-    x = spsolve(a, b)
+    x = scipy.sparse.linalg.spsolve(a, b)
     if not (x.min() >= 0 and 0 < x.sum() < math.inf):  # False for NaN too
         raise RuntimeError("stationary solve produced an invalid vector")
     p = np.zeros(gen.n_states)

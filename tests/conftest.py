@@ -1,4 +1,7 @@
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +34,14 @@ def time_limit():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def run_fresh(code: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports from this one's
+    ``sys.path``, and return the finished process with its output as text.
+    For what a test's own process cannot show: which modules a cold import
+    loads, or how a command behaves with a module missing."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=check
+    )

@@ -8,8 +8,6 @@ import os
 import random
 import signal
 import stat
-import subprocess
-import sys
 import time
 import warnings
 from dataclasses import replace
@@ -17,7 +15,7 @@ from dataclasses import replace
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from conftest import TimeLimitExceeded
+from conftest import TimeLimitExceeded, run_fresh
 from hypothesis import HealthCheck, example, given, settings
 
 from swarmsim import cli
@@ -869,12 +867,95 @@ def test_write_csv_converts_batches_past_the_first(tmp_path):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, swarmsim.cli; print('scipy.stats' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
+    out = run_fresh("import sys, swarmsim.cli; print('scipy.stats' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+# Fresh-interpreter code that lists the scipy modules loaded so far.
+_SCIPY_LOADED = (
+    "import sys\n"
+    "def scipy_loaded():\n"
+    "    return sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+)
+
+
+def test_simulate_and_sweep_leave_scipy_unloaded(tmp_path):
+    # Only the oracle's build, closed-class and solve stages import scipy.
+    # The sweep's two jobs run in forked workers, which check after each job.
+    cfg = write_config(tmp_path, replications=1)
+    code = _SCIPY_LOADED + f"""
+import os
+from swarmsim import cli, engine
+print(scipy_loaded())
+run = engine.run
+def checked(*job):
+    trace = run(*job)
+    assert not scipy_loaded(), scipy_loaded()
+    return trace
+engine.run = checked
+os.sched_getaffinity = lambda pid: {{0, 1}}
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+args = ["--config", {str(cfg)!r}, "--quiet", "--out"]
+assert cli.main(["simulate", *args, {str(tmp_path / "sim")!r}]) == 0
+print(scipy_loaded())
+assert cli.main(["sweep", "--param", "lambda", "--values", "1,2", *args,
+                 {str(tmp_path / "sweep")!r}]) == 0
+print(scipy_loaded(), len(forks))
+"""
+    out = run_fresh(code)
+    assert out.stdout.splitlines() == ["[]", "[]", "[] 2"], out.stderr
+    assert out.stderr == ""
+
+
+ORACLE_ARGS = ["oracle", "--m", "2", "--cap", "3", "--lambda", "1.0", "--T", "1", "--quiet"]
+
+
+def test_cold_oracle_writes_what_an_in_process_run_writes(tmp_path):
+    # This process has scipy loaded already (the oracle tests import it
+    # at their top); a fresh interpreter shows that the stages load it.
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    code = _SCIPY_LOADED + f"""
+from swarmsim.cli import main
+print(scipy_loaded())
+code = main({ORACLE_ARGS + ["--out", str(cold)]!r})
+print(code, "scipy.sparse.linalg" in sys.modules)
+"""
+    out = run_fresh(code)
+    assert out.stdout.splitlines() == ["[]", "0 True"], out.stderr
+    assert main(ORACLE_ARGS + ["--out", str(warm)]) == 0
+    files = {p.name: p.read_bytes() for p in sorted(warm.iterdir())}
+    assert sorted(files) == ["drift.csv", "generator-audit.csv", "stationary.csv"]
+    assert {p.name: p.read_bytes() for p in sorted(cold.iterdir())} == files
+
+
+def _without_scipy(argv):
+    """Run ``main(argv)`` in a fresh interpreter where ``import scipy`` fails."""
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from swarmsim.cli import main
+sys.exit(main({argv!r}))
+"""
+    return run_fresh(code, check=False)
+
+
+def test_scipy_missing_fails_only_the_oracle(tmp_path):
+    cfg = write_config(tmp_path, replications=1)
+    sim = tmp_path / "sim"
+    done = _without_scipy(["simulate", "--config", str(cfg), "--out", str(sim), "--quiet"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sorted(p.name for p in sim.iterdir()) == [
+        "departures.csv", "frequencies.csv", "population.csv", "summary.csv",
+    ]
+    oracle = tmp_path / "oracle"
+    oracle.mkdir()
+    done = _without_scipy(ORACLE_ARGS + ["--out", str(oracle)])
+    assert done.returncode == 4
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: ModuleNotFoundError"), lines
+    assert list(oracle.iterdir()) == []  # no CSV, no .staging-* directory
 
 
 def test_csv_mode_follows_umask(tmp_path):

@@ -10,11 +10,11 @@ import csv
 import importlib
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import run_fresh
 
 from swarmsim import cli, engine
 from swarmsim.oracle import TruncationSpec
@@ -180,9 +180,5 @@ def test_traced_selectors_count_their_calls_and_draws(tmp_path, layers):
 def test_import_leaves_multiprocessing_unloaded():
     # Workers are started only by a call with several replications, so
     # importing the CLI (perfbench's setup_s) pays nothing for them.
-    code = "import sys, swarmsim.cli; print('multiprocessing' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
+    out = run_fresh("import sys, swarmsim.cli; print('multiprocessing' in sys.modules)")
     assert out.stdout.strip() == "False"
