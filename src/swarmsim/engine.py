@@ -27,14 +27,15 @@ destination lacks, so it is a pure self-loop.  There the loop races only
 arrivals, seed pushes and cross-profile contacts, at total rate
 ``lambda + U + mu * (pop**2 - S2) / pop``, where ``S2`` is the sum of the
 squared profile counts (the ordered same-profile peer pairs, self-pairs
-included).  A contact draws (destination, source) and redraws both until
-their profiles differ; each rejected pair is a same-profile contact,
-counted in ``events``.  While a cross-profile pair exists, those pairs
-come at rate ``mu * S2 / pop`` per unit time, exactly the rate left out
-of the race.  When every peer holds one profile (``pop**2 == S2``, as at
-an empty or one-club start), no contact is raced and no pair is drawn,
-so the skipped contacts there are not counted.  ``step()`` advances one
-event other than a same-profile contact.  Three-sample contacts, ewma-ms
+included), which the state keeps as ``SwarmState.s2``.  A contact draws
+(destination, source) and redraws both until their profiles differ;
+each rejected pair is a same-profile contact, counted in ``events``.
+While a cross-profile pair exists, those pairs come at rate
+``mu * S2 / pop`` per unit time, exactly the rate left out of the race.
+When every peer holds one profile (``pop**2 == S2``, as at an empty or
+one-club start), no contact is raced and no pair is drawn, so the
+skipped contacts there are not counted.  ``step()`` advances one event
+other than a same-profile contact.  Three-sample contacts, ewma-ms
 (whose estimate folds in every contact) and common-chunk (whose sample
 count depends on the destination) race every contact.
 
@@ -60,8 +61,10 @@ The engine's own draws (holding times, event choice, peer indices and
 samples) and the selectors' draws call ``random.Random.random`` and
 ``getrandbits`` directly, but consume the stream exactly as
 ``expovariate``, ``randrange`` and ``sample`` would, so seeded runs
-reproduce those of the stdlib calls.  Three samples from more than 21
-peers are ``sample``'s set branch, unrolled into three rejection draws.
+reproduce those of the stdlib calls.  Three samples from 4 to 21 peers
+come from ``sample`` itself; from more than 21 they are ``sample``'s set
+branch, unrolled into three rejection draws; from 3 or fewer they are
+every peer.
 
 Replications are independent, so :func:`run_replications` runs a list of
 ``(scenario, seed)`` jobs in parallel.  It forks one worker process per
@@ -209,16 +212,6 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     return out
 
 
-def _randbelow(n: int, getrandbits) -> int:
-    """Uniform integer in ``[0, n)``, drawn as ``random.Random.randrange(n)``
-    draws it (CPython's ``_randbelow_with_getrandbits``)."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 class Simulation:
     """Mutable simulation driver for one scenario.
 
@@ -258,9 +251,6 @@ class Simulation:
         # One-sample contacts under a policy with no per-peer state skip
         # same-profile contacts (see the module docstring).
         self._skip_same = self._fixed_k == 1 and not self._is_ewma
-        # Sum of squared profile counts as the last _advance left it, for
-        # check_invariants; the skip path keeps it by increments.
-        self._s2 = sum(c * c for c in self.state.counts.values())
         # Live snapshot shares the state's y vector, and the largest group
         # its counts.  Rarest-first reads only y; mode-suppression also
         # reads the snapshot's aggregates, and group suppression the
@@ -285,7 +275,7 @@ class Simulation:
         same-profile contacts count in ``events`` but not toward ``stop``.
         With a ``trace``, record a sample at every multiple of the sample
         interval up to the horizon.  Returns the last holding time drawn."""
-        uniform, getrandbits = self.rng.random, self.rng.getrandbits
+        uniform, getrandbits, sample = self.rng.random, self.rng.getrandbits, self.rng.sample
         state, snapshot, groups = self.state, self._snapshot, self._groups
         peers, arrived, ewma = self.peers, self.arrived, self.ewma
         departures, select, view = self.departures, self._selector, self._view
@@ -293,7 +283,7 @@ class Simulation:
         m, full, full_sources = self.m, self.full, [self.full]
         is_ewma, is_dms, fixed_k = self._is_ewma, self._is_dms, self._fixed_k
         track_modes, track_groups = self._track_modes, self._track_groups
-        skip, counts = self._skip_same, state.counts
+        skip = self._skip_same
         sc, p = self.scenario, self.scenario.params
         lam_open, seed_rate, mu = p.arrival_rate, p.seed_contact_rate, p.peer_contact_rate
         cap, block = self._cap, sc.block_arrivals_at_cap
@@ -307,7 +297,6 @@ class Simulation:
         t = self.t
         events = self.events
         skipped = 0  # same-profile contacts, kept out of the stop test
-        s2 = sum(c * c for c in counts.values()) if skip else 0
         pop = state.population
         rated = -1  # the population that lam, rate, push_below and nbits are for
         while events != stop:
@@ -320,9 +309,9 @@ class Simulation:
                 elif not skip:
                     rate = lam + (seed_rate + mu * pop)
                 else:
-                    # pop * pop - s2 ordered cross-profile pairs.  With none,
+                    # pop * pop - S2 ordered cross-profile pairs.  With none,
                     # rate == push_below and u < rate: no contact is raced.
-                    rate = lam + (seed_rate + mu * (pop * pop - s2) / pop)
+                    rate = lam + (seed_rate + mu * (pop * pop - state.s2) / pop)
                 nbits = pop.bit_length()
             dt = -log(1.0 - uniform()) / rate  # random.expovariate(rate)
             t_next = t + dt
@@ -347,8 +336,6 @@ class Simulation:
                 state.add_empty_peer()
                 if track_groups:
                     groups.joined(0)
-                if skip:
-                    s2 += 2 * counts[0] - 1
                 peers.append(0)
                 arrived.append(t)
                 if is_ewma:
@@ -407,7 +394,11 @@ class Simulation:
                     sources = [a, b, c]
                     offered = a | b | c
                 else:
-                    sources = self._draw_samples(pop)
+                    # random.sample's pool branch, or every peer of pop <= 3.
+                    if pop > 3:
+                        sources = [peers[j] for j in sample(range(pop), 3)]
+                    else:
+                        sources = peers[:]
                     offered = 0
                     for b in sources:
                         offered |= b
@@ -434,8 +425,6 @@ class Simulation:
                     snapshot.refresh()
                 elif track_groups:
                     groups.left(dest)
-                if skip:
-                    s2 -= 2 * counts.get(dest, 0) + 1
                 departures.append((arrived[i], t))
                 pop -= 1
                 peers[i] = peers[pop]
@@ -454,35 +443,12 @@ class Simulation:
                     groups.left(dest)
                     groups.joined(new)
                 if skip:
-                    s2 += 2 * (counts[new] - counts.get(dest, 0) - 1)
-                    rate = lam + (seed_rate + mu * (pop * pop - s2) / pop)
+                    rate = lam + (seed_rate + mu * (pop * pop - state.s2) / pop)
                 peers[i] = new
                 self._last_kind = Transfer
         self.t = t
         self.events = events + skipped
-        self._s2 = s2
         return dt
-
-    def _draw_samples(self, pop: int) -> List[int]:
-        """Three distinct peers from ``pop <= 21``, drawn as ``[peers[j]
-        for j in random.sample(range(pop), 3)]`` draws them, or every peer
-        when ``pop <= 3``."""
-        peers = self.peers
-        if pop <= 3:
-            return peers[:]
-        # sample's pool branch: a partial Fisher-Yates shuffle of
-        # range(pop); ``moved`` holds the slots that no longer hold their
-        # own index.
-        getrandbits = self.rng.getrandbits
-        moved = {}
-        out = []
-        n = pop
-        for _ in range(3):
-            j = _randbelow(n, getrandbits)
-            n -= 1
-            out.append(peers[moved.get(j, j)])
-            moved[j] = moved.get(n, n)
-        return out
 
     def step(self) -> Tuple[Optional[Transition], float]:
         """Advance one event other than a skipped same-profile contact;
@@ -514,9 +480,9 @@ class Simulation:
         times, ewma-ms estimates) have one entry per peer, peers balance
         arrivals, every arrival and departure counted as an event, under
         mode-suppression the snapshot's aggregates match a fresh one,
-        under group suppression so does the largest group's size, and on
-        the same-profile skip path the sum of squared profile counts that
-        the race used matches a recount."""
+        under group suppression so does the largest group's size, and the
+        state's S2, which the same-profile skip races on, matches a
+        recount."""
         state = self.state
         assert state.y == state.recompute_y(), "incremental y diverged"
         snap = self._snapshot
@@ -531,9 +497,8 @@ class Simulation:
         if self._track_groups:
             top = max(state.counts.values(), default=0)
             assert groups.size == top, f"largest group diverged: {groups.size} != {top}"
-        if self._skip_same:
-            s2 = sum(c * c for c in state.counts.values())
-            assert self._s2 == s2, f"incremental S2 diverged: {self._s2} != {s2}"
+        s2 = sum(c * c for c in state.counts.values())
+        assert state.s2 == s2, f"incremental S2 diverged: {state.s2} != {s2}"
         assert state.population == sum(state.counts.values())
         assert all(0 <= p < self.full for p in state.counts)
         assert state.population == len(self.peers) == len(self.arrived)

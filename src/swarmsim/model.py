@@ -124,9 +124,12 @@ class SwarmState:
     profile; zero-count profiles are never stored.  ``y[j-1]`` is the
     number of peers holding chunk ``j`` and is maintained incrementally;
     :meth:`recompute_y` re-derives it from scratch as a debug check.
+    ``s2`` is the sum of the squared profile counts (the ordered pairs of
+    peers with one profile, self-pairs included), also kept by each
+    mutator.
     """
 
-    __slots__ = ("m", "counts", "population", "y")
+    __slots__ = ("m", "counts", "population", "y", "s2")
 
     def __init__(self, m: int, counts: Dict[int, int] | None = None):
         if not 2 <= m <= MAX_CHUNKS:
@@ -148,6 +151,7 @@ class SwarmState:
                 self.population += n
                 for b in iter_bits(profile):
                     self.y[b] += n
+        self.s2 = sum(n * n for n in self.counts.values())
 
     @classmethod
     def from_profiles(cls, m: int, profiles: Iterable[int]) -> "SwarmState":
@@ -156,8 +160,10 @@ class SwarmState:
     # -- mutators used by the event loop (no precondition checks) --
 
     def add_empty_peer(self) -> None:
-        self.counts[0] = self.counts.get(0, 0) + 1
+        n = self.counts.get(0, 0)
+        self.counts[0] = n + 1
         self.population += 1
+        self.s2 += 2 * n + 1
 
     def apply_transfer(self, profile: int, chunk: int) -> None:
         counts = self.counts
@@ -167,8 +173,10 @@ class SwarmState:
         else:
             counts[profile] = n - 1
         new = profile | (1 << (chunk - 1))
-        counts[new] = counts.get(new, 0) + 1
+        k = counts.get(new, 0) + 1
+        counts[new] = k
         self.y[chunk - 1] += 1
+        self.s2 += 2 * (k - n)
 
     def apply_departure(self, profile: int, chunk: int) -> None:
         counts = self.counts
@@ -178,6 +186,7 @@ class SwarmState:
         else:
             counts[profile] = n - 1
         self.population -= 1
+        self.s2 -= 2 * n - 1
         y = self.y
         for b in iter_bits(profile):
             y[b] -= 1

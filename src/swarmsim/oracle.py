@@ -8,11 +8,11 @@ mode-suppression generator by enumerating the engine's contacts against
 the selector's own candidate mask, solve for the stationary
 distribution, evaluate the quadratic-potential drift, and check the
 model's structural inequalities for every state.  Each of these stages
-is an array computation over per-state columns; the rule itself is
-called once per kind of contact, not once per state.  Only the build,
-closed-class and solve stages import scipy, inside the functions, so
-``simulate`` and ``sweep``, which import this module through the CLI,
-never load it.
+is an array computation over per-state columns, and the rule itself,
+being pure bit arithmetic, is applied to whole columns of contacts at
+once.  Only the build, closed-class and solve stages import scipy,
+inside the functions, so ``simulate`` and ``sweep``, which import this
+module through the CLI, never load it.
 """
 
 from __future__ import annotations
@@ -165,36 +165,6 @@ def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarra
     return steps, ahead
 
 
-def candidate_masks(
-    m: int,
-    sup: np.ndarray,
-    state: np.ndarray,
-    dest,
-    source,
-) -> np.ndarray:
-    """Mode-suppression's candidate mask of each contact ``k``: a peer of
-    profile ``dest[k]`` in state ``state[k]`` pulls from a peer of profile
-    ``source[k]``, or from the seed when ``source[k]`` is ``2^m - 1``
-    (``dest`` and ``source`` broadcast against ``state``).  Either way
-    ``source[k]`` is the contact's offer.
-
-    :func:`~swarmsim.policies.ms_candidates` reads a state only through its
-    suppressed set ``sup`` (one entry per state), so it is called once per
-    distinct (suppressed set, dest, source).
-    """
-    n_profiles = full_mask(m)
-    # Below 2^(3m): a contact needs cap >= 1, where the state-count guard
-    # keeps 2^m <= MAX_STATES.
-    key = (sup[state] * n_profiles + dest) * (n_profiles + 1) + source
-    kinds = np.unique(key)
-    masks = np.empty(len(kinds), dtype=np.int64)
-    for u, kind in enumerate(kinds.tolist()):
-        rest, offer = divmod(kind, n_profiles + 1)
-        suppressed, s = divmod(rest, n_profiles)
-        masks[u] = ms_candidates(offer, s, suppressed)
-    return masks[np.searchsorted(kinds, key)]
-
-
 def _has_bits(masks: np.ndarray, m: int) -> np.ndarray:
     """``out[k, j]``: bit ``j`` of ``masks[k]`` is set."""
     return (masks[:, None] >> np.arange(m) & 1).astype(bool)
@@ -209,8 +179,9 @@ def build_generator_ms(
     rate U; a profile-S peer ticks at rate mu and samples source B with
     probability x_B / pop, itself included.  Each contact transfers a
     uniform chunk of the selector's own mask,
-    :func:`~swarmsim.policies.ms_candidates`, through
-    :func:`candidate_masks`.  The rate of S receiving chunk j is
+    :func:`~swarmsim.policies.ms_candidates`, called on the int64 columns
+    of every state's suppressed set and every held source (the seed
+    offers all chunks, ``2^m - 1``).  The rate of S receiving chunk j is
     ``(x_S/pop) (U/|seed cand| + mu sum_B x_B/|cand_B|)`` over the held
     profiles B whose mask holds j, summed in increasing B; each row's
     diagonal sums the arrival and then the (S, j) rates in increasing S
@@ -248,14 +219,8 @@ def build_generator_ms(
         held = n_held[state]
         pair_of = np.repeat(np.arange(len(state)), held)
         source = held_profile[np.repeat(first_held[state], held) + _ranges(held)]
-        masks = candidate_masks(
-            m,
-            sup,
-            np.concatenate([state, state[pair_of]]),
-            s,
-            np.concatenate([np.full(len(state), n_profiles), source]),
-        )
-        seed_cand, cand = masks[: len(state)], masks[len(state) :]
+        seed_cand = ms_candidates(n_profiles, s, sup[state])
+        cand = ms_candidates(source, s, sup[state[pair_of]])
         size = popcount[cand]
         share = np.divide(
             counts[state[pair_of], source], size, out=np.zeros(len(size)), where=size > 0
@@ -564,6 +529,8 @@ def _check_rate_bounds(
     counts = gen.counts
     steps, _ = _transfer_steps(counts, gen.spec.cap)
     state, dest = np.nonzero(counts)  # held entries, in row order
+    # Which chunks are transferable, stated here and not through
+    # ms_candidates: a check must not call the rule it verifies.
     pair, j_bit = np.nonzero(_has_bits(full & ~dest & ~gen.sup[state], m))
     i = state[pair]
     s = dest[pair]

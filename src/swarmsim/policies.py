@@ -131,7 +131,9 @@ def ms_candidates(offer: int, dest: int, sup: int) -> int:
     Applies identically to seed pushes, whose offer is every chunk.  This
     is the one definition of the rule; the engine's mode-suppression
     selector draws from it, and the oracle's generator builder enumerates
-    it.
+    it.  The arguments may be ints or int64 numpy arrays, which broadcast:
+    ``&`` and ``~`` give the same masks either way, so the builder calls
+    it on whole columns of contacts.
     """
     return offer & ~dest & ~sup
 

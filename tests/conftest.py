@@ -6,7 +6,7 @@ import sys
 import pytest
 
 # Wall-clock limit per test, well above the slowest test (criterion 4,
-# about 30 s).  An event loop that stops advancing, such as one racing
+# about 16 s on 2 vCPUs).  An event loop that stops advancing, such as one racing
 # contacts with no cross-profile pair left, then fails with a traceback
 # instead of hanging the suite.
 TEST_TIME_LIMIT_S = 300

@@ -11,7 +11,6 @@ from swarmsim.engine import (
     Scenario,
     Simulation,
     TerminationReason,
-    _randbelow,
     derive_seed,
     run,
     run_replications,
@@ -554,14 +553,6 @@ def test_draw_samples_matches_random_sample(k):
             sim.step()
             assert seen == expected, (seed, pop)
             assert sim.rng.getstate() == twin.getstate(), (seed, pop)
-
-
-def test_randbelow_matches_randrange():
-    for seed in STREAM_SEEDS:
-        rng, twin = random.Random(seed), random.Random(seed)
-        for pop in STREAM_POPS:
-            assert _randbelow(pop, rng.getrandbits) == twin.randrange(pop), (seed, pop)
-        assert rng.random() == twin.random()
 
 
 def test_holding_time_matches_expovariate():

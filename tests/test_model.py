@@ -159,8 +159,8 @@ def test_no_suppression_caps_top_frequency(state, threshold):
 @settings(max_examples=40)
 def test_random_walk_conserves_population(seed):
     # Random valid transition walk: population tracks arrivals minus
-    # departures, the incremental y never diverges from a recount, and a
-    # peer's profile only gains chunks.
+    # departures, the incremental y and S2 never diverge from a recount,
+    # and a peer's profile only gains chunks.
     rng = random.Random(seed)
     m = rng.randrange(2, 6)
     state = SwarmState(m)
@@ -169,6 +169,7 @@ def test_random_walk_conserves_population(seed):
         if not state.counts or rng.random() < 0.3:
             state.add_empty_peer()
             arrivals += 1
+            assert state.s2 == sum(c * c for c in state.counts.values())
             continue
         profile = rng.choice(list(state.counts))
         missing = chunks_of(full_mask(m) & ~profile)
@@ -184,5 +185,6 @@ def test_random_walk_conserves_population(seed):
             assert before | mask_of([chunk]) == before + mask_of([chunk])
         assert state.population == arrivals - departures
         assert state.y == state.recompute_y()
+        assert state.s2 == sum(c * c for c in state.counts.values())
         assert all(0 <= p < full_mask(m) for p in state.counts)
         assert all(n > 0 for n in state.counts.values())

@@ -18,7 +18,6 @@ from swarmsim.oracle import (
     ReducibleChainError,
     TruncationSpec,
     build_generator_ms,
-    candidate_masks,
     closed_classes,
     drift_report,
     enumerate_states,
@@ -186,21 +185,19 @@ def test_frequency_columns_match_snapshots(config):
 
 @pytest.mark.parametrize("m,cap,threshold", [(2, 8, 1), (3, 5, 2)])
 def test_candidate_masks_match_each_states_own_snapshot(m, cap, threshold):
-    # The builder calls ms_candidates once per (suppressed set, S, B), with
-    # the suppressed set of its array column.  Every state, with the
-    # suppressed set of its own snapshot, must get the same mask for every
+    # The builder calls ms_candidates on int64 columns, with the suppressed
+    # set of its array column.  Every state, with the suppressed set of its
+    # own snapshot, must get the same mask from the scalar call for every
     # destination and every source or seed push.
     params = ModelParams(m=m, arrival_rate=1.0)
     gen = build_generator_ms(TruncationSpec(m, cap), params, threshold)
     n_profiles = full_mask(m)
     dest, source = np.divmod(np.arange(n_profiles * (n_profiles + 1)), n_profiles + 1)
     state = np.repeat(np.arange(gen.n_states), len(dest))
-    masks = candidate_masks(
-        m,
-        gen.sup,
-        state,
-        np.tile(dest, gen.n_states),
+    masks = ms_candidates(
         np.tile(source, gen.n_states),
+        np.tile(dest, gen.n_states),
+        gen.sup[state],
     ).reshape(gen.n_states, len(dest))
     for i, y in enumerate(gen.y_vectors.tolist()):
         snap = FrequencySnapshot(y)
