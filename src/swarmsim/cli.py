@@ -43,9 +43,7 @@ import tempfile
 import warnings
 from itertools import chain, repeat, starmap
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 # ``run`` is imported though no command calls it: perfbench's tap wraps
 # ``cli.run`` and ``cli.run_replications`` by name.
@@ -69,6 +67,9 @@ from .oracle import (
     verify_lemmas,
 )
 from .policies import PolicyConfig, PolicyKind
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -231,6 +232,7 @@ def _spell_floats(values: np.ndarray) -> List[str]:
     """``list(map(repr, values.tolist()))`` for a float64 array, with one
     ``repr`` per distinct bit pattern.  Keyed on the bits, not the value,
     so that ``-0.0`` and ``0.0`` keep their own texts."""
+    import numpy as np
     if values.dtype != np.float64:
         raise TypeError(f"expected a float64 array, got {values.dtype}")
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
@@ -480,6 +482,7 @@ def cmd_oracle(
 ) -> int:
     if m not in (2, 3):
         raise ConfigError("m", "oracle supports m=2 or m=3")
+    import numpy as np
     try:
         spec = TruncationSpec(m=m, cap=cap)
         params = ModelParams(

@@ -69,10 +69,9 @@ every peer.
 Replications are independent, so :func:`run_replications` runs a list of
 ``(scenario, seed)`` jobs in parallel.  It forks one worker process per
 CPU this process may use, and no more than there are jobs; fork, not
-spawn, so that the workers start with the package and numpy already
-loaded.  A worker runs one job at a time, sends its trace back through a
-pipe and is handed the next job, and the traces are put back in job
-order.  Nothing a run draws depends on where it runs, so the traces are
+spawn, so that the workers start with the package already loaded.  A
+worker runs one job at a time, sends its trace back through a pipe and
+is handed the next job, and the traces are put back in job order.  Nothing a run draws depends on where it runs, so the traces are
 the same on any number of workers.  The workers live for one call: they
 exit when no job is left and are killed if the call ends in an
 exception.  ``multiprocessing`` is imported only then, not with this
@@ -90,8 +89,6 @@ from enum import Enum
 from math import inf, log
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .model import (
     Arrival,
@@ -201,15 +198,63 @@ class EventTrace:
     events: int = 0
 
 
+def _words32(value: int) -> List[int]:
+    """``value``'s 32-bit words, least significant first; 0 gives ``[0]``."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & 0xFFFFFFFF]
+    while value > 0xFFFFFFFF:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
 def derive_seed(base_seed: int, *indices: int) -> int:
     """Deterministic 256-bit child seed (four 64-bit words) for replication
-    ``indices``."""
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=indices)
-    words = ss.generate_state(4, dtype=np.uint64)
-    out = 0
-    for w in words:
-        out = (out << 64) | int(w)
-    return out
+    ``indices``: ``SeedSequence(entropy=base_seed, spawn_key=indices)
+    .generate_state(4, np.uint64)``, first word highest.
+
+    A pure-Python port of numpy's ``SeedSequence`` (O'Neill's
+    ``seed_seq_fe`` mixing, with a pool of four 32-bit words), so that
+    ``simulate`` and ``sweep`` never load numpy; numpy's compatibility
+    policy keeps that output fixed, and a test pins the port against it.
+    A negative seed or index raises ``ValueError``, as numpy does."""
+    entropy = _words32(base_seed)
+    if indices:
+        entropy += [0] * (4 - len(entropy))
+        for index in indices:
+            entropy += _words32(index)
+    h = 0x43B0D7E5
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & 0xFFFFFFFF
+        v = v * h & 0xFFFFFFFF
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & 0xFFFFFFFF
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in (entropy + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h, out = 0x8B51F9DD, []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * 0x58F38DED & 0xFFFFFFFF
+        v = v * h & 0xFFFFFFFF
+        out.append(v ^ v >> 16)
+    seed = 0
+    for k in range(0, 8, 2):
+        seed = seed << 64 | out[k + 1] << 32 | out[k]
+    return seed
 
 
 class Simulation:

@@ -10,9 +10,9 @@ distribution, evaluate the quadratic-potential drift, and check the
 model's structural inequalities for every state.  Each of these stages
 is an array computation over per-state columns, and the rule itself,
 being pure bit arithmetic, is applied to whole columns of contacts at
-once.  Only the build, closed-class and solve stages import scipy,
-inside the functions, so ``simulate`` and ``sweep``, which import this
-module through the CLI, never load it.
+once.  Each function imports numpy itself, and only the build,
+closed-class and solve stages import scipy, so ``simulate`` and
+``sweep``, which import this module through the CLI, load neither.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
 from .model import ModelParams, full_mask, suppressed_mask
 from .policies import ms_candidates
 
 if TYPE_CHECKING:
+    import numpy as np
     import scipy.sparse
 
 MAX_STATES = 1_000_000
@@ -64,6 +63,7 @@ class TruncationSpec:
 
 def _ranges(lengths: np.ndarray) -> np.ndarray:
     """``0, 1, .., n - 1`` for each ``n`` of ``lengths``, concatenated."""
+    import numpy as np
     ends = np.cumsum(lengths)
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
 
@@ -77,6 +77,7 @@ def enumerate_states(spec: TruncationSpec) -> np.ndarray:
     its remaining budget allows.  Each step keeps its new column and the
     prefix each of its rows extends; the columns are expanded to full rows
     once, from the last profile back."""
+    import numpy as np
     columns, prefixes = [], []
     budget = np.array([spec.cap], dtype=np.int64)
     for _ in range(spec.n_profiles):
@@ -101,6 +102,7 @@ def _frequency_columns(y_vectors: np.ndarray, threshold: int):
     """``y_max``, ``y_min`` and the suppressed mask of every row of
     ``y_vectors``, as :class:`~swarmsim.model.FrequencySnapshot` and
     :func:`~swarmsim.model.suppressed_mask` define them."""
+    import numpy as np
     y_max = y_vectors.max(axis=1)
     y_min = y_vectors.min(axis=1)
     is_mode = y_vectors == y_max[:, None]
@@ -149,6 +151,7 @@ def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarra
     below the cap).  Each binomial here is at most the state count and a
     row adds at most ``P`` of them, far inside int64.
     """
+    import numpy as np
     n_profiles = counts.shape[1]
     k = np.arange(1, n_profiles + 1)
     rests = cap - np.cumsum(counts, axis=1)  # column k-1 holds R_k
@@ -167,6 +170,7 @@ def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarra
 
 def _has_bits(masks: np.ndarray, m: int) -> np.ndarray:
     """``out[k, j]``: bit ``j`` of ``masks[k]`` is set."""
+    import numpy as np
     return (masks[:, None] >> np.arange(m) & 1).astype(bool)
 
 
@@ -189,6 +193,7 @@ def build_generator_ms(
     """
     # Imported here, not at the top: see the module docstring.  A cold
     # ``swarmsim oracle`` measured slower with ``from scipy import sparse``.
+    import numpy as np
     import scipy.sparse
     if params.m != spec.m:
         raise ValueError("params.m must match the truncation spec")
@@ -272,6 +277,7 @@ def build_generator_ms(
 def closed_classes(gen: GeneratorMatrix) -> List[List[int]]:
     """Strongly connected components with no outgoing rate, i.e. the
     recurrent classes of the truncated chain."""
+    import numpy as np
     import scipy.sparse.csgraph
     adj = gen.matrix.copy()
     adj.setdiag(0)
@@ -299,6 +305,7 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     closed class means the stationary law is not unique and raises
     :class:`ReducibleChainError` naming states from the competing classes.
     """
+    import numpy as np
     import scipy.sparse.linalg
     classes = closed_classes(gen)
     if len(classes) > 1:
@@ -400,6 +407,7 @@ def _lyapunov(y, pop, lp: LyapunovParams):
     """Potential of one chunk-count vector ``y`` with population ``pop``,
     or of a stack of them: ``y`` of shape ``(n, m)`` with ``pop`` of
     shape ``(n,)`` gives the ``n`` values as an array."""
+    import numpy as np
     y = np.asarray(y)
     y_max = y.max(axis=-1)
     spread = ((y_max[..., None] - y) ** 2).sum(axis=-1)
@@ -442,7 +450,7 @@ class DriftRow(NamedTuple):
     region: str
 
 
-_REGION_TAGS = np.array(["within-threshold", "uniform", "suppressed"], dtype=object)
+_REGION_TAGS = ("within-threshold", "uniform", "suppressed")
 
 
 @dataclass(frozen=True)
@@ -472,13 +480,15 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> DriftReport:
     The drift of state ``i`` is ``sum_j Q[i, j] (V_j - V_i)`` over the
     stored entries of row ``i``, accumulated entry by entry in row order.
     """
+    import numpy as np
     v = _lyapunov(gen.y_vectors, gen.populations, lp)
     coo = gen.matrix.tocoo()
     # float64 even with no transition, where bincount would return int64.
     drift = np.bincount(
         coo.row, weights=coo.data * (v[coo.col] - v[coo.row]), minlength=gen.n_states
     ).astype(np.float64, copy=False)
-    regions = _REGION_TAGS[np.where(gen.sup != 0, 2, gen.y_max == gen.y_min)]
+    tags = np.array(_REGION_TAGS, dtype=object)
+    regions = tags[np.where(gen.sup != 0, 2, gen.y_max == gen.y_min)]
     return DriftReport(gen.populations, v, drift, gen.populations == gen.spec.cap, regions)
 
 
@@ -523,6 +533,7 @@ def _check_rate_bounds(
     entry is found by the builder's own index arithmetic,
     :func:`_transfer_steps`.
     """
+    import numpy as np
     params = gen.params
     m = gen.spec.m
     full = full_mask(m)
@@ -572,6 +583,7 @@ def verify_lemmas(gen: GeneratorMatrix) -> LemmaReport:
     chunk j never exceeds the top chunk frequency.  Each check is one
     array expression over the generator's per-state columns.
     """
+    import numpy as np
     m, threshold = gen.spec.m, gen.threshold
     full = full_mask(m)
     report = LemmaReport(states_checked=gen.n_states)

@@ -8,7 +8,9 @@ import pytest
 # Wall-clock limit per test, well above the slowest test (criterion 4,
 # about 16 s on 2 vCPUs).  An event loop that stops advancing, such as one racing
 # contacts with no cross-profile pair left, then fails with a traceback
-# instead of hanging the suite.
+# instead of hanging the suite.  The limit covers the test's whole run,
+# setup and teardown included, so a module-scoped fixture that hangs while
+# the first test that uses it sets up is cut too.
 TEST_TIME_LIMIT_S = 300
 
 
@@ -22,15 +24,14 @@ def _expire(signum, frame):
     raise TimeLimitExceeded(f"test ran longer than {TEST_TIME_LIMIT_S} s")
 
 
-@pytest.fixture(autouse=True)
-def time_limit():
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
     if not hasattr(signal, "SIGALRM"):
-        yield
-        return
+        return (yield)
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.alarm(TEST_TIME_LIMIT_S)
     try:
-        yield
+        return (yield)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -43,12 +43,7 @@ from swarmsim.engine import (
     derive_seed,
     run_replications,
 )
-from swarmsim.metrics import (
-    is_growing,
-    pooled_sojourn_stats,
-    sojourn_stats,
-    stabilization_time,
-)
+from swarmsim.metrics import sojourn_stats, stabilization_time
 from swarmsim.model import ModelParams
 from swarmsim.oracle import (
     LyapunovParams,
@@ -59,6 +54,7 @@ from swarmsim.oracle import (
     verify_lemmas,
 )
 from swarmsim.policies import PolicyConfig, PolicyKind
+from trace_stats import is_growing, pooled_sojourn_stats
 
 GAP_EPSILON = 0.05
 

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -108,6 +109,43 @@ def test_replications_derive_distinct_seeds():
 def test_seed_derivation_no_collisions():
     seeds = {derive_seed(123, i) for i in range(200)}
     assert len(seeds) == 200
+
+
+def _numpy_seed(base_seed, *indices):
+    """What ``derive_seed`` ports: numpy's ``SeedSequence`` state as four
+    uint64 words, packed first word highest."""
+    words = np.random.SeedSequence(entropy=base_seed, spawn_key=indices).generate_state(
+        4, dtype=np.uint64
+    )
+    out = 0
+    for w in words.tolist():
+        out = (out << 64) | w
+    return out
+
+
+def test_derive_seed_matches_numpy_seed_sequence():
+    bases = [0, 1, 2**32 - 1, 2**32, 2**63, 2**256 - 1]
+    index_values = [0, 7, 2**32 - 1, 2**32, 2**40 + 3]
+    cases = [(b,) for b in bases]
+    cases += [(b, i) for b in bases for i in index_values]
+    cases += [(b, i, j) for b in bases for i in index_values for j in (0, 2**32)]
+    cases += [(b, 2**32, 1, 2**32 - 1) for b in bases]
+    rng = random.Random(2024)
+    for _ in range(500):
+        base = rng.getrandbits(rng.randrange(300))
+        indices = [rng.getrandbits(rng.randrange(70)) for _ in range(rng.randrange(4))]
+        cases.append((base, *indices))
+    for case in cases:
+        assert derive_seed(*case) == _numpy_seed(*case), case
+
+
+@pytest.mark.parametrize("case", [(-1,), (-(2**40),), (5, -1), (5, 3, -(2**32))])
+def test_derive_seed_rejects_negative_entropy_as_numpy_does(case):
+    # A word-splitting loop that shifts until zero would never end here.
+    with pytest.raises(ValueError):
+        _numpy_seed(*case)
+    with pytest.raises(ValueError, match="non-negative"):
+        derive_seed(*case)
 
 
 def test_population_cap_terminates():

@@ -4,14 +4,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from swarmsim.engine import EventTrace, TerminationReason
-from swarmsim.metrics import (
-    frequency_gap,
-    is_growing,
-    pooled_sojourn_stats,
-    population_trend,
-    sojourn_stats,
-    stabilization_time,
-)
+from swarmsim.metrics import frequency_gap, sojourn_stats, stabilization_time
+from trace_stats import is_growing, pooled_sojourn_stats, population_trend
 
 
 def trace_with(departures=(), times=(), populations=(), frequencies=()):
