@@ -9,7 +9,7 @@ from .model import (
     Transfer,
     Transition,
 )
-from .policies import EwmaEstimate, PolicyConfig, PolicyKind
+from .policies import PolicyConfig, PolicyKind
 from .engine import (
     EventTrace,
     InitialCondition,
@@ -24,7 +24,6 @@ __all__ = [
     "Arrival",
     "Departure",
     "EventTrace",
-    "EwmaEstimate",
     "FrequencySnapshot",
     "InitialCondition",
     "ModelParams",

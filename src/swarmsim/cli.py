@@ -9,8 +9,11 @@ truncated chain and writes its audit, stationary and drift CSVs.
 parallel on the CPUs the process may use; the CSVs do not depend on how
 many there are.
 
-Scenario files are JSON documents with exactly these keys (unknown keys
-are rejected, naming the offending path)::
+Scenario files are JSON documents; :data:`KEY_TABLES` is their schema.
+It holds one table per dataclass that a file fills, mapping each key to
+its field and JSON type, and the same tables drive unknown-key rejection
+(naming the offending path), type errors, the label of each dataclass's
+own errors and ``sweep``'s parameters.  A full document::
 
     {
       "m": 5, "lambda": 2.0, "mu": 1.0, "u": 1.0,
@@ -22,12 +25,16 @@ are rejected, naming the offending path)::
       "replications": 10
     }
 
-``policy.T``, ``policy.alpha``, ``policy.sample_peers``,
-``policy.cc_variant``, ``max_population``, ``warmup_departures``,
-``sample_interval`` and ``replications`` are optional with the defaults
-shown by ``Scenario``/``PolicyConfig``.  Exit codes: 0 success, 2 usage or
-configuration error, 3 I/O failure, 4 internal error (any unexpected
-fault, printed as its type and message), no CSV written.
+A key may be left out exactly when its field has a default, and the
+defaults are the dataclasses' own (``ModelParams``, ``PolicyConfig``,
+``InitialCondition``, ``Scenario``); ``replications``, which no dataclass
+holds, defaults to 1.  Each command-line flag's ``dest`` is the name of
+its command's parameter, so :func:`main` passes the parsed flags on as
+they are.
+
+Exit codes: 0 success, 2 usage or configuration error, 3 I/O failure,
+4 internal error (any unexpected fault, printed as its type and
+message), no CSV written.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ import shutil
 import sys
 import tempfile
 import warnings
+from dataclasses import MISSING, fields, replace
+from enum import Enum
 from itertools import chain, repeat, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -88,21 +97,38 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _require(d: Dict, key: str, kind, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}{key}", "missing required key")
-    value = d[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{path}{key}", f"expected {kind.__name__}")
-    return value
-
-
-def _optional(d: Dict, key: str, kind, default, path: str):
-    if key not in d:
-        return default
-    return _require(d, key, kind, path)
+# Each dataclass a scenario file fills: JSON key -> (field, type).  A
+# dataclass as the type is a nested object, read by its own table.  The
+# top-level object holds ModelParams' and Scenario's keys and
+# ``replications``.
+KEY_TABLES: Dict[type, Dict[str, Tuple[str, type]]] = {
+    ModelParams: {
+        "m": ("m", int),
+        "lambda": ("arrival_rate", float),
+        "mu": ("peer_contact_rate", float),
+        "u": ("seed_contact_rate", float),
+    },
+    PolicyConfig: {
+        "kind": ("kind", PolicyKind),
+        "T": ("threshold", int),
+        "alpha": ("alpha", float),
+        "sample_peers": ("sample_peers", int),
+        "cc_variant": ("cc_variant", str),
+    },
+    InitialCondition: {
+        "kind": ("kind", str),
+        "n": ("n", int),
+    },
+    Scenario: {
+        "policy": ("policy", PolicyConfig),
+        "initial": ("initial", InitialCondition),
+        "horizon": ("horizon", float),
+        "max_population": ("max_population", int),
+        "rng_seed": ("rng_seed", int),
+        "warmup_departures": ("warmup_departures", int),
+        "sample_interval": ("sample_interval", float),
+    },
+}
 
 
 def _reject_unknown(d: Dict, known: Iterable[str], path: str) -> None:
@@ -111,79 +137,54 @@ def _reject_unknown(d: Dict, known: Iterable[str], path: str) -> None:
             raise ConfigError(f"{path}{key}", "unknown key")
 
 
-def parse_policy(d: Dict, path: str = "policy.") -> PolicyConfig:
-    _reject_unknown(d, ("kind", "T", "alpha", "sample_peers", "cc_variant"), path)
-    kind_name = _require(d, "kind", str, path)
+def _typed(value, kind: type, path: str):
+    """``value`` as its table's ``kind``: an int, a float (an int is taken
+    as one), a str, the member of an enum named by a str, or the dataclass
+    read from a nested object."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    json_type = dict if kind in KEY_TABLES else str if issubclass(kind, Enum) else kind
+    if not isinstance(value, json_type) or isinstance(value, bool):
+        raise ConfigError(path, f"expected {json_type.__name__}")
+    if kind in KEY_TABLES:
+        _reject_unknown(value, KEY_TABLES[kind], f"{path}.")
+        return _build(kind, value, f"{path}.")
+    if kind is not json_type:
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(path, f"must be one of: {', '.join(k.value for k in kind)}")
+    return value
+
+
+def _build(cls: type, doc: Dict, path: str, **given):
+    """A ``cls`` from ``given`` and the keys of ``doc`` that its table
+    names.  A ``ValueError`` of ``cls`` is reported under all of them."""
+    table = KEY_TABLES[cls]
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+    for key, (name, kind) in table.items():
+        if key in doc:
+            given[name] = _typed(doc[key], kind, f"{path}{key}")
+        elif name not in optional:
+            raise ConfigError(f"{path}{key}", "missing required key")
     try:
-        kind = PolicyKind(kind_name)
-    except ValueError:
-        names = ", ".join(k.value for k in PolicyKind)
-        raise ConfigError(f"{path}kind", f"must be one of: {names}")
-    try:
-        return PolicyConfig(
-            kind=kind,
-            threshold=_optional(d, "T", int, 1, path),
-            alpha=_optional(d, "alpha", float, 0.1, path),
-            sample_peers=_optional(d, "sample_peers", int, 1, path),
-            cc_variant=_optional(d, "cc_variant", str, "downloader", path),
-        )
+        return cls(**given)
     except ValueError as exc:
-        raise ConfigError(f"{path}*", str(exc))
+        raise ConfigError("/".join(path + key for key in table), str(exc))
+
+
+def _replications(count: int) -> int:
+    """``count``, the number of replications a command runs, if >= 1."""
+    if count < 1:
+        raise ConfigError("replications", "must be >= 1")
+    return count
 
 
 def parse_scenario_dict(doc: Dict) -> Tuple[Scenario, int]:
     """Validate a scenario document; returns (scenario, replications)."""
-    known = (
-        "m",
-        "lambda",
-        "mu",
-        "u",
-        "policy",
-        "initial",
-        "horizon",
-        "max_population",
-        "rng_seed",
-        "warmup_departures",
-        "sample_interval",
-        "replications",
-    )
-    _reject_unknown(doc, known, "")
-    try:
-        params = ModelParams(
-            m=_require(doc, "m", int, ""),
-            arrival_rate=_require(doc, "lambda", float, ""),
-            peer_contact_rate=_optional(doc, "mu", float, 1.0, ""),
-            seed_contact_rate=_optional(doc, "u", float, 1.0, ""),
-        )
-    except ValueError as exc:
-        raise ConfigError("m/lambda/mu/u", str(exc))
-    policy = parse_policy(_require(doc, "policy", dict, ""))
-    init_doc = _require(doc, "initial", dict, "")
-    _reject_unknown(init_doc, ("kind", "n"), "initial.")
-    try:
-        initial = InitialCondition(
-            kind=_require(init_doc, "kind", str, "initial."),
-            n=_require(init_doc, "n", int, "initial."),
-        )
-    except ValueError as exc:
-        raise ConfigError("initial.kind", str(exc))
-    replications = _optional(doc, "replications", int, 1, "")
-    if replications < 1:
-        raise ConfigError("replications", "must be >= 1")
-    try:
-        scenario = Scenario(
-            params=params,
-            policy=policy,
-            initial=initial,
-            horizon=_require(doc, "horizon", float, ""),
-            rng_seed=_require(doc, "rng_seed", int, ""),
-            max_population=_optional(doc, "max_population", int, None, ""),
-            warmup_departures=_optional(doc, "warmup_departures", int, 2000, ""),
-            sample_interval=_optional(doc, "sample_interval", float, 1.0, ""),
-        )
-    except ValueError as exc:
-        raise ConfigError("horizon/rng_seed/max_population/sample_interval", str(exc))
-    return scenario, replications
+    _reject_unknown(doc, {*KEY_TABLES[ModelParams], *KEY_TABLES[Scenario], "replications"}, "")
+    scenario = _build(Scenario, doc, "", params=_build(ModelParams, doc, ""))
+    return scenario, _replications(_typed(doc.get("replications", 1), int, "replications"))
 
 
 def load_scenario_file(path: str | Path) -> Tuple[Scenario, int]:
@@ -385,9 +386,7 @@ def cmd_simulate(
 ) -> int:
     scenario, reps = load_scenario_file(config_path)
     if replications is not None:
-        if replications < 1:
-            raise ConfigError("replications", "must be >= 1")
-        reps = replications
+        reps = _replications(replications)
     traces = run_replications(
         (scenario, derive_seed(scenario.rng_seed, rep)) for rep in range(reps)
     )
@@ -401,32 +400,25 @@ def cmd_simulate(
     return EXIT_OK
 
 
-SWEEP_PARAMETERS = ("lambda", "m", "T", "policy.kind", "sample_peers")
+# Each sweep parameter: the part of the scenario it sets and that part's
+# key, whose table entry gives the field and the type of the value.
+SWEEP_PARAMETERS = {
+    "lambda": ("params", "lambda"),
+    "m": ("params", "m"),
+    "T": ("policy", "T"),
+    "policy.kind": ("policy", "kind"),
+    "sample_peers": ("policy", "sample_peers"),
+}
 
 
 def _apply_sweep_value(scenario: Scenario, parameter: str, raw: str) -> Scenario:
-    from dataclasses import replace
-
-    params = scenario.params
-    policy = scenario.policy
+    part_name, key = SWEEP_PARAMETERS[parameter]
+    part = getattr(scenario, part_name)
+    name, kind = KEY_TABLES[type(part)][key]
     try:
-        if parameter == "lambda":
-            params = replace(params, arrival_rate=float(raw))
-        elif parameter == "m":
-            params = replace(params, m=int(raw))
-        elif parameter == "T":
-            policy = replace(policy, threshold=int(raw))
-        elif parameter == "sample_peers":
-            policy = replace(policy, sample_peers=int(raw))
-        elif parameter == "policy.kind":
-            policy = replace(policy, kind=PolicyKind(raw))
-        else:
-            raise ConfigError("parameter", f"must be one of {SWEEP_PARAMETERS}")
-    except ConfigError:
-        raise
+        return replace(scenario, **{part_name: replace(part, **{name: kind(raw)})})
     except ValueError as exc:
         raise ConfigError(f"values({raw})", str(exc))
-    return replace(scenario, params=params, policy=policy)
 
 
 @_exit_code
@@ -439,14 +431,12 @@ def cmd_sweep(
     quiet: bool = False,
 ) -> int:
     if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError("parameter", f"must be one of {SWEEP_PARAMETERS}")
+        raise ConfigError("parameter", f"must be one of {tuple(SWEEP_PARAMETERS)}")
     if not values:
         raise ConfigError("values", "empty value list")
     base, reps = load_scenario_file(config_path)
     if replications is not None:
-        reps = replications
-    if reps < 1:
-        raise ConfigError("replications", "must be >= 1")
+        reps = _replications(replications)
     cells = [
         (idx, raw, _apply_sweep_value(base, parameter, raw))
         for idx, raw in enumerate(values)
@@ -546,30 +536,38 @@ def cmd_oracle(
     return EXIT_OK
 
 
+def _value_list(text: str) -> List[str]:
+    """``--values``: the comma-separated values, empty ones dropped."""
+    return [v for v in text.split(",") if v != ""]
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser.  Each flag's ``dest`` is its command's parameter, and
+    each subcommand's ``command`` default is its command function."""
     parser = argparse.ArgumentParser(
         prog="swarmsim",
         description="Chunk-level P2P swarm simulator and CTMC oracle",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_out = os.environ.get(OUT_DIR_ENV, ".")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", dest="out_dir", default=os.environ.get(OUT_DIR_ENV, "."))
+    output.add_argument("--quiet", action="store_true")
+    config = argparse.ArgumentParser(add_help=False, parents=[output])
+    config.add_argument("--config", dest="config_path", required=True)
+    config.add_argument("--replications", type=int)
 
-    sim = sub.add_parser("simulate", help="run a scenario file")
-    sim.add_argument("--config", required=True)
-    sim.add_argument("--out", default=default_out)
-    sim.add_argument("--replications", type=int, default=None)
-    sim.add_argument("--quiet", action="store_true")
+    sim = sub.add_parser("simulate", parents=[config], help="run a scenario file")
+    sim.set_defaults(command=cmd_simulate)
 
-    sweep = sub.add_parser("sweep", help="repeat a scenario across parameter values")
-    sweep.add_argument("--config", required=True)
-    sweep.add_argument("--param", required=True)
-    sweep.add_argument("--values", required=True, help="comma-separated values")
-    sweep.add_argument("--out", default=default_out)
-    sweep.add_argument("--replications", type=int, default=None)
-    sweep.add_argument("--quiet", action="store_true")
+    sweep = sub.add_parser(
+        "sweep", parents=[config], help="repeat a scenario across parameter values"
+    )
+    sweep.add_argument("--param", dest="parameter", required=True)
+    sweep.add_argument("--values", type=_value_list, required=True, help="comma-separated values")
+    sweep.set_defaults(command=cmd_sweep)
 
-    orc = sub.add_parser("oracle", help="exact truncated-chain analysis")
+    orc = sub.add_parser("oracle", parents=[output], help="exact truncated-chain analysis")
     orc.add_argument("--m", type=int, required=True)
     orc.add_argument("--cap", type=int, required=True)
     orc.add_argument("--lambda", dest="arrival_rate", type=float, required=True)
@@ -577,38 +575,17 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--u", dest="seed_contact_rate", type=float, default=1.0)
     orc.add_argument("--T", dest="threshold", type=int, default=1)
     orc.add_argument("--epsilon", type=float, default=0.5)
-    orc.add_argument("--m-const", type=float, default=None)
-    orc.add_argument("--out", default=default_out)
-    orc.add_argument("--quiet", action="store_true")
+    orc.add_argument("--m-const", type=float)
+    orc.set_defaults(command=cmd_oracle)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    if args.command == "simulate":
-        return cmd_simulate(args.config, args.out, args.replications, args.quiet)
-    if args.command == "sweep":
-        values = [v for v in args.values.split(",") if v != ""]
-        return cmd_sweep(
-            args.config, args.param, values, args.out, args.replications, args.quiet
-        )
-    if args.command == "oracle":
-        return cmd_oracle(
-            m=args.m,
-            cap=args.cap,
-            arrival_rate=args.arrival_rate,
-            peer_contact_rate=args.peer_contact_rate,
-            seed_contact_rate=args.seed_contact_rate,
-            threshold=args.threshold,
-            out_dir=args.out,
-            epsilon=args.epsilon,
-            m_const=args.m_const,
-            quiet=args.quiet,
-        )
-    return EXIT_CONFIG
+    return args.pop("command")(**args)
 
 
 if __name__ == "__main__":

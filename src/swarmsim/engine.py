@@ -71,11 +71,11 @@ Replications are independent, so :func:`run_replications` runs a list of
 CPU this process may use, and no more than there are jobs; fork, not
 spawn, so that the workers start with the package already loaded.  A
 worker runs one job at a time, sends its trace back through a pipe and
-is handed the next job, and the traces are put back in job order.  Nothing a run draws depends on where it runs, so the traces are
-the same on any number of workers.  The workers live for one call: they
-exit when no job is left and are killed if the call ends in an
-exception.  ``multiprocessing`` is imported only then, not with this
-module.
+is handed the next job, and the traces are put back in job order.
+Nothing a run draws depends on where it runs, so the traces are the same
+on any number of workers.  The workers live for one call: they exit when
+no job is left and are killed if the call ends in an exception.
+``multiprocessing`` is imported only then, not with this module.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ from .model import (
     full_mask,
 )
 from .policies import (
-    EwmaEstimate,
     PolicyConfig,
     PolicyKind,
     SwarmView,
@@ -278,8 +277,8 @@ class Simulation:
         self.arrived: List[float] = [0.0] * len(profiles)
         policy = scenario.policy
         self._is_ewma = policy.kind is PolicyKind.EWMA_MS
-        self.ewma: List[EwmaEstimate] | None = (
-            [EwmaEstimate.zero(self.m) for _ in profiles] if self._is_ewma else None
+        self.ewma: List[List[float]] | None = (
+            [[0.0] * self.m for _ in profiles] if self._is_ewma else None
         )
         self.t = 0.0
         self.events = 0
@@ -384,7 +383,7 @@ class Simulation:
                 peers.append(0)
                 arrived.append(t)
                 if is_ewma:
-                    ewma.append(EwmaEstimate.zero(m))
+                    ewma.append([0.0] * m)
                 self.n_arrivals += 1
                 self._last_kind = Arrival
                 pop += 1

@@ -80,33 +80,21 @@ class PolicyConfig:
             raise ValueError(f"cc_variant must be one of {CC_VARIANTS}")
 
 
-@dataclass
-class EwmaEstimate:
-    """A peer's running estimate of the marginal chunk frequencies."""
-
-    values: List[float]
-
-    @classmethod
-    def zero(cls, m: int) -> "EwmaEstimate":
-        return cls([0.0] * m)
-
-
-def ewma_update(est: EwmaEstimate, observed_profile: int, alpha: float) -> EwmaEstimate:
-    """Fold one observed source profile into ``est`` (in place).
+def ewma_update(est: List[float], observed_profile: int, alpha: float) -> None:
+    """Fold one observed source profile into ``est``, a peer's running
+    estimate of the m marginal chunk frequencies (in place).
 
     Each component moves toward the profile's membership indicator with
     weight ``alpha``, which :class:`PolicyConfig` checks to be in (0, 1];
     components therefore stay in [0, 1].  ``alpha = 1`` replaces the
     estimate outright (useful in tests).
     """
-    values = est.values
     keep = 1.0 - alpha
-    for j in range(len(values)):
+    for j in range(len(est)):
         if observed_profile >> j & 1:
-            values[j] = keep * values[j] + alpha
+            est[j] = keep * est[j] + alpha
         else:
-            values[j] = keep * values[j]
-    return est
+            est[j] = keep * est[j]
 
 
 @dataclass(slots=True)
@@ -295,10 +283,9 @@ def make_selector(config: PolicyConfig):
             """
             if push:
                 return choose_chunk(offer & ~dest, view.getrandbits)
-            values = est.values
-            top = max(values)
+            top = max(est)
             mode = 0
-            for j, v in enumerate(values):
+            for j, v in enumerate(est):
                 if v == top:
                     mode |= 1 << j
             sup = 0 if mode == view.full else mode

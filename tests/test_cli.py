@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -10,7 +12,7 @@ import signal
 import stat
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -56,10 +58,11 @@ BASE_CONFIG = {
 }
 
 
-def write_config(tmp_path, overrides=None, **top):
-    doc = json.loads(json.dumps(BASE_CONFIG))
-    doc.update(top)
-    for path, value in (overrides or {}).items():
+def edited(doc, overrides):
+    """A copy of ``doc`` with each dotted key of ``overrides`` set to its
+    value, or left out where the value is None."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in overrides.items():
         parts = path.split(".")
         node = doc
         for part in parts[:-1]:
@@ -68,9 +71,50 @@ def write_config(tmp_path, overrides=None, **top):
             node.pop(parts[-1], None)
         else:
             node[parts[-1]] = value
+    return doc
+
+
+def write_config(tmp_path, overrides=None, **top):
     cfg = tmp_path / "scenario.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(edited({**BASE_CONFIG, **top}, overrides or {})))
     return cfg
+
+
+# Each optional scenario key but replications: the part of the Scenario
+# that holds its field (None for the Scenario itself) and the field.
+OPTIONAL_KEYS = {
+    "mu": ("params", "peer_contact_rate"),
+    "u": ("params", "seed_contact_rate"),
+    "policy.T": ("policy", "threshold"),
+    "policy.alpha": ("policy", "alpha"),
+    "policy.sample_peers": ("policy", "sample_peers"),
+    "policy.cc_variant": ("policy", "cc_variant"),
+    "max_population": (None, "max_population"),
+    "warmup_departures": (None, "warmup_departures"),
+    "sample_interval": (None, "sample_interval"),
+}
+
+# One value the dataclasses reject for each key they check (alpha only
+# under ewma-ms).
+INVALID_VALUES = {
+    "m": {"m": 1},
+    "lambda": {"lambda": 0.0},
+    "mu": {"mu": -1.0},
+    "u": {"u": 0.0},
+    "policy.kind": {"policy.kind": "fastest-first"},
+    "policy.T": {"policy.T": 0},
+    "policy.alpha": {"policy.kind": "ewma-ms", "policy.alpha": 0.0},
+    "policy.sample_peers": {"policy.sample_peers": 2},
+    "policy.cc_variant": {"policy.cc_variant": "sink"},
+    "initial.kind": {"initial.kind": "full"},
+    "initial.n": {"initial.n": -1},
+    "horizon": {"horizon": 0.0},
+    "max_population": {"max_population": 5},
+    "rng_seed": {"rng_seed": -1},
+    "warmup_departures": {"warmup_departures": -1},
+    "sample_interval": {"sample_interval": 0.0},
+    "replications": {"replications": 0},
+}
 
 
 class TestParsing:
@@ -102,18 +146,34 @@ class TestParsing:
             "sample_interval": 0.5,
             "replications": 4,
         }
-        assert parse_scenario_dict(doc) == (
-            replace(
-                expected,
-                params=ModelParams(3, 1.0, 0.5, 2.0),
-                policy=PolicyConfig(PolicyKind.EWMA_MS, 4, 0.25, 3, "source"),
-                initial=InitialCondition("one-club", 7),
-                max_population=40,
-                warmup_departures=3,
-                sample_interval=0.5,
-            ),
-            4,
+        full = replace(
+            expected,
+            params=ModelParams(3, 1.0, 0.5, 2.0),
+            policy=PolicyConfig(PolicyKind.EWMA_MS, 4, 0.25, 3, "source"),
+            initial=InitialCondition("one-club", 7),
+            max_population=40,
+            warmup_departures=3,
+            sample_interval=0.5,
         )
+        assert parse_scenario_dict(doc) == (full, 4)
+        # Each optional key left out takes its dataclass's own default.
+        for key, (part, field) in OPTIONAL_KEYS.items():
+            owner = getattr(full, part) if part else full
+            default = {f.name: f.default for f in fields(owner)}[field]
+            assert default is not MISSING, key
+            left_out = replace(owner, **{field: default})
+            if part:
+                left_out = replace(full, **{part: left_out})
+            assert parse_scenario_dict(edited(doc, {key: None})) == (left_out, 4), key
+        assert parse_scenario_dict(edited(doc, {"replications": None})) == (full, 1)
+
+    @pytest.mark.parametrize("key", list(INVALID_VALUES))
+    def test_invalid_value_names_its_key(self, key):
+        # The error path of a value the dataclasses reject lists that key
+        # among the '/'-separated keys it names.
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario_dict(edited(BASE_CONFIG, INVALID_VALUES[key]))
+        assert key in caught.value.path.split("/"), caught.value.path
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="horizonn"):
@@ -135,6 +195,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="rng_seed"):
             parse_scenario_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key",
+        ["m", "lambda", "policy", "policy.kind", "initial", "initial.kind", "initial.n",
+         "horizon", "rng_seed"],
+    )
+    def test_missing_key_is_its_own_path(self, key):
+        with pytest.raises(ConfigError, match="missing required key") as caught:
+            parse_scenario_dict(edited(BASE_CONFIG, {key: None}))
+        assert caught.value.path == key
+
     def test_bad_policy_kind_lists_choices(self):
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc["policy"]["kind"] = "fastest-first"
@@ -144,6 +214,17 @@ class TestParsing:
     def test_type_errors_rejected(self):
         with pytest.raises(ConfigError, match="horizon"):
             parse_scenario_dict({**BASE_CONFIG, "horizon": "long"})
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [("m", "3", "int"), ("lambda", "1", "float"), ("policy", [], "dict"),
+         ("policy.kind", 1, "str"), ("policy.T", 1.5, "int"), ("initial.n", "5", "int"),
+         ("horizon", "long", "float"), ("rng_seed", True, "int"), ("replications", 2.0, "int")],
+    )
+    def test_wrong_type_is_its_own_path(self, key, value, expected):
+        with pytest.raises(ConfigError, match=f"expected {expected}$") as caught:
+            parse_scenario_dict(edited(BASE_CONFIG, {key: value}))
+        assert caught.value.path == key
 
     def test_file_errors(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -1016,3 +1097,66 @@ class TestMain:
 
     def test_bad_usage_exit_2(self, capsys):
         assert main(["simulate"]) == 2
+
+
+# The flags of each subcommand, and an argument vector for it that gives
+# only the required ones.
+FLAGS = {
+    "simulate": {"--config", "--out", "--replications", "--quiet"},
+    "sweep": {"--config", "--out", "--replications", "--quiet", "--param", "--values"},
+    "oracle": {"--m", "--cap", "--lambda", "--mu", "--u", "--T", "--epsilon", "--m-const",
+               "--out", "--quiet"},
+}
+REQUIRED_ARGV = {
+    "simulate": ["simulate", "--config", "scenario.json"],
+    "sweep": ["sweep", "--config", "scenario.json", "--param", "T", "--values", "1,2"],
+    "oracle": ["oracle", "--m", "2", "--cap", "3", "--lambda", "1"],
+}
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", list(REQUIRED_ARGV))
+    def test_namespace_is_the_commands_parameters(self, command):
+        args = vars(cli._build_parser().parse_args(REQUIRED_ARGV[command]))
+        function = args.pop("command")
+        assert function is getattr(cli, f"cmd_{command}")
+        assert set(args) == set(inspect.signature(function).parameters)
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_each_subcommand_takes_its_flags(self, command):
+        (sub,) = (a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        flags = {flag for a in sub.choices[command]._actions for flag in a.option_strings}
+        assert flags - {"-h", "--help"} == FLAGS[command]
+
+    def test_out_dir_env_sets_the_default_out(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+        for argv in REQUIRED_ARGV.values():
+            assert cli._build_parser().parse_args(argv).out_dir == "."
+        env_out = tmp_path / "env-out"
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(env_out))
+        for argv in REQUIRED_ARGV.values():
+            assert cli._build_parser().parse_args(argv).out_dir == str(env_out)
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == 0
+        assert (env_out / "summary.csv").exists()
+
+    def test_empty_value_list_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["sweep", "--config", str(cfg), "--param", "T", "--values", ",,"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: values: empty value list"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_replications_below_one_exit_2(self, tmp_path, capsys, command, source):
+        cfg = write_config(tmp_path, replications=0 if source == "file" else 2)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--param", "T", "--values", "1"]
+        if source == "flag":
+            argv += ["--replications", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: replications: must be >= 1"]
+        assert not (tmp_path / "out").exists()

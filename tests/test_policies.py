@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 
 from swarmsim.model import FrequencySnapshot, LargestGroup, choose_chunk, full_mask, mask_of
 from swarmsim.policies import (
-    EwmaEstimate,
     PolicyConfig,
     PolicyKind,
     SwarmView,
@@ -236,37 +235,37 @@ class TestDistributedMS:
 
 class TestEwma:
     def test_single_update(self):
-        est = EwmaEstimate.zero(3)
+        est = [0.0] * 3
         ewma_update(est, mask_of([1, 3]), 0.1)
-        assert est.values == [0.1, 0.0, 0.1]
+        assert est == [0.1, 0.0, 0.1]
 
     def test_alpha_one_replaces(self):
-        est = EwmaEstimate([0.4, 0.9])
+        est = [0.4, 0.9]
         ewma_update(est, mask_of([2]), 1.0)
-        assert est.values == [0.0, 1.0]
+        assert est == [0.0, 1.0]
 
     def test_monotone_approach_to_one(self):
-        est = EwmaEstimate.zero(3)
-        prev = list(est.values)
+        est = [0.0] * 3
+        prev = list(est)
         for _ in range(50):
             ewma_update(est, full_mask(3), 0.2)
-            assert all(0.0 <= v <= 1.0 for v in est.values)
-            assert all(v >= p for v, p in zip(est.values, prev))
-            prev = list(est.values)
+            assert all(0.0 <= v <= 1.0 for v in est)
+            assert all(v >= p for v, p in zip(est, prev))
+            prev = list(est)
 
     def test_selection_forced_by_suppression(self):
-        est = EwmaEstimate([0.5, 0.5, 0.1])
+        est = [0.5, 0.5, 0.1]
         assert pick(EWMA_MS, 3, seeded(), sources=[[1, 2, 3]], est=est) == 3
 
     def test_all_equal_reduces_to_random(self):
-        est = EwmaEstimate([0.3, 0.3, 0.3])
+        est = [0.3, 0.3, 0.3]
         contact = dict(dest=[1], sources=[[1, 2], [3]])
         for bits, chunk in zip(range(4), (2, 3, 2, 2)):
             ewma = pick(EWMA_MS, 3, StubBits([bits, 0]), est=est, **contact)
             assert ewma == pick(RANDOM, 3, StubBits([bits, 0]), **contact) == chunk
 
     def test_first_observation_blocks_its_own_source(self):
-        est = EwmaEstimate.zero(3)
+        est = [0.0] * 3
         ewma_update(est, mask_of([2]), 0.1)
         assert pick(EWMA_MS, 3, seeded(), sources=[[2]], est=est) is None
 
@@ -460,7 +459,7 @@ def test_transfer_safety(case, rng_seed):
         snapshot=FrequencySnapshot(list(y)),
         groups=LargestGroup(hist),
     )
-    est = EwmaEstimate.zero(m)
+    est = [0.0] * m
     ewma_update(est, est_profile, 0.5)
     j = make_selector(config)(dest, offer, sources, est, seed_push, view)
     if j is not None:
@@ -480,7 +479,7 @@ def gated_contacts(draw):
     y = [draw(st.integers(min_value=0, max_value=9)) for _ in range(m)]
     hist = {p: draw(st.integers(min_value=1, max_value=5)) for p in sources}
     values = [draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(m)]
-    return m, config, dest, sources, y, hist, EwmaEstimate(values)
+    return m, config, dest, sources, y, hist, values
 
 
 @given(gated_contacts(), st.integers(min_value=0, max_value=2**16))
@@ -499,7 +498,7 @@ def test_nothing_needed_on_offer_returns_none_without_a_draw(case, rng_seed):
 
 @given(st.lists(st.tuples(st.integers(0, 7), st.floats(0.01, 1.0)), max_size=60))
 def test_ewma_stays_in_unit_box(updates):
-    est = EwmaEstimate.zero(3)
+    est = [0.0] * 3
     for profile, alpha in updates:
         ewma_update(est, profile, alpha)
-        assert all(0.0 <= v <= 1.0 for v in est.values)
+        assert all(0.0 <= v <= 1.0 for v in est)
