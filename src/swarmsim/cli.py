@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import inspect
 import json
 import os
 import shutil
@@ -87,6 +88,11 @@ EXIT_INTERNAL = 4
 
 DEFAULT_EPSILON_GAP = 0.05  # stabilization frequency gap
 OUT_DIR_ENV = "SWARMSIM_OUT"
+
+
+def _default(call, name: str):
+    """The default of ``call``'s parameter ``name``: the library's own."""
+    return inspect.signature(call).parameters[name].default
 
 
 class ConfigError(ValueError):
@@ -466,7 +472,7 @@ def cmd_oracle(
     seed_contact_rate: float,
     threshold: int,
     out_dir: str,
-    epsilon: float = 0.5,
+    epsilon: float = _default(LyapunovParams.compliant, "epsilon"),
     m_const: Optional[float] = None,
     quiet: bool = False,
 ) -> int:
@@ -571,10 +577,13 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--m", type=int, required=True)
     orc.add_argument("--cap", type=int, required=True)
     orc.add_argument("--lambda", dest="arrival_rate", type=float, required=True)
-    orc.add_argument("--mu", dest="peer_contact_rate", type=float, default=1.0)
-    orc.add_argument("--u", dest="seed_contact_rate", type=float, default=1.0)
-    orc.add_argument("--T", dest="threshold", type=int, default=1)
-    orc.add_argument("--epsilon", type=float, default=0.5)
+    for flag, dest, kind, owner in (
+        ("--mu", "peer_contact_rate", float, ModelParams),
+        ("--u", "seed_contact_rate", float, ModelParams),
+        ("--T", "threshold", int, PolicyConfig),
+        ("--epsilon", "epsilon", float, LyapunovParams.compliant),
+    ):
+        orc.add_argument(flag, dest=dest, type=kind, default=_default(owner, dest))
     orc.add_argument("--m-const", type=float)
     orc.set_defaults(command=cmd_oracle)
     return parser

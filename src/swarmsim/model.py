@@ -22,14 +22,6 @@ def full_mask(m: int) -> int:
     return (1 << m) - 1
 
 
-def mask_of(chunks: Iterable[int]) -> int:
-    """Bit mask for a collection of 1-based chunk indices."""
-    mask = 0
-    for c in chunks:
-        mask |= 1 << (c - 1)
-    return mask
-
-
 def chunks_of(mask: int) -> Tuple[int, ...]:
     """Sorted 1-based chunk indices present in ``mask``."""
     out = []
@@ -199,11 +191,6 @@ class SwarmState:
             for b in iter_bits(profile):
                 y[b] += n
         return y
-
-    def as_vector(self) -> Tuple[int, ...]:
-        """Counts over all proper-subset masks 0 .. 2^m - 2 (small m only)."""
-        counts = self.counts
-        return tuple(counts.get(mask, 0) for mask in range(full_mask(self.m)))
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,8 +6,10 @@ profiles, truncated by disabling arrivals once the population reaches a
 cap (all other rates stay exact).  On that space we build the
 mode-suppression generator by enumerating the engine's contacts against
 the selector's own candidate mask, solve for the stationary
-distribution, evaluate the quadratic-potential drift, and check the
-model's structural inequalities for every state.  Each of these stages
+distribution on the orbits of the closed class under chunk relabelling
+(the rule treats chunks alike, so this lumping is exact and checked),
+evaluate the quadratic-potential drift, and check the model's
+structural inequalities for every state.  Each of these stages
 is an array computation over per-state columns, and the rule itself,
 being pure bit arithmetic, is applied to whole columns of contacts at
 once.  Each function imports numpy itself, and only the build,
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .model import ModelParams, full_mask, suppressed_mask
@@ -168,6 +171,28 @@ def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarra
     return steps, ahead
 
 
+def _ranks(counts: np.ndarray, cap: int) -> np.ndarray:
+    """Index of each row of ``counts`` in the order of
+    :func:`enumerate_states`, by the formula of :func:`_transfer_steps`."""
+    import numpy as np
+    p = counts.shape[1]
+    # binom[k - 1, r] = C(r + P - k, P - k + 1)
+    binom = [[math.comb(r + p - k, p - k + 1) for r in range(cap + 1)] for k in range(1, p + 1)]
+    rests = cap - np.cumsum(counts, axis=1)  # column k-1 holds R_k
+    return math.comb(cap + p, p) - 1 - np.array(binom)[np.arange(p), rests].sum(axis=1)
+
+
+def _orbits(counts: np.ndarray, m: int, cap: int) -> np.ndarray:
+    """Each row's orbit under relabelling the chunks, named by the
+    smallest :func:`_ranks` among its relabelled rows.  The group is all
+    ``m!`` permutations for ``m <= 4`` and the identity alone above that."""
+    import numpy as np
+    masks = np.arange(counts.shape[1])
+    group = permutations(range(m)) if m <= 4 else [range(m)]
+    images = (sum((masks >> j & 1) << to for j, to in enumerate(perm)) for perm in group)
+    return np.min([_ranks(counts[:, np.argsort(image)], cap) for image in images], axis=0)
+
+
 def _has_bits(masks: np.ndarray, m: int) -> np.ndarray:
     """``out[k, j]``: bit ``j`` of ``masks[k]`` is set."""
     import numpy as np
@@ -298,35 +323,45 @@ def closed_classes(gen: GeneratorMatrix) -> List[List[int]]:
 def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     """Stationary probability vector of the truncated chain.
 
-    The balance equations are solved on the single closed class only: one
-    of them is replaced by ``pi_k = 1`` for the class's first state ``k``
-    and the solution is normalised afterwards.  States outside the class
-    (transient under the truncation) get exactly 0.0.  More than one
-    closed class means the stationary law is not unique and raises
-    :class:`ReducibleChainError` naming states from the competing classes.
+    The rule treats chunks alike, so the chain is strongly lumpable onto
+    the orbits of :func:`_orbits`, and the balance equations are solved on
+    the orbits of the single closed class: each orbit's row of ``Q_cc V``
+    (``V`` the class-by-orbit indicator) at its first member, with one
+    equation replaced by ``x_0 = 1``.  Each orbit's normalised mass goes
+    in equal shares to its members; states outside the class (transient
+    under the truncation) get exactly 0.0.  ``RuntimeError`` if a member's
+    row of ``Q_cc V`` is more than 1e-12 relative from its first member's,
+    or if the result misses the full balance equations by more than 1e-10;
+    :class:`ReducibleChainError`, naming states, if more than one class is
+    closed (the stationary law is then not unique).
     """
     import numpy as np
     import scipy.sparse.linalg
     classes = closed_classes(gen)
     if len(classes) > 1:
-        names = []
-        for cls in classes:
-            names.extend(map(state_name, gen.counts[cls[:3]].tolist()))
-        raise ReducibleChainError(
-            f"{len(classes)} closed classes; stranded states: {', '.join(names)}"
-        )
+        names = ", ".join(state_name(row) for c in classes for row in gen.counts[c[:3]].tolist())
+        raise ReducibleChainError(f"{len(classes)} closed classes; stranded states: {names}")
     cls = np.asarray(classes[0])
-    size = len(cls)
-    # Balance equations x Q_cc = 0 as Q_cc^T x = 0, with equation 0
-    # swapped for x_0 = 1.  The class has no outgoing rate, so Q_cc is a
-    # generator on its own.
-    qt = gen.matrix[cls][:, cls].transpose().tocoo()
+    keys = _orbits(gen.counts[cls], gen.spec.m, gen.spec.cap)
+    _, first, orbit, sizes = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    size = len(sizes)
+    # The class has no outgoing rate, so its rows of Q are Q_cc's.
+    indicator = scipy.sparse.csr_matrix((np.ones(len(cls)), (cls, orbit)), (gen.n_states, size))
+    into = gen.matrix[cls] @ indicator
+    lumped = into[first]
+    expected = lumped[orbit]
+    bad = (abs(into - expected) > 1e-12 * abs(expected)).tocoo().row
+    if len(bad):
+        name = state_name(gen.counts[cls[bad.min()]].tolist())
+        raise RuntimeError(f"chain is not lumpable under chunk relabelling at {name}")
+    # Balance equations x Q_lumped = 0 as Q_lumped^T x = 0, with equation
+    # 0 swapped for x_0 = 1.
+    qt = lumped.transpose().tocoo()
     keep = qt.row != 0
     a = scipy.sparse.csc_matrix(
-        (
-            np.append(qt.data[keep], 1.0),
-            (np.append(qt.row[keep], 0), np.append(qt.col[keep], 0)),
-        ),
+        (np.append(qt.data[keep], 1.0), (np.append(qt.row[keep], 0), np.append(qt.col[keep], 0))),
         shape=(size, size),
     )
     b = np.zeros(size)
@@ -335,7 +370,7 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     if not (x.min() >= 0 and 0 < x.sum() < math.inf):  # False for NaN too
         raise RuntimeError("stationary solve produced an invalid vector")
     p = np.zeros(gen.n_states)
-    p[cls] = x / x.sum()
+    p[cls] = (x / x.sum() / sizes)[orbit]
     residual = np.abs(p @ gen.matrix).max()
     if not residual <= 1e-10:
         raise RuntimeError(f"stationary residual {residual:.3e} exceeds 1e-10")
@@ -415,32 +450,6 @@ def _lyapunov(y, pop, lp: LyapunovParams):
     return spread + lp.c1 * (pop - y_max) + lp.c2 * shortfall
 
 
-def lyapunov_value(state, lp: LyapunovParams) -> float:
-    """Potential of a :class:`~swarmsim.model.SwarmState`."""
-    return float(_lyapunov(state.y, state.population, lp))
-
-
-def mean_drift(i: int, gen: GeneratorMatrix, lp: LyapunovParams) -> float:
-    """Exact expected rate of change of the potential out of state ``i``.
-
-    Boundary states (population at the cap) are still computable but
-    biased by the missing arrival; callers should exclude them from
-    negativity checks, as :func:`drift_report` flags.  The row's terms
-    are added in the same order as in :func:`drift_report`, so the two
-    agree exactly; the diagonal term is a rate times 0.0.
-    """
-    mat = gen.matrix
-    lo, hi = mat.indptr[i], mat.indptr[i + 1]
-    cols = mat.indices[lo:hi]
-    dv = _lyapunov(gen.y_vectors[cols], gen.populations[cols], lp) - _lyapunov(
-        gen.y_vectors[i], gen.populations[i], lp
-    )
-    total = 0.0
-    for rate, step in zip(mat.data[lo:hi].tolist(), dv.tolist()):
-        total += rate * step
-    return total
-
-
 class DriftRow(NamedTuple):
     index: int
     population: int
@@ -490,14 +499,6 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> DriftReport:
     tags = np.array(_REGION_TAGS, dtype=object)
     regions = tags[np.where(gen.sup != 0, 2, gen.y_max == gen.y_min)]
     return DriftReport(gen.populations, v, drift, gen.populations == gen.spec.cap, regions)
-
-
-def exceptional_states(gen: GeneratorMatrix, lp: LyapunovParams) -> List[Tuple[int, ...]]:
-    """Non-boundary states whose drift is not below ``-epsilon``, as
-    count-vector tuples."""
-    report = drift_report(gen, lp)
-    hits = ~report.boundary & (report.drifts > -lp.epsilon)
-    return list(map(tuple, gen.counts[hits].tolist()))
 
 
 # -- lemma verification --

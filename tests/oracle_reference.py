@@ -1,0 +1,145 @@
+"""Reference implementations that only the tests call.
+
+Each is the plain form of something the package computes in bulk:
+:func:`mean_drift` and :func:`lyapunov_value` evaluate one state at a
+time, :func:`count_row` gives an engine state's row of counts,
+:func:`reference_stationary` solves the balance equations on the
+whole closed class rather than on its orbits under chunk relabelling,
+and :func:`mask_of` spells a profile by its chunks.
+:func:`plant_asymmetric_rate` breaks the chunk symmetry of a generator
+where the balance residual cannot see it.
+"""
+
+import math
+from dataclasses import replace
+from typing import Iterable, List, Tuple
+
+import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
+
+from swarmsim.model import SwarmState, full_mask
+from swarmsim.oracle import (
+    GeneratorMatrix,
+    LyapunovParams,
+    ReducibleChainError,
+    _lyapunov,
+    _orbits,
+    closed_classes,
+    drift_report,
+    state_name,
+)
+
+
+def mask_of(chunks: Iterable[int]) -> int:
+    """Bit mask for a collection of 1-based chunk indices."""
+    mask = 0
+    for c in chunks:
+        mask |= 1 << (c - 1)
+    return mask
+
+
+def count_row(state: SwarmState) -> Tuple[int, ...]:
+    """A :class:`~swarmsim.model.SwarmState`'s counts over the
+    proper-subset masks 0 .. 2^m - 2: its row of the oracle's states."""
+    return tuple(state.counts.get(mask, 0) for mask in range(full_mask(state.m)))
+
+
+def lyapunov_value(state, lp: LyapunovParams) -> float:
+    """Potential of a :class:`~swarmsim.model.SwarmState`."""
+    return float(_lyapunov(state.y, state.population, lp))
+
+
+def mean_drift(i: int, gen: GeneratorMatrix, lp: LyapunovParams) -> float:
+    """Exact expected rate of change of the potential out of state ``i``.
+
+    Boundary states (population at the cap) are still computable but
+    biased by the missing arrival; callers should exclude them from
+    negativity checks, as :func:`drift_report` flags.  The row's terms
+    are added in the same order as in :func:`drift_report`, so the two
+    agree exactly; the diagonal term is a rate times 0.0.
+    """
+    mat = gen.matrix
+    lo, hi = mat.indptr[i], mat.indptr[i + 1]
+    cols = mat.indices[lo:hi]
+    dv = _lyapunov(gen.y_vectors[cols], gen.populations[cols], lp) - _lyapunov(
+        gen.y_vectors[i], gen.populations[i], lp
+    )
+    total = 0.0
+    for rate, step in zip(mat.data[lo:hi].tolist(), dv.tolist()):
+        total += rate * step
+    return total
+
+
+def exceptional_states(gen: GeneratorMatrix, lp: LyapunovParams) -> List[Tuple[int, ...]]:
+    """Non-boundary states whose drift is not below ``-epsilon``, as
+    count-vector tuples."""
+    report = drift_report(gen, lp)
+    hits = ~report.boundary & (report.drifts > -lp.epsilon)
+    return list(map(tuple, gen.counts[hits].tolist()))
+
+
+def reference_stationary(gen: GeneratorMatrix) -> np.ndarray:
+    """Stationary probability vector of the truncated chain.
+
+    The balance equations are solved on the single closed class only: one
+    of them is replaced by ``pi_k = 1`` for the class's first state ``k``
+    and the solution is normalised afterwards.  States outside the class
+    (transient under the truncation) get exactly 0.0.  More than one
+    closed class means the stationary law is not unique and raises
+    :class:`ReducibleChainError` naming states from the competing classes.
+    """
+    classes = closed_classes(gen)
+    if len(classes) > 1:
+        names = []
+        for cls in classes:
+            names.extend(map(state_name, gen.counts[cls[:3]].tolist()))
+        raise ReducibleChainError(
+            f"{len(classes)} closed classes; stranded states: {', '.join(names)}"
+        )
+    cls = np.asarray(classes[0])
+    size = len(cls)
+    # Balance equations x Q_cc = 0 as Q_cc^T x = 0, with equation 0
+    # swapped for x_0 = 1.  The class has no outgoing rate, so Q_cc is a
+    # generator on its own.
+    qt = gen.matrix[cls][:, cls].transpose().tocoo()
+    keep = qt.row != 0
+    a = scipy.sparse.csc_matrix(
+        (
+            np.append(qt.data[keep], 1.0),
+            (np.append(qt.row[keep], 0), np.append(qt.col[keep], 0)),
+        ),
+        shape=(size, size),
+    )
+    b = np.zeros(size)
+    b[0] = 1.0
+    x = scipy.sparse.linalg.spsolve(a, b)
+    if not (x.min() >= 0 and 0 < x.sum() < math.inf):  # False for NaN too
+        raise RuntimeError("stationary solve produced an invalid vector")
+    p = np.zeros(gen.n_states)
+    p[cls] = x / x.sum()
+    residual = np.abs(p @ gen.matrix).max()
+    if not residual <= 1e-10:
+        raise RuntimeError(f"stationary residual {residual:.3e} exceeds 1e-10")
+    return p
+
+
+def plant_asymmetric_rate(gen: GeneratorMatrix) -> Tuple[GeneratorMatrix, int]:
+    """``gen`` with one rate out of one state raised by half and that
+    state's diagonal lowered to match, and the state's index.
+
+    The state is the least likely member of the closed class that is not
+    the first of its orbit under chunk relabelling.  Its row breaks the
+    symmetry between the orbit's members, but where its mass is tiny the
+    symmetric stationary vector still meets the balance equations of the
+    planted generator to far below 1e-10."""
+    p = reference_stationary(gen)
+    cls = np.flatnonzero(p)
+    later = cls[_orbits(gen.counts[cls], gen.spec.m, gen.spec.cap) != cls]
+    state = int(later[np.argmin(p[later])])
+    matrix = gen.matrix.tolil()
+    target = next(j for j in matrix.rows[state] if j != state)
+    extra = matrix[state, target] / 2
+    matrix[state, target] += extra
+    matrix[state, state] -= extra
+    return replace(gen, matrix=matrix.tocsr()), state

@@ -23,9 +23,9 @@ from swarmsim.model import (
     SwarmState,
     Transfer,
     full_mask,
-    mask_of,
 )
 from swarmsim.policies import PolicyConfig, PolicyKind
+from oracle_reference import count_row, mask_of
 
 
 def scenario(m=3, lam=1.0, policy=None, initial=None, horizon=50.0, seed=42, **kw):
@@ -283,7 +283,7 @@ def _check_step_against_generator(m, profiles, cap, n):
     params = ModelParams(m=m, arrival_rate=1.0)
     policy = PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=1)
     gen = build_generator_ms(TruncationSpec(m, cap), params, 1)
-    state = SwarmState.from_profiles(m, profiles).as_vector()
+    state = count_row(SwarmState.from_profiles(m, profiles))
     i = [tuple(row) for row in gen.counts.tolist()].index(state)
     row = gen.matrix.getrow(i)
     # Name each target the way step() reports it.

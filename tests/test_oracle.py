@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,6 @@ from swarmsim.model import (
     ModelParams,
     SwarmState,
     full_mask,
-    mask_of,
     suppressed_mask,
 )
 from swarmsim.oracle import (
@@ -21,15 +21,22 @@ from swarmsim.oracle import (
     closed_classes,
     drift_report,
     enumerate_states,
-    exceptional_states,
-    lyapunov_value,
-    mean_drift,
     stationary_distribution,
     verify_lemmas,
     _frequency_columns,
+    _orbits,
+    _ranks,
     _transfer_steps,
 )
 from swarmsim.policies import ms_candidates
+from oracle_reference import (
+    exceptional_states,
+    lyapunov_value,
+    mask_of,
+    mean_drift,
+    plant_asymmetric_rate,
+    reference_stationary,
+)
 
 PARAMS2 = ModelParams(m=2, arrival_rate=1.0)
 
@@ -282,6 +289,88 @@ class TestStationary:
         for threshold in (1, 2):
             gen = build_generator_ms(TruncationSpec(2, 6), PARAMS2, threshold)
             assert len(closed_classes(gen)) == 1
+
+
+def relabelled(row, perm):
+    """A count row with chunk ``j`` renamed ``perm[j]`` (0-based)."""
+    out = [0] * len(row)
+    for mask, n in enumerate(row):
+        out[sum(1 << to for j, to in enumerate(perm) if mask >> j & 1)] = n
+    return tuple(out)
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("m,cap", [(2, 5), (3, 3)])
+    def test_ranks_are_enumeration_indices(self, m, cap):
+        counts = enumerate_states(TruncationSpec(m, cap))
+        assert _ranks(counts, cap).tolist() == list(range(len(counts)))
+
+    @pytest.mark.parametrize("m,cap", [(2, 6), (3, 3)])
+    def test_orbits_match_smallest_relabelled_row(self, m, cap):
+        # Rows are in lexicographic order, so the smallest rank among a
+        # state's relabellings is the index of its smallest relabelled tuple.
+        counts = enumerate_states(TruncationSpec(m, cap))
+        index = {tuple(row): i for i, row in enumerate(counts.tolist())}
+        expected = [
+            index[min(relabelled(row, perm) for perm in itertools.permutations(range(m)))]
+            for row in counts.tolist()
+        ]
+        assert _orbits(counts, m, cap).tolist() == expected
+        assert len(set(expected)) < len(expected)
+
+    def test_trivial_group_above_four_chunks(self):
+        counts = enumerate_states(TruncationSpec(5, 1))
+        assert _orbits(counts, 5, 1).tolist() == list(range(len(counts)))
+
+
+# (m, cap, lambda, mu, U, T): the three oracle CSV digest configurations,
+# a long m=2 box, a threshold of 3 at m=2 and m=3, and m=3 at cap 12.
+LUMPED_CONFIGS = [
+    (2, 50, 0.5, 1.0, 1.0, 1),
+    (3, 8, 1.0, 1.0, 1.0, 1),
+    (3, 5, 1.0, 0.7, 1.3, 2),
+    (2, 60, 2.0, 1.0, 1.0, 1),
+    (2, 30, 1.0, 1.0, 1.0, 3),
+    (3, 7, 1.0, 1.0, 1.0, 3),
+    (3, 12, 1.0, 1.0, 1.0, 1),
+]
+
+
+def generator_for(m, cap, lam, mu, u, threshold):
+    params = ModelParams(m=m, arrival_rate=lam, peer_contact_rate=mu, seed_contact_rate=u)
+    return build_generator_ms(TruncationSpec(m, cap), params, threshold)
+
+
+class TestLumpedSolve:
+    @pytest.mark.parametrize("config", LUMPED_CONFIGS, ids=str)
+    def test_matches_full_class_solve(self, config):
+        gen = generator_for(*config)
+        p = stationary_distribution(gen)
+        reference = reference_stationary(gen)
+        assert ((p > 0) == (reference > 0)).all()
+        live = reference > 0
+        assert (np.abs(p[live] - reference[live]) <= 1e-12 * reference[live]).all()
+
+    @pytest.mark.parametrize("config", LUMPED_CONFIGS[:3], ids=str)
+    def test_orbit_members_get_identical_mass(self, config):
+        gen = generator_for(*config)
+        p = stationary_distribution(gen)
+        (cls,) = closed_classes(gen)
+        keys = _orbits(gen.counts[cls], gen.spec.m, gen.spec.cap)
+        shares = {}
+        for key, mass in zip(keys.tolist(), p[cls].tolist()):
+            shares.setdefault(key, set()).add(mass)
+        assert all(len(masses) == 1 for masses in shares.values())
+        assert len(shares) < len(cls)
+
+    def test_asymmetric_rate_rejected(self):
+        gen = generator_for(*LUMPED_CONFIGS[0])
+        planted, state = plant_asymmetric_rate(gen)
+        # The balance residual alone would let the symmetric answer pass.
+        assert np.abs(stationary_distribution(gen) @ planted.matrix).max() <= 1e-10
+        with pytest.raises(RuntimeError, match="not lumpable") as excinfo:
+            stationary_distribution(planted)
+        assert str(excinfo.value).endswith(f" at {tuple(gen.counts[state].tolist())}")
 
 
 LP = LyapunovParams(c1=2.0, c2=40.0, m_const=10.0, epsilon=0.5, threshold=1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from swarmsim.model import FrequencySnapshot, LargestGroup, choose_chunk, full_mask, mask_of
+from swarmsim.model import FrequencySnapshot, LargestGroup, choose_chunk, full_mask
 from swarmsim.policies import (
     PolicyConfig,
     PolicyKind,
@@ -15,6 +15,7 @@ from swarmsim.policies import (
     make_selector,
     samples_needed,
 )
+from oracle_reference import mask_of
 
 RANDOM = PolicyConfig(PolicyKind.RANDOM)
 RAREST_FIRST = PolicyConfig(PolicyKind.RAREST_FIRST)
