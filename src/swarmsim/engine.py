@@ -10,9 +10,9 @@ assumption.
 One event loop, ``Simulation._advance``, draws and applies every event.
 ``run()`` calls it once, with no event limit, the scenario's horizon and
 a trace to sample into; ``step()`` for one event, with neither.  The
-samples that fall in one holding interval all see one state, so the loop
-builds that state's frequency row once and appends the same tuple for
-each of them.
+samples between two arrivals, transfers or departures all see one state,
+so the loop builds that state's frequency row once and appends the same
+tuple for each of them.
 
 On a peer tick the ticking peer samples its source(s) uniformly from all
 peers, itself included, so the chance of contacting a peer of profile B is
@@ -45,7 +45,7 @@ called with plain ints and the :class:`~swarmsim.policies.SwarmView`
 that holds the random stream and the live statistics.  The engine keeps
 those statistics current only for the policy that reads them:
 mode-suppression's snapshot aggregates and group suppression's largest
-group.
+group, each in O(1) per event; only their construction scans them all.
 
 The offer gate: once a peer contact's sources are drawn (and an ewma-ms
 estimate has folded them in), if their union holds nothing the
@@ -341,6 +341,8 @@ class Simulation:
         t = self.t
         events = self.events
         skipped = 0  # same-profile contacts, kept out of the stop test
+        last_kind, last_profile, last_chunk = self._last_kind, self._last_profile, self._last_chunk
+        row = None  # the frequency row of the state since the last model write
         pop = state.population
         rated = -1  # the population that lam, rate, push_below and nbits are for
         while events != stop:
@@ -360,9 +362,10 @@ class Simulation:
             dt = -log(1.0 - uniform()) / rate  # random.expovariate(rate)
             t_next = t + dt
             if next_sample <= t_next and next_sample <= horizon:
-                # Every sample in this holding interval sees one state, so
-                # they share one frequency row.
-                row = tuple(v / pop for v in state.y) if pop else (0.0,) * m
+                # Every sample until the next model write sees one state,
+                # so they share one frequency row.
+                if row is None:
+                    row = tuple(v / pop for v in state.y) if pop else (0.0,) * m
                 while next_sample <= t_next and next_sample <= horizon:
                     times.append(next_sample)
                     populations.append(pop)
@@ -385,7 +388,8 @@ class Simulation:
                 if is_ewma:
                     ewma.append([0.0] * m)
                 self.n_arrivals += 1
-                self._last_kind = Arrival
+                last_kind = Arrival
+                row = None
                 pop += 1
                 if not block and pop >= cap:
                     self.termination = TerminationReason.POPULATION_CAP_HIT
@@ -461,12 +465,13 @@ class Simulation:
             if chunk is None:
                 continue
             new = dest | (1 << (chunk - 1))
-            self._last_profile = dest
-            self._last_chunk = chunk
+            last_profile = dest
+            last_chunk = chunk
+            row = None
             if new == full:
                 state.apply_departure(dest, chunk)
                 if track_modes:
-                    snapshot.refresh()
+                    snapshot.others_fell(chunk - 1)
                 elif track_groups:
                     groups.left(dest)
                 departures.append((arrived[i], t))
@@ -478,7 +483,7 @@ class Simulation:
                 if is_ewma:
                     ewma[i] = ewma[pop]
                     ewma.pop()
-                self._last_kind = Departure
+                last_kind = Departure
             else:
                 state.apply_transfer(dest, chunk)
                 if track_modes:
@@ -489,7 +494,8 @@ class Simulation:
                 if skip:
                     rate = lam + (seed_rate + mu * (pop * pop - state.s2) / pop)
                 peers[i] = new
-                self._last_kind = Transfer
+                last_kind = Transfer
+        self._last_kind, self._last_profile, self._last_chunk = last_kind, last_profile, last_chunk
         self.t = t
         self.events = events + skipped
         return dt

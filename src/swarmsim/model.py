@@ -42,6 +42,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# chunks_of(w) for the 16-bit words w that choose_chunk has met, filled on
+# first use: at most 65,536 entries whatever m is.  It memoises a pure
+# function, so every caller may share it.
+_WORD_CHUNKS: Dict[int, Tuple[int, ...]] = {}
+
+
 def choose_chunk(mask: int, getrandbits) -> int | None:
     """Uniformly random 1-based chunk from ``mask``, or None (and no draw)
     if it is empty.
@@ -49,6 +55,8 @@ def choose_chunk(mask: int, getrandbits) -> int | None:
     The index among the set bits is drawn from ``getrandbits`` exactly as
     ``random.Random.randrange(popcount)`` draws it (CPython's
     ``_randbelow_with_getrandbits``), so the stream moves the same way.
+    The chunk at that index is found one 16-bit word of ``mask`` at a
+    time, through a table of each word's chunks.
     """
     n = mask.bit_count()
     if n == 0:
@@ -57,10 +65,17 @@ def choose_chunk(mask: int, getrandbits) -> int | None:
     k = getrandbits(bits)
     while k >= n:
         k = getrandbits(bits)
-    while k:
-        mask &= mask - 1
-        k -= 1
-    return (mask & -mask).bit_length()
+    base = 0
+    while k >= (held := (mask & 0xFFFF).bit_count()):
+        k -= held
+        mask >>= 16
+        base += 16
+    word = mask & 0xFFFF
+    try:
+        return base + _WORD_CHUNKS[word][k]
+    except KeyError:
+        chunks = _WORD_CHUNKS[word] = chunks_of(word)
+        return base + chunks[k]
 
 
 @dataclass(frozen=True)
@@ -171,6 +186,8 @@ class SwarmState:
         self.s2 += 2 * (k - n)
 
     def apply_departure(self, profile: int, chunk: int) -> None:
+        """Remove a peer of ``profile`` that just received ``chunk``.  It
+        held every chunk but that one, so every other count falls by one."""
         counts = self.counts
         n = counts[profile]
         if n == 1:
@@ -180,8 +197,8 @@ class SwarmState:
         self.population -= 1
         self.s2 -= 2 * n - 1
         y = self.y
-        for b in iter_bits(profile):
-            y[b] -= 1
+        y[:] = [v - 1 for v in y]
+        y[chunk - 1] += 1
 
     # -- inspection helpers --
 
@@ -215,11 +232,12 @@ class FrequencySnapshot:
     swarm).
 
     The aggregates are not recomputed when ``y`` changes; the owner keeps
-    them current.  :meth:`refresh` recomputes them in O(m), as after a
-    departure, which lowers many counts.  :meth:`count_rose` updates them
-    in O(1) after a transfer raised one count by one: the new value can
-    only join or replace the modes, and ``y_min`` rises only when no
-    count is left at the old minimum.
+    them current.  :meth:`refresh` recomputes them in O(m), on
+    construction.  :meth:`count_rose` updates them in O(1) after a
+    transfer raised one count by one: the new value can only join or
+    replace the modes, and ``y_min`` rises only when no count is left at
+    the old minimum.  :meth:`others_fell` updates them in O(1) after a
+    departure lowered every count but one, by the mirror argument.
     """
 
     y: List[int]
@@ -258,6 +276,22 @@ class FrequencySnapshot:
             self.mode_mask |= 1 << j
         if v - 1 == self.y_min and self.y_min not in y:
             self.y_min = v
+
+    def others_fell(self, j: int) -> None:
+        """Update the aggregates after every count but ``y[j]`` (0-based)
+        fell by one.  If ``y[j]`` was a mode it is now the only one;
+        otherwise ``y_max`` falls by one and ``y[j]`` may join it.
+        ``y_min`` falls by one unless ``y[j]`` was alone at the old
+        minimum; a count now one below it shows that it was not."""
+        v = self.y[j]
+        if self.mode_mask >> j & 1:
+            self.mode_mask = 1 << j
+        else:
+            self.y_max -= 1
+            if v == self.y_max:
+                self.mode_mask |= 1 << j
+        if v != self.y_min or self.y_min - 1 in self.y:
+            self.y_min -= 1
 
 
 class LargestGroup:

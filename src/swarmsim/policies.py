@@ -128,13 +128,12 @@ def ms_candidates(offer: int, dest: int, sup: int) -> int:
 
 def _held_by_at_least(sources: List[int]) -> Tuple[int, int, int]:
     """Masks of the chunks held by at least one, two and three of
-    ``sources``, counted bit-parallel over all chunks at once."""
-    ge1 = ge2 = ge3 = 0
-    for p in sources:
-        ge3 |= ge2 & p
-        ge2 |= ge1 & p
-        ge1 |= p
-    return ge1, ge2, ge3
+    ``sources``, counted bit-parallel over all chunks at once.  Callers
+    pass at most three sources: the three samples of a contact, or every
+    peer of a swarm of three or fewer, padded here with empty profiles."""
+    a, b, c = sources if len(sources) == 3 else (*sources, 0, 0, 0)[:3]
+    ab = a | b
+    return ab | c, a & b | ab & c, a & b & c
 
 
 def make_selector(config: PolicyConfig):

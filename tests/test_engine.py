@@ -530,6 +530,36 @@ def test_golden_skip_run_digest():
     assert _golden_runs_digest(skips=True) == GOLDEN_SKIP_RUNS_SHA256
 
 
+GOLDEN_WIDE_POLICIES = [
+    PolicyConfig(PolicyKind.MODE_SUPPRESSION, threshold=20, sample_peers=3),
+    PolicyConfig(PolicyKind.DISTRIBUTED_MS),
+    PolicyConfig(PolicyKind.RARE_CHUNK),
+    PolicyConfig(PolicyKind.RANDOM),
+    PolicyConfig(PolicyKind.RAREST_FIRST),
+]
+# SHA-256 of the runs below, which draw chunks past bit 8 (m=10) and past
+# bits 16 and 32 (m=40); recorded before departures updated the
+# mode-suppression aggregates in O(1) and before choose_chunk indexed its
+# pick by 16-bit words.  Every run has departures, the three-sample
+# mode-suppression ones while chunks are suppressed.
+GOLDEN_WIDE_RUNS_SHA256 = (
+    "3dcd422cf4137410ebe60e76717705a53c92b46ce0a42a5b24d7e1ea47d4f2c2"
+)
+
+
+def test_golden_wide_run_digest():
+    h = hashlib.sha256()
+    for m, lam, horizon in ((10, 4.0, 30.0), (40, 2.0, 120.0)):
+        for i, policy in enumerate(GOLDEN_WIDE_POLICIES):
+            sc = scenario(m=m, lam=lam, policy=policy,
+                          initial=InitialCondition("empty", 20),
+                          horizon=horizon, seed=1000 * m + i)
+            trace = run(sc)
+            assert trace.departures, (m, policy)
+            h.update(_trace_digest_input(trace))
+    assert h.hexdigest() == GOLDEN_WIDE_RUNS_SHA256
+
+
 def test_golden_step_digest():
     # From an empty swarm with arrivals blocked at 6 peers: covers the
     # all-peers draw (population <= 3) and the seed's 3-sample push.

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -84,6 +85,26 @@ class TestSuppressedSet:
         assert ms_suppressed(state, 1) == mask_of([1, 2])
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_departure_update_matches_a_fresh_snapshot(m):
+    # Every count vector a departure can leave from: the departing peer
+    # holds every chunk but j, so the other counts are at least 1.  Counts
+    # run 0..3 at j and 1..3 elsewhere; y = (1, .., 0 at j, .., 1) empties
+    # the swarm, where every chunk then ties.
+    cases = 0
+    for y in itertools.product(range(4), repeat=m):
+        for j in range(m):
+            if any(v < 1 for i, v in enumerate(y) if i != j):
+                continue
+            snap = FrequencySnapshot(list(y))
+            snap.y[:] = [v - 1 for v in y]
+            snap.y[j] += 1
+            snap.others_fell(j)
+            assert snap == FrequencySnapshot(list(snap.y)), (y, j)
+            cases += 1
+    assert cases == m * 3 ** (m - 1) * 4
+
+
 def _ms_allowable(source, dest, y, seed_push=False):
     """Mode-suppression candidates (T=1) of one contact at chunk counts y."""
     snap = FrequencySnapshot(list(y))
@@ -160,11 +181,13 @@ def test_no_suppression_caps_top_frequency(state, threshold):
 def test_random_walk_conserves_population(seed):
     # Random valid transition walk: population tracks arrivals minus
     # departures, the incremental y and S2 never diverge from a recount,
-    # and a peer's profile only gains chunks.
+    # and a peer's profile only gains chunks.  The walk starts from a few
+    # peers that each miss one chunk, so departures come at every m.
     rng = random.Random(seed)
-    m = rng.randrange(2, 6)
-    state = SwarmState(m)
-    arrivals = departures = 0
+    m = rng.randrange(2, 65)
+    start = [full_mask(m) & ~(1 << rng.randrange(m)) for _ in range(rng.randrange(1, 6))]
+    state = SwarmState.from_profiles(m, start)
+    arrivals, departures = len(start), 0
     for _ in range(200):
         if not state.counts or rng.random() < 0.3:
             state.add_empty_peer()

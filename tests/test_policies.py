@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from swarmsim import model
 from swarmsim.model import FrequencySnapshot, LargestGroup, choose_chunk, full_mask
 from swarmsim.policies import (
     PolicyConfig,
     PolicyKind,
     SwarmView,
+    _held_by_at_least,
     ewma_update,
     make_selector,
     samples_needed,
@@ -94,6 +96,52 @@ def test_choose_chunk_draws_as_randrange(mask, seed):
     for _ in range(4):
         assert choose_chunk(mask, rng.getrandbits) == _randrange_draw(mask, twin)
     assert rng.getstate() == twin.getstate()
+
+
+# Bits on either side of each 16-bit word edge of a 64-bit mask.
+WORD_EDGE_BITS = (0, 15, 16, 31, 32, 47, 48, 63)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8])
+def test_choose_chunk_draws_as_randrange_at_word_edges(size):
+    # Each index of a mask of ``size`` edge bits picks its own bit, and
+    # seeded draws match randrange's on that mask and with bits inside
+    # every word added.
+    for seed, bits in enumerate(itertools.combinations(WORD_EDGE_BITS, size)):
+        edges = sum(1 << b for b in bits)
+        for k, b in enumerate(bits):
+            assert choose_chunk(edges, StubBits([k])) == b + 1, (bits, k)
+        for mask in (edges, edges | 0x0FF0_0FF0_0FF0_0FF0):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(4 * mask.bit_count()):
+                assert choose_chunk(mask, rng.getrandbits) == _randrange_draw(mask, twin), mask
+            assert rng.getstate() == twin.getstate()
+
+
+def test_choose_chunk_word_table_stays_bounded():
+    rng = random.Random(5)
+    for _ in range(100_000):
+        choose_chunk(rng.getrandbits(64), rng.getrandbits)
+    assert len(model._WORD_CHUNKS) <= 1 << 16
+    assert all(0 <= word < 1 << 16 for word in model._WORD_CHUNKS)
+
+
+def _held_by_at_least_loop(sources):
+    """The counting loop ``_held_by_at_least`` replaced."""
+    ge1 = ge2 = ge3 = 0
+    for p in sources:
+        ge3 |= ge2 & p
+        ge2 |= ge1 & p
+        ge1 |= p
+    return ge1, ge2, ge3
+
+
+def test_held_by_at_least_matches_the_counting_loop():
+    rng = random.Random(11)
+    for _ in range(2000):
+        for n in range(4):
+            sources = [rng.getrandbits(64) for _ in range(n)]
+            assert _held_by_at_least(sources) == _held_by_at_least_loop(sources), sources
 
 
 class TestRandom:
