@@ -12,9 +12,11 @@ evaluate the quadratic-potential drift, and check the model's
 structural inequalities for every state.  Each of these stages
 is an array computation over per-state columns, and the rule itself,
 being pure bit arithmetic, is applied to whole columns of contacts at
-once.  Each function imports numpy itself, and only the build,
-closed-class and solve stages import scipy, so ``simulate`` and
-``sweep``, which import this module through the CLI, load neither.
+once.  The rates are held in compressed sparse rows
+(:class:`RateMatrix`), and the solve is a subtraction-free (GTH)
+elimination by population level, so numpy is the only dependency.  Each
+function imports numpy itself, so ``simulate`` and ``sweep``, which
+import this module through the CLI, do not load it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .policies import ms_candidates
 
 if TYPE_CHECKING:
     import numpy as np
-    import scipy.sparse
 
 MAX_STATES = 1_000_000
 
@@ -113,6 +114,57 @@ def _frequency_columns(y_vectors: np.ndarray, threshold: int):
     return y_max, y_min, suppressed_mask(y_max, y_min, mode_mask, threshold)
 
 
+class RateMatrix(NamedTuple):
+    """A square rate matrix in compressed sparse rows: row ``i`` holds the
+    rates ``data[indptr[i]:indptr[i + 1]]`` at the columns of the same
+    slice of ``indices``, which increase along the row.  The index arrays
+    are int32 when every index and ``nnz`` fit in it, else int64."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        import numpy as np
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's stored rates, added in row order by
+        ``np.add.reduceat``; 0.0 for a row with none."""
+        import numpy as np
+        sums = np.zeros(self.shape[0])
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        sums[nonempty] = np.add.reduceat(self.data, self.indptr[nonempty].astype(np.intp))
+        return sums
+
+    def at(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The entries at ``(i[k], j[k])``, 0.0 where none is stored."""
+        import numpy as np
+        n = self.shape[1]
+        keys = self.rows() * n + self.indices  # increasing
+        wanted = np.asarray(i, dtype=np.int64) * n + j
+        pos = np.searchsorted(keys, wanted)
+        found = np.append(keys, -1)[pos] == wanted  # -1 is no key
+        return np.where(found, np.append(self.data, 0.0)[pos], 0.0)
+
+
+def _rate_matrix(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> RateMatrix:
+    """The (row, column, rate) triples, no two at one place, sorted into
+    a :class:`RateMatrix`."""
+    import numpy as np
+    order = np.argsort(rows * n + cols, kind="stable")  # merges sorted runs
+    index = np.int32 if max(len(order), n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return RateMatrix(indptr, cols[order].astype(index), vals[order], (n, n))
+
+
 @dataclass
 class GeneratorMatrix:
     """Sparse rate matrix over the enumerated states, plus per-state
@@ -128,7 +180,7 @@ class GeneratorMatrix:
     spec: TruncationSpec
     params: ModelParams
     threshold: int
-    matrix: scipy.sparse.csr_matrix
+    matrix: RateMatrix
     counts: np.ndarray
     populations: np.ndarray
     y_vectors: np.ndarray
@@ -216,10 +268,7 @@ def build_generator_ms(
     diagonal sums the arrival and then the (S, j) rates in increasing S
     and j.
     """
-    # Imported here, not at the top: see the module docstring.  A cold
-    # ``swarmsim oracle`` measured slower with ``from scipy import sparse``.
     import numpy as np
-    import scipy.sparse
     if params.m != spec.m:
         raise ValueError("params.m must match the truncation spec")
     if threshold < 1:
@@ -278,12 +327,11 @@ def build_generator_ms(
     vals = np.concatenate(vals)
     diag = np.bincount(rows, weights=vals, minlength=n)
     moving = np.flatnonzero(diag)
-    matrix = scipy.sparse.csr_matrix(
-        (
-            np.concatenate([vals, -diag[moving]]),
-            (np.concatenate([rows, moving]), np.concatenate(cols + [moving])),
-        ),
-        shape=(n, n),
+    matrix = _rate_matrix(
+        np.concatenate([rows, moving]),
+        np.concatenate(cols + [moving]),
+        np.concatenate([vals, -diag[moving]]),
+        n,
     )
     return GeneratorMatrix(
         spec=spec,
@@ -299,25 +347,177 @@ def build_generator_ms(
     )
 
 
-def closed_classes(gen: GeneratorMatrix) -> List[List[int]]:
-    """Strongly connected components with no outgoing rate, i.e. the
-    recurrent classes of the truncated chain."""
+def _reach(indptr: np.ndarray, indices: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Mask of the states that the ``start`` states reach (themselves
+    included) along the stored entries of the rows ``indptr``/``indices``,
+    one breadth-first level at a time."""
     import numpy as np
-    import scipy.sparse.csgraph
-    adj = gen.matrix.copy()
-    adj.setdiag(0)
-    adj.eliminate_zeros()
-    n_comp, labels = scipy.sparse.csgraph.connected_components(
-        adj, directed=True, connection="strong"
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    seen[start] = True
+    slot = np.empty(len(seen), dtype=np.int64)
+    frontier = start
+    while len(frontier):
+        lo = indptr[frontier]
+        n = indptr[frontier + 1] - lo
+        ahead = indices[np.repeat(lo, n) + _ranges(n)]
+        ahead = ahead[~seen[ahead]]
+        # Each new state once: the last of its copies keeps its slot.
+        at = np.arange(len(ahead))
+        slot[ahead] = at
+        frontier = ahead[slot[ahead] == at]
+        seen[frontier] = True
+    return seen
+
+
+def closed_classes(gen: GeneratorMatrix) -> List[List[int]]:
+    """The closed communicating classes, i.e. the recurrent classes, of
+    the truncated chain: each one's states in increasing order, the
+    classes in the order of their first states.
+
+    A reachability search over the nonzero rates.  With F(v) the states
+    that v reaches and B(v) the states that reach v, F(v) is a closed
+    class when F(v) is inside B(v); otherwise the search moves to the
+    first state of F(v) outside B(v), whose F is smaller.  It starts at
+    state 0, then again at the first state that reaches no class found
+    so far, until every state reaches one; so a unique class costs one
+    search when its B is every state.  Each search walks F and B
+    together, on a graph of the forward edges over states ``0..n-1`` and
+    the reversed ones over ``n..2n-1``.
+    """
+    import numpy as np
+    n = gen.n_states
+    mat = gen.matrix
+    edge = mat.data != 0  # a state's own diagonal entry changes no search
+    source, target = mat.rows()[edge], mat.indices[edge]
+    # Stable sorts of 16-bit keys are radix sorts.
+    by_target = np.argsort(target.astype(np.uint16) if n <= 1 << 16 else target, kind="stable")
+    indptr = np.cumsum(
+        np.concatenate([[0], np.bincount(source, minlength=n), np.bincount(target, minlength=n)])
     )
-    coo = adj.tocoo()
-    src, dst = labels[coo.row], labels[coo.col]
-    is_open = np.zeros(n_comp, dtype=bool)
-    is_open[src[src != dst]] = True
-    members = np.flatnonzero(~is_open[labels])
-    # One list per class, in the order of the classes' first states.
-    labs, first = np.unique(labels[members], return_index=True)
-    return [members[labels[members] == lab].tolist() for lab in labs[np.argsort(first)]]
+    indices = np.concatenate([target, source[by_target] + n])
+    classes = []
+    reaches = np.zeros(n, dtype=bool)  # reaches a class found so far
+    while not reaches.all():
+        v = int(np.argmin(reaches))
+        while True:
+            seen = _reach(indptr, indices, np.array([v, n + v]))
+            ahead, behind = seen[:n], seen[n:]
+            escape = ahead & ~behind
+            if not escape.any():
+                break
+            v = int(np.argmax(escape))
+        classes.append(np.flatnonzero(ahead).tolist())
+        reaches |= behind
+    return sorted(classes)
+
+
+def _gauss_jordan(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """:func:`_exit_times` by Gauss-Jordan elimination, one state at a
+    time.  Each pivot's diagonal is the sum of its row's remaining rates
+    and its exit rate, as in GTH (Grassmann, Taksar and Heyman, 1985), so
+    every other update adds nonnegative terms.  No diagonal entry of
+    ``a`` is read, and the eliminated columns and the diagonal are left
+    holding sums that nothing reads."""
+    import numpy as np
+    n = len(d)
+    w = np.zeros((n, 2 * n + 1))  # [rates | exit rate | row operations]
+    w[:, :n] = a
+    w[:, n] = d
+    w.flat[n + 1 :: 2 * n + 2] = 1.0  # the identity
+    for k in range(n):
+        row = w[k : k + 1]
+        row[0, k] = 0.0  # so the update leaves row k alone
+        row /= np.add.reduce(row[0, k + 1 : n + 1])
+        w += np.dot(w[:, k : k + 1], row)
+    return w[:, n + 1:]
+
+
+_GAUSS_JORDAN_MAX = 32
+
+
+def _exit_times(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``(diag(a 1 + d) - a)^-1`` for rates ``a`` between the states (its
+    diagonal is never read) and exit rates ``d``, all ``>= 0``: entry
+    ``(i, j)`` is the expected time spent at ``j`` from ``i`` before the
+    first exit.
+
+    Larger blocks halve: the second half is censored out first, which
+    leaves the first half with rates ``a11 + a12 w`` (``w`` where the
+    second half's first exit lands in the first half) and exit rates
+    ``d1 + a12 N2 d2``; both halves' inverses then give the whole one
+    through products of nonnegative matrices.  Nothing is subtracted,
+    so every entry keeps its relative accuracy however small it is.
+    """
+    import numpy as np
+    n = len(d)
+    if n <= _GAUSS_JORDAN_MAX:
+        return _gauss_jordan(a, d)
+    h = n // 2
+    a12, a21 = a[:h, h:], a[h:, :h]
+    n2 = _exit_times(a[h:, h:], d[h:] + a21.sum(axis=1))
+    w = n2 @ a21
+    out = np.empty((n, n))
+    out[:h, :h] = n1 = _exit_times(a[:h, :h] + a12 @ w, d[:h] + a12 @ (n2 @ d[h:]))
+    out[:h, h:] = t = n1 @ a12 @ n2
+    out[h:, :h] = w @ n1
+    out[h:, h:] = n2 + w @ t
+    return out
+
+
+def _balance_by_level(
+    level: np.ndarray, rows: np.ndarray, cols: np.ndarray, rates: np.ndarray
+) -> np.ndarray:
+    """A positive solution ``x`` of ``x Q = 0`` for the irreducible
+    generator with off-diagonal ``rates`` at ``(rows, cols)``, every one
+    of which moves ``level`` by at most one (the population's arrivals,
+    transfers and departures).
+
+    Linear level reduction (Gaver, Jacobs and Latouche, 1984) with GTH
+    arithmetic.  From the top level down, each level ``L`` is censored
+    out: with ``N`` the :func:`_exit_times` of its censored rates ``A_L``
+    with its down rates' sums as exits, ``R = U N`` (``U`` the rates up
+    from ``L - 1``), and level ``L - 1``'s rates become
+    ``A_{L-1} + R D`` (``D`` the down rates; the diagonal, returns to a
+    state, is never read).  The bottom level is solved with its first
+    state as the reference, and then ``x_L = x_{L-1} R`` level by level
+    upward.  The blocks are built from the entries; no step forms a
+    matrix over all the states.
+    """
+    import numpy as np
+    base = level.min()
+    order = np.argsort(level, kind="stable")
+    sizes = np.bincount(level - base)
+    local = np.empty(len(level), dtype=np.int64)  # a state's place in its level
+    local[order] = np.arange(len(level)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # Level L's rows hold its rates to levels L-1, L and L+1 side by side,
+    # the levels one after another in one buffer.
+    below = np.concatenate([[0], sizes[:-1]])
+    width = below + sizes + np.append(sizes[1:], 0)
+    starts = np.concatenate([[0], np.cumsum(sizes * width)])
+    lev = level[rows] - base
+    step = level[cols] - level[rows]
+    buf = np.zeros(starts[-1])
+    buf[
+        starts[lev] + local[rows] * width[lev] + local[cols]
+        + (step >= 0) * below[lev] + (step > 0) * sizes[lev]
+    ] = rates
+    blocks = [buf[starts[k] : starts[k + 1]].reshape(n, -1) for k, n in enumerate(sizes)]
+    top = len(sizes) - 1
+    a = blocks[top][:, below[top]:]
+    ups = []
+    for k in range(top, 0, -1):
+        down = blocks[k][:, : below[k]]
+        into = blocks[k - 1][:, below[k - 1] :]
+        ups.append(into[:, sizes[k - 1] :] @ _exit_times(a, down.sum(axis=1)))
+        a = into[:, : sizes[k - 1]] + ups[-1] @ down
+    # The bottom level's other states, censored, exit only to its first.
+    x = np.concatenate([[1.0], a[0, 1:] @ _exit_times(a[1:, 1:], a[1:, 0])])
+    parts = [x]
+    for up in reversed(ups):
+        parts.append(parts[-1] @ up)
+    out = np.empty(len(level))
+    out[order] = np.concatenate(parts)
+    return out
 
 
 def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
@@ -325,18 +525,18 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
 
     The rule treats chunks alike, so the chain is strongly lumpable onto
     the orbits of :func:`_orbits`, and the balance equations are solved on
-    the orbits of the single closed class: each orbit's row of ``Q_cc V``
-    (``V`` the class-by-orbit indicator) at its first member, with one
-    equation replaced by ``x_0 = 1``.  Each orbit's normalised mass goes
-    in equal shares to its members; states outside the class (transient
-    under the truncation) get exactly 0.0.  ``RuntimeError`` if a member's
-    row of ``Q_cc V`` is more than 1e-12 relative from its first member's,
-    or if the result misses the full balance equations by more than 1e-10;
-    :class:`ReducibleChainError`, naming states, if more than one class is
-    closed (the stationary law is then not unique).
+    the orbits of the single closed class, where each orbit's rates are
+    its first member's rates summed by target orbit, by
+    :func:`_balance_by_level` with the population as the level.  Each
+    orbit's normalised mass goes in equal shares to its members; states
+    outside the class (transient under the truncation) get exactly 0.0.
+    ``RuntimeError`` if a member's rates into some orbit are more than
+    1e-12 relative from its first member's, if the vector is not finite
+    and nonnegative, or if it misses the full balance equations by more
+    than 1e-10; :class:`ReducibleChainError`, naming states, if more than
+    one class is closed (the stationary law is then not unique).
     """
     import numpy as np
-    import scipy.sparse.linalg
     classes = closed_classes(gen)
     if len(classes) > 1:
         names = ", ".join(state_name(row) for c in classes for row in gen.counts[c[:3]].tolist())
@@ -347,31 +547,46 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
         keys, return_index=True, return_inverse=True, return_counts=True
     )
     size = len(sizes)
-    # The class has no outgoing rate, so its rows of Q are Q_cc's.
-    indicator = scipy.sparse.csr_matrix((np.ones(len(cls)), (cls, orbit)), (gen.n_states, size))
-    into = gen.matrix[cls] @ indicator
-    lumped = into[first]
-    expected = lumped[orbit]
-    bad = (abs(into - expected) > 1e-12 * abs(expected)).tocoo().row
+    # The class has no outgoing rate, so its rows of Q are Q_cc's.  Each
+    # member's rates summed by target orbit, nonzero sums only, in member
+    # then orbit order.
+    mat = gen.matrix
+    lo = mat.indptr[cls]
+    count = mat.indptr[cls + 1] - lo
+    entry = np.repeat(lo, count) + _ranges(count)
+    row = np.repeat(np.arange(len(cls)), count)
+    orbit_of = np.full(gen.n_states, -1)
+    orbit_of[cls] = orbit
+    into = orbit_of[mat.indices[entry]]
+    inside = into >= 0  # only zero rates leave the class
+    key, slot = np.unique((row * size + into)[inside], return_inverse=True)
+    rate = np.bincount(slot, weights=mat.data[entry][inside])
+    key, rate = key[rate != 0], rate[rate != 0]
+    member, target = np.divmod(key, size)
+    # Lumpable: every member's sums match its orbit's first member's, entry
+    # for entry.
+    held = np.bincount(member, minlength=len(cls))
+    start = np.cumsum(held) - held
+    lead = first[orbit]
+    same = held == held[lead]
+    ref = np.arange(len(key))
+    ref = np.where(same[member], start[lead[member]] + ref - start[member], ref)
+    off = (target != target[ref]) | (abs(rate - rate[ref]) > 1e-12 * abs(rate[ref]))
+    bad = np.flatnonzero(~same | (np.bincount(member, weights=off, minlength=len(cls)) > 0))
     if len(bad):
-        name = state_name(gen.counts[cls[bad.min()]].tolist())
+        name = state_name(gen.counts[cls[bad[0]]].tolist())
         raise RuntimeError(f"chain is not lumpable under chunk relabelling at {name}")
-    # Balance equations x Q_lumped = 0 as Q_lumped^T x = 0, with equation
-    # 0 swapped for x_0 = 1.
-    qt = lumped.transpose().tocoo()
-    keep = qt.row != 0
-    a = scipy.sparse.csc_matrix(
-        (np.append(qt.data[keep], 1.0), (np.append(qt.row[keep], 0), np.append(qt.col[keep], 0))),
-        shape=(size, size),
+    moves = (lead[member] == member) & (orbit[member] != target)
+    x = _balance_by_level(
+        gen.populations[cls[first]], orbit[member[moves]], target[moves], rate[moves]
     )
-    b = np.zeros(size)
-    b[0] = 1.0
-    x = scipy.sparse.linalg.spsolve(a, b)
     if not (x.min() >= 0 and 0 < x.sum() < math.inf):  # False for NaN too
         raise RuntimeError("stationary solve produced an invalid vector")
     p = np.zeros(gen.n_states)
     p[cls] = (x / x.sum() / sizes)[orbit]
-    residual = np.abs(p @ gen.matrix).max()
+    # p Q over every column; the rows outside the class hold no mass.
+    flow = p[cls[row]] * mat.data[entry]
+    residual = np.abs(np.bincount(mat.indices[entry], weights=flow, minlength=gen.n_states)).max()
     if not residual <= 1e-10:
         raise RuntimeError(f"stationary residual {residual:.3e} exceeds 1e-10")
     return p
@@ -491,10 +706,10 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> DriftReport:
     """
     import numpy as np
     v = _lyapunov(gen.y_vectors, gen.populations, lp)
-    coo = gen.matrix.tocoo()
+    rows, cols = gen.matrix.rows(), gen.matrix.indices
     # float64 even with no transition, where bincount would return int64.
     drift = np.bincount(
-        coo.row, weights=coo.data * (v[coo.col] - v[coo.row]), minlength=gen.n_states
+        rows, weights=gen.matrix.data * (v[cols] - v[rows]), minlength=gen.n_states
     ).astype(np.float64, copy=False)
     tags = np.array(_REGION_TAGS, dtype=object)
     regions = tags[np.where(gen.sup != 0, 2, gen.y_max == gen.y_min)]
@@ -547,7 +762,7 @@ def _check_rate_bounds(
     i = state[pair]
     s = dest[pair]
     new = s | 1 << j_bit
-    q = np.asarray(gen.matrix[i, i - (steps[i, new] - steps[i, s])]).ravel()
+    q = gen.matrix.at(i, i - (steps[i, new] - steps[i, s]))
     r_j = params.seed_contact_rate + params.peer_contact_rate * gen.y_vectors[i, j_bit]
     upper = counts[i, s] / gen.populations[i] * r_j
     lower = counts[i, s] / (m * gen.populations[i]) * r_j

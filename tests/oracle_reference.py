@@ -5,9 +5,14 @@ Each is the plain form of something the package computes in bulk:
 time, :func:`count_row` gives an engine state's row of counts,
 :func:`reference_stationary` solves the balance equations on the
 whole closed class rather than on its orbits under chunk relabelling,
-and :func:`mask_of` spells a profile by its chunks.
+with scipy's sparse LU, and :func:`gth_stationary` does so by dense GTH
+elimination, state by state.  :func:`reference_closed_classes` finds
+the closed classes with scipy's strongly connected components, and
+:func:`mask_of` spells a profile by its chunks.
 :func:`plant_asymmetric_rate` breaks the chunk symmetry of a generator
-where the balance residual cannot see it.
+where the balance residual cannot see it.  :func:`as_scipy` and
+:func:`from_scipy` convert a generator's rate matrix to and from a scipy
+CSR matrix, for the tests that read or edit it with scipy's methods.
 """
 
 import math
@@ -16,12 +21,14 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from swarmsim.model import SwarmState, full_mask
 from swarmsim.oracle import (
     GeneratorMatrix,
     LyapunovParams,
+    RateMatrix,
     ReducibleChainError,
     _lyapunov,
     _orbits,
@@ -29,6 +36,36 @@ from swarmsim.oracle import (
     drift_report,
     state_name,
 )
+
+
+def as_scipy(matrix: RateMatrix) -> scipy.sparse.csr_matrix:
+    """The same rates as a scipy CSR matrix, sharing the arrays."""
+    return scipy.sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr), matrix.shape)
+
+
+def from_scipy(matrix) -> RateMatrix:
+    """A scipy sparse matrix's rates as a :class:`RateMatrix`."""
+    csr = scipy.sparse.csr_matrix(matrix)
+    csr.sum_duplicates()  # sorted columns, one entry per place
+    return RateMatrix(csr.indptr, csr.indices, csr.data, csr.shape)
+
+
+def reference_closed_classes(matrix: RateMatrix) -> List[List[int]]:
+    """Strongly connected components with no outgoing rate, by scipy's
+    ``connected_components``, in the order of the classes' first states."""
+    adj = as_scipy(matrix).copy()
+    adj.setdiag(0)
+    adj.eliminate_zeros()
+    n_comp, labels = scipy.sparse.csgraph.connected_components(
+        adj, directed=True, connection="strong"
+    )
+    coo = adj.tocoo()
+    src, dst = labels[coo.row], labels[coo.col]
+    is_open = np.zeros(n_comp, dtype=bool)
+    is_open[src[src != dst]] = True
+    members = np.flatnonzero(~is_open[labels])
+    labs, first = np.unique(labels[members], return_index=True)
+    return [members[labels[members] == lab].tolist() for lab in labs[np.argsort(first)]]
 
 
 def mask_of(chunks: Iterable[int]) -> int:
@@ -102,7 +139,7 @@ def reference_stationary(gen: GeneratorMatrix) -> np.ndarray:
     # Balance equations x Q_cc = 0 as Q_cc^T x = 0, with equation 0
     # swapped for x_0 = 1.  The class has no outgoing rate, so Q_cc is a
     # generator on its own.
-    qt = gen.matrix[cls][:, cls].transpose().tocoo()
+    qt = as_scipy(gen.matrix)[cls][:, cls].transpose().tocoo()
     keep = qt.row != 0
     a = scipy.sparse.csc_matrix(
         (
@@ -118,9 +155,31 @@ def reference_stationary(gen: GeneratorMatrix) -> np.ndarray:
         raise RuntimeError("stationary solve produced an invalid vector")
     p = np.zeros(gen.n_states)
     p[cls] = x / x.sum()
-    residual = np.abs(p @ gen.matrix).max()
+    residual = np.abs(p @ as_scipy(gen.matrix)).max()
     if not residual <= 1e-10:
         raise RuntimeError(f"stationary residual {residual:.3e} exceeds 1e-10")
+    return p
+
+
+def gth_stationary(gen: GeneratorMatrix) -> np.ndarray:
+    """Stationary probability vector of the truncated chain's single
+    closed class by GTH elimination (Grassmann, Taksar and Heyman, 1985)
+    on its dense generator, states eliminated from the last to the
+    first, each pivot the sum of its row's remaining rates.  States
+    outside the class get exactly 0.0."""
+    (cls,) = closed_classes(gen)
+    cls = np.asarray(cls)
+    q = as_scipy(gen.matrix)[cls][:, cls].toarray()
+    np.fill_diagonal(q, 0.0)
+    for k in range(len(cls) - 1, 0, -1):
+        q[:k, k] /= q[k, :k].sum()
+        q[:k, :k] += np.outer(q[:k, k], q[k, :k])  # the diagonal is never read
+    x = np.zeros(len(cls))
+    x[0] = 1.0
+    for j in range(1, len(cls)):
+        x[j] = x[:j] @ q[:j, j]
+    p = np.zeros(gen.n_states)
+    p[cls] = x / x.sum()
     return p
 
 
@@ -137,9 +196,9 @@ def plant_asymmetric_rate(gen: GeneratorMatrix) -> Tuple[GeneratorMatrix, int]:
     cls = np.flatnonzero(p)
     later = cls[_orbits(gen.counts[cls], gen.spec.m, gen.spec.cap) != cls]
     state = int(later[np.argmin(p[later])])
-    matrix = gen.matrix.tolil()
+    matrix = as_scipy(gen.matrix).tolil()
     target = next(j for j in matrix.rows[state] if j != state)
     extra = matrix[state, target] / 2
     matrix[state, target] += extra
     matrix[state, state] -= extra
-    return replace(gen, matrix=matrix.tocsr()), state
+    return replace(gen, matrix=from_scipy(matrix)), state

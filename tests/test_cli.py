@@ -42,7 +42,7 @@ from swarmsim.oracle import (
     verify_lemmas,
 )
 from swarmsim.policies import PolicyConfig, PolicyKind
-from oracle_reference import plant_asymmetric_rate
+from oracle_reference import as_scipy, plant_asymmetric_rate
 
 BASE_CONFIG = {
     "m": 3,
@@ -292,6 +292,17 @@ class TestNonFiniteInputs:
         argv = ["oracle", "--m", "2", "--cap", "3", "--lambda", "1", *option]
         assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 2
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_oracle_far_apart_rates_exit_0(self, tmp_path):
+        # The exact masses reach 1e-31; a sparse LU solve put round-off of
+        # about 1e-18 on them, made 40 of them negative and exited 4.
+        argv = ["oracle", "--m", "2", "--cap", "20", "--lambda", "100", "--mu", "1",
+                "--u", "1", "--T", "2", "--out", str(tmp_path), "--quiet"]
+        assert main(argv) == 0
+        with open(tmp_path / "stationary.csv", newline="") as f:
+            masses = [float(row["probability"]) for row in csv.DictReader(f)]
+        live = [x for x in masses if x != 0.0]
+        assert min(masses) == 0.0 and 0 < min(live) < 1e-30
 
     @pytest.mark.parametrize(
         "rates", [["--mu", "1.7e308", "--u", "1e308"], ["--mu", "1e308"]],
@@ -658,8 +669,10 @@ class TestOracleCmd:
 # generator-audit.csv and drift.csv digests were recorded from the builder
 # that walked every state in Python.  The stationary.csv digests were
 # re-recorded when the solve moved onto the orbits of the closed class
-# under chunk relabelling: that moved about 1 in 10 probabilities by
-# round-off (at most 7e-15 relative, the zero pattern unchanged).
+# under chunk relabelling (at most 7e-15 relative), and again when the
+# sparse LU solve gave way to GTH elimination by population level: that
+# moved most nonzero probabilities by round-off, at most 3.3e-15
+# relative, the zero pattern unchanged.
 ORACLE_CSV_DIGESTS = [
     (
         (2, 50, 0.5, 1.0, 1.0, 1),
@@ -668,7 +681,7 @@ ORACLE_CSV_DIGESTS = [
                 "45d683c6459ccdfd40939474e6d8c4e0a130955f969d929f6f9d9701bbf80479"
             ),
             "stationary.csv": (
-                "62e33214c3982b7f9ba24b3a6fd96e4269430fc56775089af7d0460c3828fe3d"
+                "ea2b7d88a080b7eb1002d778fe894db4a5cb6ffc46140d5d628675e54a5619f8"
             ),
             "drift.csv": (
                 "139847b94d09eeaf400f134f24fa66dbee898011eb7bdcb2b8cf8411d5c957ff"
@@ -682,7 +695,7 @@ ORACLE_CSV_DIGESTS = [
                 "2d5f816bda65e187a7dfeb873c1aa67f94987e870c92b6c3a557f8345a2046a7"
             ),
             "stationary.csv": (
-                "50dac1b8ce67207753720413a5cb158e6612fd74f65568906fac0a727e3db08b"
+                "9a4a794e7ffa12d0543075efa2d8e6c649b70979f3ecfa84a15e55c3991b10e0"
             ),
             "drift.csv": (
                 "cb1f6fccb0413c52bddea745b966af80c5ffe172bfe2f29ac367fb751df33fbc"
@@ -696,7 +709,7 @@ ORACLE_CSV_DIGESTS = [
                 "420cdcf05ab19a470d1d4568f1b3764c63958193bbef3d840c9b928018c6a170"
             ),
             "stationary.csv": (
-                "890102071ae7fa66edc89aac9f7db12bf66ef6a58e2092c92275053d5e624d3f"
+                "0dfa8212e2ac9a296683d58ed48cc3070ccc5911ce93ebbe29da1a31d3f7e0e0"
             ),
             "drift.csv": (
                 "38351fa06f67b203bd4fc5deefb8ace78f6aac58783f6a9d2831dc22c077fd16"
@@ -743,7 +756,7 @@ def test_oracle_csvs_match_csv_writer(tmp_path, config):
         [i, state_name(row), pop]
         for i, (row, pop) in enumerate(zip(gen.counts.tolist(), gen.populations.tolist()))
     ]
-    residuals = np.asarray(gen.matrix.sum(axis=1)).ravel().tolist()
+    residuals = np.asarray(as_scipy(gen.matrix).sum(axis=1)).ravel().tolist()
     verdict = "pass" if report.ok else f"{report.total_violations()} violations"
     expected = {
         "generator-audit.csv": [
@@ -980,9 +993,8 @@ _LOADED = (
 
 
 def test_simulate_and_sweep_leave_scipy_unloaded(tmp_path):
-    # Only the oracle loads numpy, and only its build, closed-class and
-    # solve stages load scipy.  The sweep's two jobs run in forked workers,
-    # which check after each job.
+    # Only the oracle loads numpy, and nothing loads scipy.  The sweep's
+    # two jobs run in forked workers, which check after each job.
     cfg = write_config(tmp_path, replications=1)
     code = _LOADED + f"""
 import os
@@ -1016,16 +1028,16 @@ ORACLE_ARGS = ["oracle", "--m", "2", "--cap", "3", "--lambda", "1.0", "--T", "1"
 def test_cold_oracle_writes_what_an_in_process_run_writes(tmp_path):
     # This process has numpy and scipy loaded already (the oracle tests
     # import them at their top); a fresh interpreter shows that the oracle
-    # loads them.
+    # loads numpy and no scipy module.
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     code = _LOADED + f"""
 from swarmsim.cli import main
 print(loaded("numpy", "scipy"))
 code = main({ORACLE_ARGS + ["--out", str(cold)]!r})
-print(code, "scipy.sparse.linalg" in sys.modules, "numpy" in sys.modules)
+print(code, loaded("scipy"), "numpy" in sys.modules)
 """
     out = run_fresh(code)
-    assert out.stdout.splitlines() == ["[]", "0 True True"], out.stderr
+    assert out.stdout.splitlines() == ["[]", "0 [] True"], out.stderr
     assert main(ORACLE_ARGS + ["--out", str(warm)]) == 0
     files = {p.name: p.read_bytes() for p in sorted(warm.iterdir())}
     assert sorted(files) == ["drift.csv", "generator-audit.csv", "stationary.csv"]
@@ -1043,33 +1055,37 @@ sys.exit(main({argv!r}))
     return run_fresh(code, check=False)
 
 
-def _missing_module_fails_only_the_oracle(tmp_path, module):
+def test_scipy_missing_leaves_the_oracle_unchanged(tmp_path):
+    # Nothing in the package imports scipy, so without it the oracle
+    # writes the bytes that a run with scipy installed writes.
+    missing, normal = tmp_path / "missing", tmp_path / "normal"
+    done = _without("scipy", ORACLE_ARGS + ["--out", str(missing)])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(ORACLE_ARGS + ["--out", str(normal)]) == 0
+    files = {p.name: p.read_bytes() for p in sorted(normal.iterdir())}
+    assert sorted(files) == ["drift.csv", "generator-audit.csv", "stationary.csv"]
+    assert {p.name: p.read_bytes() for p in sorted(missing.iterdir())} == files
+
+
+def test_numpy_missing_fails_only_the_oracle(tmp_path):
     cfg = write_config(tmp_path, replications=1)
     sim, sweep = tmp_path / "sim", tmp_path / "sweep"
-    done = _without(module, ["simulate", "--config", str(cfg), "--out", str(sim), "--quiet"])
+    done = _without("numpy", ["simulate", "--config", str(cfg), "--out", str(sim), "--quiet"])
     assert (done.returncode, done.stderr) == (0, "")
     assert sorted(p.name for p in sim.iterdir()) == [
         "departures.csv", "frequencies.csv", "population.csv", "summary.csv",
     ]
-    done = _without(module, ["sweep", "--config", str(cfg), "--param", "lambda",
-                             "--values", "1,2", "--out", str(sweep), "--quiet"])
+    done = _without("numpy", ["sweep", "--config", str(cfg), "--param", "lambda",
+                              "--values", "1,2", "--out", str(sweep), "--quiet"])
     assert (done.returncode, done.stderr) == (0, "")
     assert sorted(p.name for p in sweep.iterdir()) == ["sweep.csv"]
     oracle = tmp_path / "oracle"
     oracle.mkdir()
-    done = _without(module, ORACLE_ARGS + ["--out", str(oracle)])
+    done = _without("numpy", ORACLE_ARGS + ["--out", str(oracle)])
     assert done.returncode == 4
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: ModuleNotFoundError"), lines
     assert list(oracle.iterdir()) == []  # no CSV, no .staging-* directory
-
-
-def test_scipy_missing_fails_only_the_oracle(tmp_path):
-    _missing_module_fails_only_the_oracle(tmp_path, "scipy")
-
-
-def test_numpy_missing_fails_only_the_oracle(tmp_path):
-    _missing_module_fails_only_the_oracle(tmp_path, "numpy")
 
 
 def test_csv_mode_follows_umask(tmp_path):

@@ -25,7 +25,7 @@ from swarmsim.model import (
     full_mask,
 )
 from swarmsim.policies import PolicyConfig, PolicyKind
-from oracle_reference import count_row, mask_of
+from oracle_reference import as_scipy, count_row, mask_of
 
 
 def scenario(m=3, lam=1.0, policy=None, initial=None, horizon=50.0, seed=42, **kw):
@@ -285,7 +285,7 @@ def _check_step_against_generator(m, profiles, cap, n):
     gen = build_generator_ms(TruncationSpec(m, cap), params, 1)
     state = count_row(SwarmState.from_profiles(m, profiles))
     i = [tuple(row) for row in gen.counts.tolist()].index(state)
-    row = gen.matrix.getrow(i)
+    row = as_scipy(gen.matrix).getrow(i)
     # Name each target the way step() reports it.
     rates = {}
     for j, rate in zip(row.indices.tolist(), row.data.tolist()):

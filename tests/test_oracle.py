@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from swarmsim.model import (
     FrequencySnapshot,
@@ -15,6 +14,7 @@ from swarmsim.model import (
 )
 from swarmsim.oracle import (
     LyapunovParams,
+    RateMatrix,
     ReducibleChainError,
     TruncationSpec,
     build_generator_ms,
@@ -30,11 +30,15 @@ from swarmsim.oracle import (
 )
 from swarmsim.policies import ms_candidates
 from oracle_reference import (
+    as_scipy,
     exceptional_states,
+    from_scipy,
+    gth_stationary,
     lyapunov_value,
     mask_of,
     mean_drift,
     plant_asymmetric_rate,
+    reference_closed_classes,
     reference_stationary,
 )
 
@@ -78,7 +82,7 @@ class TestEnumeration:
 class TestGenerator:
     def test_rows_sum_to_zero(self):
         gen = build_generator_ms(TruncationSpec(2, 6), PARAMS2, 1)
-        residual = np.abs(np.asarray(gen.matrix.sum(axis=1))).max()
+        residual = np.abs(np.asarray(as_scipy(gen.matrix).sum(axis=1))).max()
         assert residual < 1e-12
 
     def test_threshold_validated(self):
@@ -92,7 +96,7 @@ class TestGenerator:
         index = state_index(gen)
         i = index[(0, 2, 1)]
         j = index[(0, 1, 1)]
-        assert gen.matrix[i, j] == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert as_scipy(gen.matrix)[i, j] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_suppressed_chunk_has_zero_rate(self):
         # same state: chunk 1 is the suppressed mode (y = (2, 1)), so the
@@ -101,23 +105,23 @@ class TestGenerator:
         index = state_index(gen)
         i = index[(0, 2, 1)]
         j = index[(0, 2, 0)]
-        assert gen.matrix[i, j] == 0.0
+        assert as_scipy(gen.matrix)[i, j] == 0.0
 
     def test_arrival_disabled_at_cap(self):
         gen = build_generator_ms(TruncationSpec(2, 2), PARAMS2, 1)
         index = state_index(gen)
         i = index[(2, 0, 0)]
-        row = gen.matrix.getrow(i)
+        row = as_scipy(gen.matrix).getrow(i)
         # seed transfers remain (rate U/2 each), but population never grows
         targets = {tuple(gen.counts[j].tolist()) for j in row.indices if j != i}
         assert targets == {(1, 1, 0), (1, 0, 1)}
-        assert gen.matrix[i, index[(1, 1, 0)]] == pytest.approx(0.5)
+        assert as_scipy(gen.matrix)[i, index[(1, 1, 0)]] == pytest.approx(0.5)
 
     def test_empty_state_row_holds_only_arrival(self):
         gen = build_generator_ms(TruncationSpec(2, 2), PARAMS2, 1)
         index = state_index(gen)
         i = index[(0, 0, 0)]
-        row = gen.matrix.getrow(i)
+        row = as_scipy(gen.matrix).getrow(i)
         lam = PARAMS2.arrival_rate
         assert dict(zip(row.indices.tolist(), row.data.tolist())) == {
             index[(1, 0, 0)]: lam,
@@ -127,7 +131,7 @@ class TestGenerator:
     def test_transitions_stay_in_space(self):
         spec = TruncationSpec(2, 4)
         gen = build_generator_ms(spec, PARAMS2, 1)
-        coo = gen.matrix.tocoo()
+        coo = as_scipy(gen.matrix).tocoo()
         offdiag = [(i, j, v) for i, j, v in zip(coo.row, coo.col, coo.data) if i != j]
         assert all(v > 0 for _, _, v in offdiag)
         assert all(gen.counts[j].sum() <= spec.cap for _, j, _ in offdiag)
@@ -246,6 +250,52 @@ def test_index_arithmetic_matches_state_lookup(m, cap):
     assert moves > 0
 
 
+class TestClosedClasses:
+    @pytest.mark.parametrize(
+        "config",
+        [c for c, _ in GENERATOR_DIGESTS],
+        ids=[f"m{c[0]}-cap{c[1]}-T{c[5]}" for c, _ in GENERATOR_DIGESTS],
+    )
+    def test_match_strong_components(self, config):
+        gen = _digest_generator(config)
+        assert closed_classes(gen) == reference_closed_classes(gen.matrix)
+
+    @staticmethod
+    def planted(rates):
+        """A 20-state generator (m=2, cap 3) with the off-diagonal
+        ``rates``, a dense array, and a diagonal that closes every row."""
+        gen = build_generator_ms(TruncationSpec(2, 3), PARAMS2, 1)
+        q = np.array(rates, dtype=float)
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        return replace(gen, matrix=from_scipy(q))
+
+    def test_transient_state_zero(self):
+        # 0 -> 1 -> {2 <-> 3}, and the rest in a cycle that 4 leaves for 2.
+        rates = np.zeros((20, 20))
+        rates[0, 1] = rates[1, 2] = rates[2, 3] = rates[3, 2] = 1.0
+        for i in range(4, 20):
+            rates[i, 4 + (i - 3) % 16] = 1.0
+        rates[4, 2] = 0.5
+        gen = self.planted(rates)
+        assert closed_classes(gen) == [[2, 3]] == reference_closed_classes(gen.matrix)
+
+    def test_random_chains(self):
+        # Sparse random rates leave several closed classes, singletons with
+        # no rate out among them, and transient states, state 0 too.
+        rng = np.random.default_rng(2026)
+        several = transient_zero = 0
+        for _ in range(60):
+            density = rng.uniform(0.03, 0.15)
+            rates = rng.exponential(size=(20, 20)) * (rng.random((20, 20)) < density)
+            gen = self.planted(rates)
+            classes = closed_classes(gen)
+            assert classes == reference_closed_classes(gen.matrix)
+            several += len(classes) > 1
+            transient_zero += not any(0 in c for c in classes)
+        assert several >= 10 and transient_zero >= 10
+
+
 class TestStationary:
     def test_single_state(self):
         gen = build_generator_ms(TruncationSpec(2, 0), PARAMS2, 1)
@@ -256,7 +306,7 @@ class TestStationary:
         p = stationary_distribution(gen)
         assert p.min() >= 0.0
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(p @ gen.matrix).max() < 1e-10
+        assert np.abs(p @ as_scipy(gen.matrix)).max() < 1e-10
 
     def test_unreachable_transients_get_zero(self):
         # Under T=1 a pair of peers holding only chunk 1 can never arise
@@ -281,7 +331,8 @@ class TestStationary:
 
     def test_multiple_closed_classes_rejected(self):
         gen = build_generator_ms(TruncationSpec(2, 1), PARAMS2, 1)
-        gen = replace(gen, matrix=sparse.csr_matrix((4, 4)))  # every state absorbing
+        no_rates = RateMatrix(np.zeros(5, np.int32), np.zeros(0, np.int32), np.zeros(0), (4, 4))
+        gen = replace(gen, matrix=no_rates)  # every state absorbing
         with pytest.raises(ReducibleChainError, match=r"\(1, 0, 0\)"):
             stationary_distribution(gen)
 
@@ -367,10 +418,59 @@ class TestLumpedSolve:
         gen = generator_for(*LUMPED_CONFIGS[0])
         planted, state = plant_asymmetric_rate(gen)
         # The balance residual alone would let the symmetric answer pass.
-        assert np.abs(stationary_distribution(gen) @ planted.matrix).max() <= 1e-10
+        assert np.abs(stationary_distribution(gen) @ as_scipy(planted.matrix)).max() <= 1e-10
         with pytest.raises(RuntimeError, match="not lumpable") as excinfo:
             stationary_distribution(planted)
         assert str(excinfo.value).endswith(f" at {tuple(gen.counts[state].tolist())}")
+
+
+# (m, cap, lambda, mu, U, T): every configuration of the grid
+# {m=2 cap 20, m=3 cap 6} x lambda {1e-3, 0.1, 1, 7, 100} x mu {1e-3, 0.37,
+# 1, 13, 1e3} x U {1e-3, 1, 100} x T {1, 2} whose stationary vector the
+# sparse LU solve on the orbit chain returned with negative entries:
+# absolute round-off near 1e-18 on masses down to 1e-93.
+ROUND_OFF_CONFIGS = [
+    (2, 20, 0.1, 0.001, 0.001, 1),
+    (2, 20, 0.1, 0.001, 0.001, 2),
+    (2, 20, 1, 0.001, 0.001, 1),
+    (2, 20, 1, 0.001, 0.001, 2),
+    (2, 20, 7, 0.001, 0.001, 1),
+    (2, 20, 7, 0.001, 1, 2),
+    (2, 20, 100, 0.001, 0.001, 1),
+    (2, 20, 100, 0.001, 0.001, 2),
+    (2, 20, 100, 0.001, 1, 2),
+    (2, 20, 100, 0.37, 1, 1),
+    (2, 20, 100, 1, 0.001, 1),
+    (2, 20, 100, 1, 1, 2),
+    (2, 20, 100, 13, 0.001, 1),
+    (3, 6, 7, 0.001, 0.001, 1),
+    (3, 6, 100, 0.001, 0.001, 1),
+]
+
+
+class TestGthSolve:
+    @pytest.mark.parametrize("config", ROUND_OFF_CONFIGS, ids=str)
+    def test_rates_far_apart(self, config):
+        gen = generator_for(*config)
+        p = stationary_distribution(gen)
+        (cls,) = closed_classes(gen)
+        recurrent = np.zeros(gen.n_states, dtype=bool)
+        recurrent[cls] = True
+        assert (p[recurrent] > 0).all() and (p[~recurrent] == 0).all()
+        assert np.abs(p @ as_scipy(gen.matrix)).max() <= 1e-10
+        assert p[recurrent].min() < 1e-17  # below the old solve's round-off
+
+    # Observed: at most 6e-15 relative, on masses down to 1e-93.
+    @pytest.mark.parametrize(
+        "config", ROUND_OFF_CONFIGS + [LUMPED_CONFIGS[2], (2, 8, 1.0, 1.0, 1.0, 1)], ids=str
+    )
+    def test_matches_dense_gth(self, config):
+        gen = generator_for(*config)
+        p = stationary_distribution(gen)
+        reference = gth_stationary(gen)
+        assert ((p > 0) == (reference > 0)).all()
+        live = reference > 0
+        assert (np.abs(p[live] - reference[live]) <= 1e-13 * reference[live]).all()
 
 
 LP = LyapunovParams(c1=2.0, c2=40.0, m_const=10.0, epsilon=0.5, threshold=1)
@@ -486,12 +586,12 @@ class TestLemmas:
     def test_corrupted_rate_detected(self):
         spec = TruncationSpec(2, 6)
         gen = build_generator_ms(spec, PARAMS2, 1)
-        bad = gen.matrix.tolil()
+        bad = as_scipy(gen.matrix).tolil()
         index = state_index(gen)
         i = index[(0, 2, 1)]
         j = index[(0, 1, 1)]
         bad[i, j] = bad[i, j] * 3.0  # break the endgame equality case
-        report = verify_lemmas(replace(gen, matrix=bad.tocsr()))
+        report = verify_lemmas(replace(gen, matrix=from_scipy(bad)))
         assert not report.ok
         assert report.violations.get("rate-equality") or report.violations.get(
             "rate-bounds"
@@ -510,11 +610,11 @@ class TestLemmas:
         gen = build_generator_ms(TruncationSpec(2, 6), PARAMS2, 1)
         index = state_index(gen)
         i, a, b = index[(2, 1, 1)], index[moved], index[onto]
-        bad = gen.matrix.tolil()
+        bad = as_scipy(gen.matrix).tolil()
         assert bad[i, a] > 0 and bad[i, b] > 0
         bad[i, b] += bad[i, a]
         bad[i, a] = 0.0
-        report = verify_lemmas(replace(gen, matrix=bad.tocsr()))
+        report = verify_lemmas(replace(gen, matrix=from_scipy(bad)))
         assert not report.ok
         assert set(report.violations) <= {"rate-bounds", "rate-equality"}
         named = {w.split(" S=")[0] for ws in report.violations.values() for w in ws}
