@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 MAX_CHUNKS = 64
 
@@ -32,14 +32,6 @@ def chunks_of(mask: int) -> Tuple[int, ...]:
         mask >>= 1
         j += 1
     return tuple(out)
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield 0-based bit positions set in ``mask``."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # chunks_of(w) for the 16-bit words w that choose_chunk has met, filled on
@@ -130,7 +122,8 @@ class SwarmState:
     ``counts`` maps profile mask -> number of peers with exactly that
     profile; zero-count profiles are never stored.  ``y[j-1]`` is the
     number of peers holding chunk ``j`` and is maintained incrementally;
-    :meth:`recompute_y` re-derives it from scratch as a debug check.
+    :meth:`recompute_y` counts it from scratch, on construction and as a
+    debug check.
     ``s2`` is the sum of the squared profile counts (the ordered pairs of
     peers with one profile, self-pairs included), also kept by each
     mutator.
@@ -144,7 +137,6 @@ class SwarmState:
         self.m = m
         self.counts: Dict[int, int] = {}
         self.population = 0
-        self.y: List[int] = [0] * m
         if counts:
             full = full_mask(m)
             for profile, n in counts.items():
@@ -156,8 +148,7 @@ class SwarmState:
                     continue
                 self.counts[profile] = self.counts.get(profile, 0) + n
                 self.population += n
-                for b in iter_bits(profile):
-                    self.y[b] += n
+        self.y: List[int] = self.recompute_y()
         self.s2 = sum(n * n for n in self.counts.values())
 
     @classmethod
@@ -205,16 +196,9 @@ class SwarmState:
     def recompute_y(self) -> List[int]:
         y = [0] * self.m
         for profile, n in self.counts.items():
-            for b in iter_bits(profile):
-                y[b] += n
+            for j in chunks_of(profile):
+                y[j - 1] += n
         return y
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SwarmState)
-            and self.m == other.m
-            and self.counts == other.counts
-        )
 
     def __repr__(self) -> str:
         body = ", ".join(

@@ -33,6 +33,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_STATES = 1_000_000
+MAX_COUNT_CELLS = 1 << 24  # states x profiles: 128 MiB of int64 counts
 
 
 class ReducibleChainError(RuntimeError):
@@ -52,10 +53,11 @@ class TruncationSpec:
             raise ValueError("m must be >= 2")
         if self.cap < 0:
             raise ValueError("cap must be >= 0")
-        if self.state_count() > MAX_STATES:
-            raise ValueError(
-                f"{self.state_count()} states exceed the {MAX_STATES} guard"
-            )
+        states = self.state_count()
+        if states > MAX_STATES:
+            raise ValueError(f"{states} states exceed the {MAX_STATES} guard")
+        if states * self.n_profiles > MAX_COUNT_CELLS:
+            raise ValueError(f"{states} rows of {self.n_profiles} counts exceed the count guard")
 
     @property
     def n_profiles(self) -> int:
@@ -193,45 +195,42 @@ class GeneratorMatrix:
         return len(self.counts)
 
 
-def _transfer_steps(counts: np.ndarray, cap: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Index arithmetic on the order of :func:`enumerate_states`.
-
-    With ``P`` profiles and ``R_k = cap - (c_0 + .. + c_{k-1})``, state
-    ``c`` has index ``C(cap+P, P) - 1 - sum_{k=1..P} C(R_k+P-k, P-k+1)``.
-    Moving one peer from profile ``S`` to a larger profile ``T`` (``T = P``
-    for a departure) raises ``R_k`` by one for ``S < k <= T``, which moves
-    the index back by ``sum_{S<k<=T} C(R_k+P-k, P-k)``: returns ``steps``
-    with that distance as ``steps[:, T] - steps[:, S]``.  An arrival lowers
-    every ``R_k`` by one; its target lies ``ahead`` indices later (valid
-    below the cap).  Each binomial here is at most the state count and a
-    row adds at most ``P`` of them, far inside int64.
-    """
+def _binomials(p: int, cap: int) -> np.ndarray:
+    """The one table of the index arithmetic on the order of
+    :func:`enumerate_states` (the combinatorial number system):
+    ``t[k - 1, r] = C(r + P - k, P - k + 1)`` for ``P`` profiles and
+    ``r <= cap + 1``.  No entry exceeds the state count, far inside int64."""
     import numpy as np
-    n_profiles = counts.shape[1]
-    k = np.arange(1, n_profiles + 1)
-    rests = cap - np.cumsum(counts, axis=1)  # column k-1 holds R_k
-    binom = np.array(  # binom[k - 1, r] = C(r + P - k, P - k)
-        [
-            [math.comb(r + n_profiles - c, n_profiles - c) for r in range(cap + 1)]
-            for c in range(1, n_profiles + 1)
-        ],
-        dtype=np.int64,
-    )
-    steps = np.zeros((len(counts), n_profiles + 1), dtype=np.int64)
-    np.cumsum(binom[k - 1, rests], axis=1, out=steps[:, 1:])
-    ahead = binom[k - 1, np.maximum(rests - 1, 0)].sum(axis=1)
-    return steps, ahead
+    comb = [[math.comb(r + p - k, p - k + 1) for r in range(cap + 2)] for k in range(1, p + 1)]
+    return np.array(comb, dtype=np.int64)
 
 
 def _ranks(counts: np.ndarray, cap: int) -> np.ndarray:
     """Index of each row of ``counts`` in the order of
-    :func:`enumerate_states`, by the formula of :func:`_transfer_steps`."""
+    :func:`enumerate_states`: ``C(cap+P, P) - 1 - sum_k t[k - 1, R_k]`` with
+    ``R_k = cap - (c_0 + .. + c_{k-1})`` and ``t`` of :func:`_binomials`."""
     import numpy as np
     p = counts.shape[1]
-    # binom[k - 1, r] = C(r + P - k, P - k + 1)
-    binom = [[math.comb(r + p - k, p - k + 1) for r in range(cap + 1)] for k in range(1, p + 1)]
     rests = cap - np.cumsum(counts, axis=1)  # column k-1 holds R_k
-    return math.comb(cap + p, p) - 1 - np.array(binom)[np.arange(p), rests].sum(axis=1)
+    return math.comb(cap + p, p) - 1 - _binomials(p, cap)[np.arange(p), rests].sum(axis=1)
+
+
+def _transfer_steps(counts: np.ndarray, cap: int) -> np.ndarray:
+    """Moving one peer from profile ``S`` to a larger profile ``T`` (``T = P``
+    for a departure) raises ``R_k`` (see :func:`_ranks`) by one for
+    ``S < k <= T``, so the index falls by ``steps[:, T] - steps[:, S]``:
+    ``steps`` sums ``t[k - 1, R_k + 1] - t[k - 1, R_k]``, which is
+    ``C(R_k+P-k, P-k)`` by Pascal's rule, over ``k``.  An arrival is a
+    profile-0 departure undone: it reaches state ``j`` (``c_0 >= 1``) from
+    ``j - steps[j, P]``."""
+    import numpy as np
+    p = counts.shape[1]
+    k = np.arange(p)
+    rests = cap - np.cumsum(counts, axis=1)  # column k-1 holds R_k
+    t = _binomials(p, cap)
+    steps = np.zeros((len(counts), p + 1), dtype=np.int64)
+    np.cumsum(t[k, rests + 1] - t[k, rests], axis=1, out=steps[:, 1:])
+    return steps
 
 
 def _orbits(counts: np.ndarray, m: int, cap: int) -> np.ndarray:
@@ -266,7 +265,8 @@ def build_generator_ms(
     ``(x_S/pop) (U/|seed cand| + mu sum_B x_B/|cand_B|)`` over the held
     profiles B whose mask holds j, summed in increasing B; each row's
     diagonal sums the arrival and then the (S, j) rates in increasing S
-    and j.
+    and j.  Every target is found by :func:`_transfer_steps`, and an
+    arrival's source as a profile-0 departure from its target, undone.
     """
     import numpy as np
     if params.m != spec.m:
@@ -281,16 +281,18 @@ def build_generator_ms(
     pops = counts.sum(axis=1)
     ys = counts @ bits[:n_profiles]
     y_max, y_min, sup = _frequency_columns(ys, threshold)
-    steps, ahead = _transfer_steps(counts, cap)
+    steps = _transfer_steps(counts, cap)
     # Every state's held profiles, in increasing order, as one flat list.
     held_profile = np.nonzero(counts)[1]
     n_held = np.count_nonzero(counts, axis=1)
     first_held = np.cumsum(n_held) - n_held
 
-    below = np.flatnonzero(pops < cap)
-    rows = [below]
-    cols = [below + ahead[below]]
-    vals = [np.full(len(below), params.arrival_rate)]
+    # Arrivals, as profile-0 departures undone: c - e_0 -> c for c_0 >= 1.
+    # Adding e_0 keeps the enumeration order, so the rows come out sorted.
+    arrived = np.flatnonzero(counts[:, 0])
+    rows = [arrived - steps[arrived, n_profiles]]
+    cols = [arrived]
+    vals = [np.full(len(arrived), params.arrival_rate)]
     for s in range(n_profiles):
         # Destination S: its holders' seed pushes, then each holder's
         # contacts with every held source profile B, in increasing B.
@@ -749,14 +751,14 @@ def _check_rate_bounds(
     lies between (x_S / m pop) R_j and (x_S / pop) R_j with R_j = U + mu y_j,
     and equals the upper end exactly when S misses only chunk j.  Each
     entry is found by the builder's own index arithmetic,
-    :func:`_transfer_steps`.
+    :func:`_transfer_steps`, on the one table of :func:`_binomials`.
     """
     import numpy as np
     params = gen.params
     m = gen.spec.m
     full = full_mask(m)
     counts = gen.counts
-    steps, _ = _transfer_steps(counts, gen.spec.cap)
+    steps = _transfer_steps(counts, gen.spec.cap)
     state, dest = np.nonzero(counts)  # held entries, in row order
     # Which chunks are transferable, stated here and not through
     # ms_candidates: a check must not call the rule it verifies.

@@ -80,6 +80,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="guard"):
             TruncationSpec(m=5, cap=100)
 
+    @pytest.mark.parametrize("m,cap", [(19, 1), (64, 0)])
+    def test_count_array_guard(self, m, cap):
+        # Few states, but each a row of 2^m - 1 counts; only the spec is
+        # built.
+        with pytest.raises(ValueError, match="guard"):
+            TruncationSpec(m, cap)
+
 
 class TestGenerator:
     def test_rows_sum_to_zero(self):
@@ -221,21 +228,23 @@ def test_candidate_masks_match_each_states_own_snapshot(m, cap, threshold):
         assert masks[i].tolist() == expected, gen.counts[i]
 
 
-@pytest.mark.parametrize("m,cap", [(2, 9), (3, 4), (4, 3)])
+@pytest.mark.parametrize("m,cap", [(2, 9), (3, 4), (4, 3), (5, 1)])
 def test_index_arithmetic_matches_state_lookup(m, cap):
     # The builder and the lemma check find each move's target by rank
     # arithmetic on the enumeration order; check every move against the
-    # {state: index} map.
+    # {state: index} map.  An arrival's source is found as a profile-0
+    # departure from its target, undone.
     spec = TruncationSpec(m, cap)
     counts = enumerate_states(spec)
     states = [tuple(row) for row in counts.tolist()]
     index = {s: i for i, s in enumerate(states)}
-    steps, ahead = _transfer_steps(counts, cap)
+    steps = _transfer_steps(counts, cap)
     full = full_mask(m)
-    moves = 0
+    moves = arrivals = 0
     for i, state in enumerate(states):
-        if sum(state) < cap:
-            assert i + ahead[i] == index[(state[0] + 1,) + state[1:]]
+        if state[0]:
+            assert i - steps[i, full] == index[(state[0] - 1,) + state[1:]]
+            arrivals += 1
         for s in range(full):
             if not state[s]:
                 continue
@@ -250,6 +259,7 @@ def test_index_arithmetic_matches_state_lookup(m, cap):
                 assert i - (steps[i, new] - steps[i, s]) == index[tuple(target)]
                 moves += 1
     assert moves > 0
+    assert arrivals == TruncationSpec(m, cap - 1).state_count()
 
 
 class TestClosedClasses:
@@ -353,7 +363,7 @@ def relabelled(row, perm):
 
 
 class TestOrbits:
-    @pytest.mark.parametrize("m,cap", [(2, 5), (3, 3)])
+    @pytest.mark.parametrize("m,cap", [(2, 5), (3, 3), (4, 3)])
     def test_ranks_are_enumeration_indices(self, m, cap):
         counts = enumerate_states(TruncationSpec(m, cap))
         assert _ranks(counts, cap).tolist() == list(range(len(counts)))
