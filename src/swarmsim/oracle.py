@@ -107,12 +107,16 @@ def state_name(row: Sequence[int]) -> str:
 def _frequency_columns(y_vectors: np.ndarray, threshold: int):
     """``y_max``, ``y_min`` and the suppressed mask of every row of
     ``y_vectors``, as :class:`~swarmsim.model.FrequencySnapshot` and
-    :func:`~swarmsim.model.suppressed_mask` define them."""
+    :func:`~swarmsim.model.suppressed_mask` define them, chunk column by column."""
     import numpy as np
-    y_max = y_vectors.max(axis=1)
-    y_min = y_vectors.min(axis=1)
-    is_mode = y_vectors == y_max[:, None]
-    mode_mask = (is_mode.astype(np.int64) << np.arange(y_vectors.shape[1])).sum(axis=1)
+    chunks = y_vectors.T
+    y_max, y_min = chunks[0].copy(), chunks[0].copy()
+    for y in chunks[1:]:
+        np.maximum(y_max, y, out=y_max)
+        np.minimum(y_min, y, out=y_min)
+    mode_mask = np.zeros(len(y_max), dtype=np.int64)
+    for j, y in enumerate(chunks):
+        mode_mask |= (y == y_max).astype(np.int64) << j
     return y_max, y_min, suppressed_mask(y_max, y_min, mode_mask, threshold)
 
 
@@ -208,11 +212,14 @@ def _binomials(p: int, cap: int) -> np.ndarray:
 def _ranks(counts: np.ndarray, cap: int) -> np.ndarray:
     """Index of each row of ``counts`` in the order of
     :func:`enumerate_states`: ``C(cap+P, P) - 1 - sum_k t[k - 1, R_k]`` with
-    ``R_k = cap - (c_0 + .. + c_{k-1})`` and ``t`` of :func:`_binomials`."""
+    ``R_k = cap - (c_0 + .. + c_{k-1})`` and ``t`` of :func:`_binomials`, column by column."""
     import numpy as np
     p = counts.shape[1]
-    rests = cap - np.cumsum(counts, axis=1)  # column k-1 holds R_k
-    return math.comb(cap + p, p) - 1 - _binomials(p, cap)[np.arange(p), rests].sum(axis=1)
+    rest, total = np.full(len(counts), cap, dtype=np.int64), np.zeros(len(counts), dtype=np.int64)
+    for c, t in zip(counts.T, _binomials(p, cap)):
+        rest -= c  # R_k, with t the table's row k - 1
+        total += t[rest]
+    return math.comb(cap + p, p) - 1 - total
 
 
 def _transfer_steps(counts: np.ndarray, cap: int) -> np.ndarray:
@@ -220,17 +227,17 @@ def _transfer_steps(counts: np.ndarray, cap: int) -> np.ndarray:
     for a departure) raises ``R_k`` (see :func:`_ranks`) by one for
     ``S < k <= T``, so the index falls by ``steps[:, T] - steps[:, S]``:
     ``steps`` sums ``t[k - 1, R_k + 1] - t[k - 1, R_k]``, which is
-    ``C(R_k+P-k, P-k)`` by Pascal's rule, over ``k``.  An arrival is a
-    profile-0 departure undone: it reaches state ``j`` (``c_0 >= 1``) from
-    ``j - steps[j, P]``."""
+    ``C(R_k+P-k, P-k)`` by Pascal's rule, over ``k``, column by column.  An
+    arrival is a profile-0 departure undone: it reaches state ``j``
+    (``c_0 >= 1``) from ``j - steps[j, P]``."""
     import numpy as np
     p = counts.shape[1]
-    k = np.arange(p)
-    rests = cap - np.cumsum(counts, axis=1)  # column k-1 holds R_k
-    t = _binomials(p, cap)
-    steps = np.zeros((len(counts), p + 1), dtype=np.int64)
-    np.cumsum(t[k, rests + 1] - t[k, rests], axis=1, out=steps[:, 1:])
-    return steps
+    rest = np.full(len(counts), cap, dtype=np.int64)
+    steps = np.zeros((p + 1, len(counts)), dtype=np.int64)  # one row per column
+    for k, (c, t) in enumerate(zip(counts.T, np.diff(_binomials(p, cap)))):
+        rest -= c  # R_{k+1}, with t the differences of the table's row k
+        np.add(steps[k], t[rest], out=steps[k + 1])
+    return steps.T
 
 
 def _orbits(counts: np.ndarray, m: int, cap: int) -> np.ndarray:
@@ -278,14 +285,15 @@ def build_generator_ms(
     n_profiles = spec.n_profiles
     bits = _has_bits(np.arange(n_profiles + 1), m).astype(np.int64)
     popcount = bits.sum(axis=1)  # of every candidate mask, the full one included
-    pops = counts.sum(axis=1)
+    pops = np.zeros(n, dtype=np.int64)
+    for c in counts.T:
+        pops += c
     ys = counts @ bits[:n_profiles]
     y_max, y_min, sup = _frequency_columns(ys, threshold)
     steps = _transfer_steps(counts, cap)
     # Every state's held profiles, in increasing order, as one flat list.
-    held_profile = np.nonzero(counts)[1]
-    n_held = np.count_nonzero(counts, axis=1)
-    first_held = np.cumsum(n_held) - n_held
+    held_state, held_profile = np.divmod(np.flatnonzero(counts), n_profiles)
+    held_count = counts[counts != 0]
 
     # Arrivals, as profile-0 departures undone: c - e_0 -> c for c_0 >= 1.
     # Adding e_0 keeps the enumeration order, so the rows come out sorted.
@@ -296,56 +304,45 @@ def build_generator_ms(
     for s in range(n_profiles):
         # Destination S: its holders' seed pushes, then each holder's
         # contacts with every held source profile B, in increasing B.
-        state = np.flatnonzero(counts[:, s])
-        held = n_held[state]
-        pair_of = np.repeat(np.arange(len(state)), held)
-        source = held_profile[np.repeat(first_held[state], held) + _ranges(held)]
-        seed_cand = ms_candidates(n_profiles, s, sup[state])
-        cand = ms_candidates(source, s, sup[state[pair_of]])
+        has = counts[:, s] != 0
+        state = np.flatnonzero(has)
+        pair = has[held_state]
+        pair_state = held_state[pair]
+        pair_of = (np.cumsum(has) - 1)[pair_state]  # the pair's place in state
+        cand = ms_candidates(held_profile[pair], s, sup[pair_state])
         size = popcount[cand]
-        share = np.divide(
-            counts[state[pair_of], source], size, out=np.zeros(len(size)), where=size > 0
-        )
+        share = np.divide(held_count[pair], size, out=np.zeros(len(size)), where=size > 0)
+        seed_cand = ms_candidates(n_profiles, s, sup[state])
         size = popcount[seed_cand]
         seed_share = np.divide(
             params.seed_contact_rate, size, out=np.zeros(len(state)), where=size > 0
         )
         frac = counts[state, s] / pops[state]
-        rate = np.empty((len(state), m))
         for j in range(m):
             weights = np.where(cand >> j & 1, share, 0.0)
             peer_sum = np.bincount(pair_of, weights=weights, minlength=len(state))
-            rate[:, j] = frac * (seed_share + params.peer_contact_rate * peer_sum)
-        # A peer offers a subset of the seed's offer, so S receives only
-        # the seed's candidates.
-        k, chunk = np.nonzero(_has_bits(seed_cand, m))
-        hit = state[k]
-        rows.append(hit)
-        cols.append(hit - (steps[hit, s | 1 << chunk] - steps[hit, s]))
-        vals.append(rate[k, chunk])
+            rate = frac * (seed_share + params.peer_contact_rate * peer_sum)
+            # A peer offers a subset of the seed's offer, so S receives only
+            # the seed's candidates.
+            k = np.flatnonzero(seed_cand >> j & 1)
+            hit = state[k]
+            rows.append(hit)
+            cols.append(hit - (steps[hit, s | 1 << j] - steps[hit, s]))
+            vals.append(rate[k])
+    # The per-state temporaries go before the assembly, the build's peak.
+    del held_state, held_profile, held_count, steps
     # Blocks run in increasing S, so each row's terms meet the sum in the
     # order arrival, then (S, j).
-    rows = np.concatenate(rows)
-    vals = np.concatenate(vals)
-    diag = np.bincount(rows, weights=vals, minlength=n)
+    diag = np.bincount(np.concatenate(rows), weights=np.concatenate(vals), minlength=n)
     moving = np.flatnonzero(diag)
-    matrix = _rate_matrix(
-        np.concatenate([rows, moving]),
-        np.concatenate(cols + [moving]),
-        np.concatenate([vals, -diag[moving]]),
-        n,
-    )
+    rows.append(moving)
+    cols.append(moving)
+    vals.append(-diag[moving])
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    matrix = _rate_matrix(rows, cols, vals, n)
     return GeneratorMatrix(
-        spec=spec,
-        params=params,
-        threshold=threshold,
-        matrix=matrix,
-        counts=counts,
-        populations=pops,
-        y_vectors=ys,
-        y_max=y_max,
-        y_min=y_min,
-        sup=sup,
+        spec=spec, params=params, threshold=threshold, matrix=matrix, counts=counts,
+        populations=pops, y_vectors=ys, y_max=y_max, y_min=y_min, sup=sup,
     )
 
 
@@ -657,16 +654,16 @@ class LyapunovParams:
         return lp
 
 
-def _lyapunov(y, pop, lp: LyapunovParams):
-    """Potential of one chunk-count vector ``y`` with population ``pop``,
-    or of a stack of them: ``y`` of shape ``(n, m)`` with ``pop`` of
-    shape ``(n,)`` gives the ``n`` values as an array."""
+def _lyapunov(gen: GeneratorMatrix, lp: LyapunovParams) -> np.ndarray:
+    """Every state's potential, summed one chunk column per step."""
     import numpy as np
-    y = np.asarray(y)
-    y_max = y.max(axis=-1)
-    spread = ((y_max[..., None] - y) ** 2).sum(axis=-1)
-    shortfall = np.maximum(lp.m_const - y.sum(axis=-1), 0.0)
-    return spread + lp.c1 * (pop - y_max) + lp.c2 * shortfall
+    spread = np.zeros(gen.n_states, dtype=np.int64)
+    chunks = np.zeros(gen.n_states, dtype=np.int64)
+    for y in gen.y_vectors.T:
+        spread += (gen.y_max - y) ** 2
+        chunks += y
+    shortfall = np.maximum(lp.m_const - chunks, 0.0)
+    return spread + lp.c1 * (gen.populations - gen.y_max) + lp.c2 * shortfall
 
 
 class DriftRow(NamedTuple):
@@ -709,7 +706,7 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> DriftReport:
     stored entries of row ``i``, accumulated entry by entry in row order.
     """
     import numpy as np
-    v = _lyapunov(gen.y_vectors, gen.populations, lp)
+    v = _lyapunov(gen, lp)
     rows, cols = gen.matrix.rows(), gen.matrix.indices
     # float64 even with no transition, where bincount would return int64.
     drift = np.bincount(
@@ -768,8 +765,9 @@ def _check_rate_bounds(
     new = s | 1 << j_bit
     q = gen.matrix.at(i, i - (steps[i, new] - steps[i, s]))
     r_j = params.seed_contact_rate + params.peer_contact_rate * gen.y_vectors[i, j_bit]
-    upper = counts[i, s] / gen.populations[i] * r_j
-    lower = counts[i, s] / (m * gen.populations[i]) * r_j
+    x_s = counts[i, s]
+    upper = x_s / gen.populations[i] * r_j
+    lower = x_s / (m * gen.populations[i]) * r_j
     exact = new == full  # S misses only j: exact rate
     bad = np.where(
         exact,

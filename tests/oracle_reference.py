@@ -1,8 +1,9 @@
 """Reference implementations that only the tests call.
 
 Each is the plain form of something the package computes in bulk:
-:func:`mean_drift` and :func:`lyapunov_value` evaluate one state at a
-time, :func:`count_row` gives an engine state's row of counts,
+:func:`mean_drift`, :func:`potential` and :func:`lyapunov_value`
+evaluate one state at a time in plain Python, :func:`count_row` gives
+an engine state's row of counts,
 :func:`reference_stationary` solves the balance equations on the
 whole closed class rather than on its orbits under chunk relabelling,
 with scipy's sparse LU, and :func:`gth_stationary` does so by dense GTH
@@ -30,7 +31,6 @@ from swarmsim.oracle import (
     LyapunovParams,
     RateMatrix,
     ReducibleChainError,
-    _lyapunov,
     _orbits,
     closed_classes,
     drift_report,
@@ -82,9 +82,20 @@ def count_row(state: SwarmState) -> Tuple[int, ...]:
     return tuple(state.counts.get(mask, 0) for mask in range(full_mask(state.m)))
 
 
+def potential(y: List[int], pop: int, lp: LyapunovParams) -> float:
+    """The potential of chunk counts ``y`` with population ``pop``, by the
+    formula of :class:`~swarmsim.oracle.LyapunovParams` in plain Python:
+    ``sum_i (y_max - y_i)^2 + c1 (pop - y_max) + c2 (m_const - r)+`` with
+    ``r`` the total of ``y``.  Its operations run in the order of
+    :func:`~swarmsim.oracle.drift_report`'s, so the two agree bit for bit."""
+    y_max = max(y)
+    spread = sum((y_max - y_i) ** 2 for y_i in y)
+    return spread + lp.c1 * (pop - y_max) + lp.c2 * max(lp.m_const - sum(y), 0.0)
+
+
 def lyapunov_value(state, lp: LyapunovParams) -> float:
     """Potential of a :class:`~swarmsim.model.SwarmState`."""
-    return float(_lyapunov(state.y, state.population, lp))
+    return potential(state.y, state.population, lp)
 
 
 def mean_drift(i: int, gen: GeneratorMatrix, lp: LyapunovParams) -> float:
@@ -99,12 +110,12 @@ def mean_drift(i: int, gen: GeneratorMatrix, lp: LyapunovParams) -> float:
     mat = gen.matrix
     lo, hi = mat.indptr[i], mat.indptr[i + 1]
     cols = mat.indices[lo:hi]
-    dv = _lyapunov(gen.y_vectors[cols], gen.populations[cols], lp) - _lyapunov(
-        gen.y_vectors[i], gen.populations[i], lp
-    )
+    v_i = potential(gen.y_vectors[i].tolist(), int(gen.populations[i]), lp)
     total = 0.0
-    for rate, step in zip(mat.data[lo:hi].tolist(), dv.tolist()):
-        total += rate * step
+    for rate, y, pop in zip(
+        mat.data[lo:hi].tolist(), gen.y_vectors[cols].tolist(), gen.populations[cols].tolist()
+    ):
+        total += rate * (potential(y, pop, lp) - v_i)
     return total
 
 

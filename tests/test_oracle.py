@@ -183,10 +183,16 @@ def _digest_generator(config):
     return build_generator_ms(TruncationSpec(m, cap), params, threshold)
 
 
+# Wide builds, where the per-state arithmetic runs over 31 and 255 profile
+# columns and 5 and 8 chunk columns.
+WIDE_CONFIGS = [(5, 2, 1.0, 1.0, 1.0, 1), (8, 1, 1.0, 1.0, 1.0, 1)]
+
+
 @pytest.mark.parametrize(
     "config",
-    [c for c, _ in GENERATOR_DIGESTS],
-    ids=[f"m{c[0]}-cap{c[1]}-T{c[5]}" for c, _ in GENERATOR_DIGESTS],
+    [c for c, _ in GENERATOR_DIGESTS] + WIDE_CONFIGS,
+    ids=[f"m{c[0]}-cap{c[1]}-T{c[5]}" for c, _ in GENERATOR_DIGESTS]
+    + [f"wide-m{c[0]}-cap{c[1]}-T{c[5]}" for c in WIDE_CONFIGS],
 )
 def test_frequency_columns_match_snapshots(config):
     # The per-state columns are the statistics that FrequencySnapshot and
@@ -228,7 +234,7 @@ def test_candidate_masks_match_each_states_own_snapshot(m, cap, threshold):
         assert masks[i].tolist() == expected, gen.counts[i]
 
 
-@pytest.mark.parametrize("m,cap", [(2, 9), (3, 4), (4, 3), (5, 1)])
+@pytest.mark.parametrize("m,cap", [(2, 9), (3, 4), (4, 3), (5, 1), (6, 1)])
 def test_index_arithmetic_matches_state_lookup(m, cap):
     # The builder and the lemma check find each move's target by rank
     # arithmetic on the enumeration order; check every move against the
@@ -363,7 +369,7 @@ def relabelled(row, perm):
 
 
 class TestOrbits:
-    @pytest.mark.parametrize("m,cap", [(2, 5), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("m,cap", [(2, 5), (3, 3), (4, 3), (5, 2), (8, 1)])
     def test_ranks_are_enumeration_indices(self, m, cap):
         counts = enumerate_states(TruncationSpec(m, cap))
         assert _ranks(counts, cap).tolist() == list(range(len(counts)))
