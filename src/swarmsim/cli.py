@@ -52,7 +52,7 @@ from dataclasses import MISSING, fields, replace
 from enum import Enum
 from itertools import chain, repeat, starmap
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # ``run`` is imported though no command calls it: perfbench's tap wraps
 # ``cli.run`` and ``cli.run_replications`` by name.
@@ -67,6 +67,7 @@ from .engine import (
 from .metrics import sojourn_stats, stabilization_time
 from .model import ModelParams
 from .oracle import (
+    REGION_TAGS,
     LyapunovParams,
     ReducibleChainError,
     TruncationSpec,
@@ -76,9 +77,6 @@ from .oracle import (
     verify_lemmas,
 )
 from .policies import PolicyConfig, PolicyKind
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -234,28 +232,10 @@ def _line(row: Sequence) -> str:
     return '""\n' if not line and len(row) == 1 else line + "\n"
 
 
-def _spell_floats(values: np.ndarray) -> List[str]:
-    """``list(map(repr, values.tolist()))`` for a float64 array, with one
-    ``repr`` per distinct bit pattern.  Keyed on the bits, not the value,
-    so that ``-0.0`` and ``0.0`` keep their own texts."""
-    import numpy as np
-    if values.dtype != np.float64:
-        raise TypeError(f"expected a float64 array, got {values.dtype}")
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
-def _body(*columns: Sequence[str]) -> str:
-    """The lines of a table whose columns are already spelled as text."""
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
-
-
 def write_csv(
-    path: Path, header: Sequence[str], rows: Iterable[Sequence] | str, template: str = ""
+    path: Path, header: Sequence[str], rows: Iterable[Sequence] | bytes, template: str = ""
 ) -> None:
-    """Write one table to ``path`` in one write; the file gets the mode
-    ``open`` gives it.
+    """Write one table to ``path``; the file gets the mode ``open`` gives it.
 
     With a ``template``, row ``r`` is the line ``template.format(*r)``,
     built once per table from ``{}`` for an int or str field, ``{!r}`` for
@@ -265,23 +245,30 @@ def write_csv(
     Python number they hold), for the small tables that mix such values.
     Either way a field holding a comma, a quote, a ``\\n`` or a ``\\r``
     is quoted with its quotes doubled, as is a lone empty field, so that
-    ``csv.reader`` reads every file back.  ``rows`` may instead be the
-    table's body as one ``str``, every line already spelled and ended by
-    the caller (see :func:`cmd_oracle`); it is written as it is."""
-    if isinstance(rows, str):
-        lines = [rows]
-    else:
-        lines = starmap(template.format, rows) if template else map(_line, rows)
+    ``csv.reader`` reads every file back, and the whole text is written in
+    one write.  ``rows`` may instead be the table's body as ``bytes``,
+    every line already spelled and ended by the caller (see
+    :mod:`swarmsim.bytetable`); the file is then opened in binary and the
+    body written as it is, after the header."""
+    if isinstance(rows, bytes):
+        with open(path, "wb") as fh:
+            fh.write(_line(header).encode())
+            fh.write(rows)
+        return
+    lines = starmap(template.format, rows) if template else map(_line, rows)
     with open(path, "w", newline="") as fh:
         fh.write("".join(chain([_line(header)], lines)))
 
 
-Table = Tuple[str, Sequence[str], Iterable[Sequence] | str, str]
+# (file name, header, rows or the body as bytes, template): write_csv's
+# arguments after the path.
+Table = Tuple[str, Sequence[str], Iterable[Sequence] | bytes, str]
 
 
 def write_csvs(out_dir: Path, tables: Sequence[Table]) -> None:
     """Write the ``(file name, header, rows, template)`` tables (see
-    :func:`write_csv`) into ``out_dir`` all or nothing.
+    :func:`write_csv`; ``rows`` may be a ``bytes`` body) into ``out_dir``
+    all or nothing.
 
     Every table is first written to a staging directory inside
     ``out_dir``.  The files are moved into place only after all of them
@@ -503,33 +490,34 @@ def cmd_oracle(
         drift = drift_report(gen, lp)
     if not np.isfinite(drift.drifts).all():
         raise FloatingPointError("non-finite drift (floating-point overflow)")
-    # Each field is spelled once per distinct value.  Populations and
-    # counts are at most the cap, which is below the number of states, so
-    # they index the texts of the state ids; floats go through
-    # _spell_floats.  Each row is then the comma-join of its text columns.
-    ids = list(map(str, range(gen.n_states)))
-    ints = np.array(ids, dtype=object)
-    populations = ints[gen.populations].tolist()
-    digits = ints[: cap + 1]
+    # Every field is text in a fixed-width, NUL-padded column (see
+    # bytetable).  Populations and counts are at most the cap, which is
+    # below the number of states, so they index the texts of the state
+    # ids, cut to the cap's width.
+    from .bytetable import block, decimals, floats, text
+    ids = decimals(gen.n_states)
+    small = ids[: cap + 1].astype(f"S{len(str(cap))}")
+    populations = small[gen.populations]
     first, *rest = gen.counts.T
-    state = ('"(' + digits)[first]
-    after = ", " + digits
+    state = [small[first]]
     for column in rest:
-        state = state + after[column]
+        state += [b", ", small[column]]
     # state_id, the quoted count tuple and population open every audit and
-    # stationary row: joined once, for both.
-    prefix = list(map(",".join, zip(ids, (state + ')"').tolist(), populations)))
-    residuals = gen.matrix.row_sums()
+    # stationary row: one block for both.
+    prefix = block(ids, b',"(', *state, b')",', populations, b",")
     verdict = "pass" if report.ok else f"{report.total_violations()} violations"
-    boundary = map(_BOOL_TEXT.__getitem__, drift.boundary.tolist())
+    audit = text(block(prefix, floats(gen.matrix.row_sums()), b"\n"))
     write_csvs(Path(out_dir), [
         ("generator-audit.csv", ("state_id", "state", "population", "row_sum_residual"),
-         _body(prefix, _spell_floats(residuals)) + f"lemma-checks,,,{verdict}\n", ""),
+         audit + f"lemma-checks,,,{verdict}\n".encode(), ""),
         ("stationary.csv", ("state_id", "state", "population", "probability"),
-         _body(prefix, _spell_floats(p)), ""),
+         text(block(prefix, floats(p), b"\n")), ""),
         ("drift.csv", ("state_id", "population", "V", "QV", "boundary", "region"),
-         _body(ids, populations, _spell_floats(drift.values), _spell_floats(drift.drifts),
-               boundary, drift.regions.tolist()), ""),
+         text(block(
+             ids, b",", populations, b",", floats(drift.values), b",",
+             floats(drift.drifts), b",", np.where(drift.boundary, b"true", b"false"), b",",
+             np.array(REGION_TAGS, dtype="S")[drift.region_codes], b"\n",
+         )), ""),
     ])
     if not quiet:
         print(

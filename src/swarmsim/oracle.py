@@ -675,7 +675,7 @@ class DriftRow(NamedTuple):
     region: str
 
 
-_REGION_TAGS = ("within-threshold", "uniform", "suppressed")
+REGION_TAGS = ("within-threshold", "uniform", "suppressed")
 
 
 @dataclass(frozen=True)
@@ -683,13 +683,20 @@ class DriftReport:
     """One array per column, one entry per state; ``len()`` and iteration
     give a :class:`DriftRow` per state.  A region is "suppressed" when the
     suppressed set is non-empty, else "uniform" when every chunk count
-    ties, else "within-threshold"."""
+    ties, else "within-threshold"; ``region_codes`` holds each state's
+    index into :data:`REGION_TAGS`."""
 
     populations: np.ndarray
     values: np.ndarray
     drifts: np.ndarray
     boundary: np.ndarray
-    regions: np.ndarray
+    region_codes: np.ndarray
+
+    @property
+    def regions(self) -> np.ndarray:
+        """Each state's region tag, as a ``str``."""
+        import numpy as np
+        return np.array(REGION_TAGS, dtype=object)[self.region_codes]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -712,9 +719,8 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> DriftReport:
     drift = np.bincount(
         rows, weights=gen.matrix.data * (v[cols] - v[rows]), minlength=gen.n_states
     ).astype(np.float64, copy=False)
-    tags = np.array(_REGION_TAGS, dtype=object)
-    regions = tags[np.where(gen.sup != 0, 2, gen.y_max == gen.y_min)]
-    return DriftReport(gen.populations, v, drift, gen.populations == gen.spec.cap, regions)
+    codes = np.where(gen.sup != 0, 2, gen.y_max == gen.y_min)
+    return DriftReport(gen.populations, v, drift, gen.populations == gen.spec.cap, codes)
 
 
 # -- lemma verification --

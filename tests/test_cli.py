@@ -20,7 +20,7 @@ import pytest
 from conftest import TimeLimitExceeded, run_fresh
 from hypothesis import HealthCheck, example, given, settings
 
-from swarmsim import cli
+from swarmsim import bytetable, cli
 from swarmsim.cli import (
     ConfigError,
     cmd_oracle,
@@ -616,6 +616,20 @@ class TestOracleCmd:
         drift = (out / "drift.csv").read_text().splitlines()
         assert drift[1:] == ["0,0,20.0,0.0,true,uniform"]
 
+    def test_failed_lemma_checks_exit_0_and_end_the_audit(self, tmp_path, monkeypatch, capsys):
+        def two_violations(gen):
+            report = verify_lemmas(gen)
+            report.record("rate-bounds", "planted one")
+            report.record("exit-rate", "planted two")
+            return report
+
+        monkeypatch.setattr(cli, "verify_lemmas", two_violations)
+        out = tmp_path / "oracle"
+        assert cmd_oracle(2, 4, 1.0, 1.0, 1.0, 1, str(out)) == 0
+        assert "lemma checks FAILED" in capsys.readouterr().out
+        audit = (out / "generator-audit.csv").read_text()
+        assert audit.endswith("\nlemma-checks,,,2 violations\n")
+
     def test_unsupported_m_exit_2(self, tmp_path):
         assert cmd_oracle(4, 3, 1.0, 1.0, 1.0, 1, str(tmp_path)) == 2
 
@@ -739,13 +753,20 @@ def _csv_writer_text(rows):
 
 @pytest.mark.parametrize(
     "config",
-    [(2, 0, 1.0, 1.0, 1.0, 1), (2, 4, 1.0, 1.0, 1.0, 1), (3, 5, 1.0, 0.7, 1.3, 2)],
-    ids=["m2-cap0", "m2-cap4-T1", "m3-cap5-T2"],
+    [
+        (2, 0, 1.0, 1.0, 1.0, 1),
+        (2, 4, 1.0, 1.0, 1.0, 1),
+        (3, 5, 1.0, 0.7, 1.3, 2),
+        (2, 12, 1.0, 1.0, 1.0, 1),
+    ],
+    ids=["m2-cap0", "m2-cap4-T1", "m3-cap5-T2", "m2-cap12-T1"],
 )
 def test_oracle_csvs_match_csv_writer(tmp_path, config):
-    # The oracle spells whole columns at once; csv.writer over one Python
-    # object per field (ints, state tuples, floats, true/false, region
-    # tags) must write the same bytes.
+    # The oracle spells whole columns at once, NUL-padded to a fixed width;
+    # csv.writer over one Python object per field (ints, state tuples,
+    # floats, true/false, region tags) must write the same bytes.  At cap
+    # 12 (455 states) ids cross 10 and 100 and counts take one or two
+    # digits, so one column holds fields of several widths.
     m, cap, lam, mu, u, threshold = config
     assert cmd_oracle(m, cap, lam, mu, u, threshold, str(tmp_path), quiet=True) == 0
     params = ModelParams(m=m, arrival_rate=lam, peer_contact_rate=mu, seed_contact_rate=u)
@@ -944,20 +965,25 @@ def test_write_csv_template_matches_csv_module(tmp_path, data, kinds):
         assert fh.read() == _csv_module_text(kinds, rows)
 
 
-@given(
-    st.lists(_FLOATS, max_size=6).flatmap(
-        lambda pool: st.lists(st.sampled_from(pool), max_size=60) if pool else st.just([])
+def _pooled(elements, max_size=60):
+    # Heavy repeats: every value is drawn from a pool of at most six.
+    return st.lists(elements, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=max_size) if pool else st.just([])
     )
-)
+
+
+@given(_pooled(_FLOATS))
 @example([0.0, -0.0, 0.0, -0.0, 0.0])
 @example([math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05, 5e-324, 1e16])
-def test_spell_floats_matches_repr(values):
-    # Heavy repeats: every value is drawn from a pool of at most six.
+@example([-1.5, -5e-324, -1e16, -1e-05, -1.5])
+def test_float_column_matches_repr(values):
     array = np.array(values, dtype=np.float64)
-    assert cli._spell_floats(array) == list(map(repr, array.tolist()))
+    assert bytetable.floats(array).tolist() == [repr(v).encode() for v in array.tolist()]
+    text = "".join(repr(v) + "\n" for v in array.tolist())
+    assert bytetable.text(bytetable.block(bytetable.floats(array), b"\n")) == text.encode()
 
 
-def test_spell_floats_keys_on_bits_and_takes_only_float64():
+def test_float_column_keys_on_bits_and_takes_only_float64():
     # Two NaN payloads, a negative NaN, 0.0 and -0.0, read backwards
     # through a strided view.
     bits = np.array(
@@ -965,9 +991,49 @@ def test_spell_floats_keys_on_bits_and_takes_only_float64():
         dtype=np.int64,
     )
     values = bits.view(np.float64)[::-1]
-    assert cli._spell_floats(values) == ["-0.0", "0.0", "nan", "nan", "nan"]
-    with pytest.raises(TypeError, match="int64"):
-        cli._spell_floats(np.zeros(2, dtype=np.int64))
+    assert bytetable.floats(values).tolist() == [b"-0.0", b"0.0", b"nan", b"nan", b"nan"]
+    for dtype in (np.int64, np.float32):
+        with pytest.raises(TypeError, match=np.dtype(dtype).name):
+            bytetable.floats(np.zeros(2, dtype=dtype))
+
+
+# Table sizes on each side of every digit-width boundary, past the widest
+# state id of the benchmark's oracle instances (23,425 at m=2 cap 50).
+_ID_COUNTS = [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10_000, 10_001, 100_001]
+
+
+@pytest.mark.parametrize("n", _ID_COUNTS)
+def test_decimals_are_str_of_each_id(n):
+    assert bytetable.decimals(n).tolist() == [str(i).encode() for i in range(n)]
+
+
+@settings(deadline=None)
+@given(
+    data=st.data(),
+    n=st.sampled_from(_ID_COUNTS),
+    floats=_pooled(_FLOATS, max_size=30),
+)
+def test_byte_table_matches_comma_join(data, n, floats):
+    # Ids and counts gathered from the decimal table, the counts cut to
+    # the width of their bound as the oracle cuts them to the cap's;
+    # floats, literal separators and a true/false tag column.
+    rows = len(floats)
+    ids = data.draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows))
+    top = data.draw(st.integers(0, n - 1))
+    counts = data.draw(st.lists(st.integers(0, top), min_size=rows, max_size=rows))
+    flags = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    table = bytetable.decimals(n)
+    narrow = table[: top + 1].astype(f"S{len(str(top))}")
+    prefix = bytetable.block(table[ids], b',"(', narrow[counts], b')",')
+    block = bytetable.block(
+        prefix, bytetable.floats(np.array(floats, dtype=np.float64)), b",",
+        np.where(np.array(flags, dtype=bool), b"true", b"false"), b"\n",
+    )
+    expected = "".join(
+        ",".join([str(i), f'"({c})"', repr(x), "true" if f else "false"]) + "\n"
+        for i, c, x, f in zip(ids, counts, floats, flags)
+    )
+    assert bytetable.text(block) == expected.encode()
 
 
 def test_write_csv_converts_batches_past_the_first(tmp_path):
