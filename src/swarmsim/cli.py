@@ -39,7 +39,6 @@ message), no CSV written.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import functools
 import inspect
@@ -50,7 +49,7 @@ import sys
 import tempfile
 from dataclasses import MISSING, fields, replace
 from enum import Enum
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -232,41 +231,36 @@ def _line(row: Sequence) -> str:
     return '""\n' if not line and len(row) == 1 else line + "\n"
 
 
-def write_csv(
-    path: Path, header: Sequence[str], rows: Iterable[Sequence] | bytes, template: str = ""
-) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence] | bytes) -> None:
     """Write one table to ``path``; the file gets the mode ``open`` gives it.
 
-    With a ``template``, row ``r`` is the line ``template.format(*r)``,
-    built once per table from ``{}`` for an int or str field, ``{!r}`` for
-    a float (its shortest round-trip text) and ``"{}"`` for a field that
-    holds a comma.  Without one, every value is spelled by :func:`_fmt`
-    (bools ``true``/``false``, None an empty field, numpy scalars as the
-    Python number they hold), for the small tables that mix such values.
-    Either way a field holding a comma, a quote, a ``\\n`` or a ``\\r``
-    is quoted with its quotes doubled, as is a lone empty field, so that
-    ``csv.reader`` reads every file back, and the whole text is written in
-    one write.  ``rows`` may instead be the table's body as ``bytes``,
-    every line already spelled and ended by the caller (see
-    :mod:`swarmsim.bytetable`); the file is then opened in binary and the
-    body written as it is, after the header."""
+    Every value is spelled by :func:`_fmt` (floats as their shortest
+    round-trip text, bools ``true``/``false``, None an empty field, numpy
+    scalars as the Python number they hold), a field holding a comma, a
+    quote, a ``\\n`` or a ``\\r`` is quoted with its quotes doubled, as is
+    a lone empty field, so that ``csv.reader`` reads every file back, and
+    the whole text is written in one write.  ``rows`` may instead be the
+    table's body as ``bytes``, every line already spelled and ended by the
+    caller, as ``simulate`` spells its population, frequency and departure
+    tables and the oracle all of its tables (see :mod:`swarmsim.bytetable`);
+    the file is then opened in binary and the body written as it is, after
+    the header."""
     if isinstance(rows, bytes):
         with open(path, "wb") as fh:
             fh.write(_line(header).encode())
             fh.write(rows)
         return
-    lines = starmap(template.format, rows) if template else map(_line, rows)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(chain([_line(header)], lines)))
+        fh.write("".join(chain([_line(header)], map(_line, rows))))
 
 
-# (file name, header, rows or the body as bytes, template): write_csv's
-# arguments after the path.
-Table = Tuple[str, Sequence[str], Iterable[Sequence] | bytes, str]
+# (file name, header, rows or the body as bytes): write_csv's arguments
+# after the path.
+Table = Tuple[str, Sequence[str], Iterable[Sequence] | bytes]
 
 
 def write_csvs(out_dir: Path, tables: Sequence[Table]) -> None:
-    """Write the ``(file name, header, rows, template)`` tables (see
+    """Write the ``(file name, header, rows)`` tables (see
     :func:`write_csv`; ``rows`` may be a ``bytes`` body) into ``out_dir``
     all or nothing.
 
@@ -280,8 +274,8 @@ def write_csvs(out_dir: Path, tables: Sequence[Table]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
     try:
-        for name, header, rows, template in tables:
-            write_csv(stage / name, header, rows, template)
+        for name, header, rows in tables:
+            write_csv(stage / name, header, rows)
         for name, *_ in tables:
             if (out_dir / name).is_dir():
                 raise IsADirectoryError(
@@ -311,35 +305,48 @@ def _summary_row(scenario: Scenario, rep: int, trace: EventTrace) -> List:
             trace.termination.value]
 
 
+def _body(lines: Iterable[Iterable[Iterable[str]]]) -> bytes:
+    """One table's body: the pieces of each line of each replication,
+    joined in one pass."""
+    return "".join(chain.from_iterable(chain.from_iterable(lines))).encode()
+
+
 def write_simulation_outputs(
     out_dir: Path, scenario: Scenario, traces: Sequence[EventTrace]
 ) -> None:
-    m = scenario.params.m
-    # Each distinct frequency row is spelled once, as its m fields with
-    # their leading commas, for every sample of it in every replication.
-    # Its values are y/pop >= 0, so no -0.0 or NaN key merges two texts.
-    spell = (",{!r}" * m).format
-    row_text: Dict[Tuple[float, ...], str] = {}
+    # Each time and frequency is spelled once per call, and each distinct
+    # population and frequency row once per replication, as the tail of
+    # its line after the time: ",{rep},{pop}\n" and ",{rep},{v1},...,{vm}\n".
+    # A body is then one join over the lines' pieces.  Every replication
+    # samples at the same multiples of the interval, so the longest one's
+    # times spell them all, each zip stopping at its own last sample.
+    # Frequencies that compare equal share a dict key and so a text; that
+    # merges no two texts, since every frequency is y/pop >= +0.0 (no -0.0
+    # beside 0.0) and never NaN.
+    times = list(map(repr, max((trace.times for trace in traces), key=len, default=())))
+    rows = [set(trace.frequencies) for trace in traces]
+    distinct = set(chain.from_iterable(chain.from_iterable(rows)))
+    spell = dict(zip(distinct, map(repr, distinct))).__getitem__
     pops, freqs, deps, summary = [], [], [], []
     for rep, trace in enumerate(traces):
-        texts = []
-        for row in trace.frequencies:
-            text = row_text.get(row)
-            if text is None:
-                text = row_text[row] = spell(*row)
-            texts.append(text)
-        times = list(map(repr, trace.times))  # spelled once, for both files
-        pops.append(zip(times, repeat(rep), trace.populations))
-        freqs.append(zip(times, repeat(rep), texts))
-        deps.extend((rep, arr, dep, dep - arr) for arr, dep in trace.departures)
+        pop_tail = {pop: f",{rep},{pop}\n" for pop in set(trace.populations)}
+        row_tail = {row: f",{rep},{','.join(map(spell, row))}\n" for row in rows[rep]}
+        pops.append(zip(times, map(pop_tail.__getitem__, trace.populations)))
+        freqs.append(zip(times, map(row_tail.__getitem__, trace.frequencies)))
+        arrived, departed = zip(*trace.departures) if trace.departures else ((), ())
+        sojourns = map(float.__sub__, departed, arrived)
+        deps.append(zip(
+            repeat(f"{rep},"), map(repr, arrived), repeat(","), map(repr, departed),
+            repeat(","), map(repr, sojourns), repeat("\n"),
+        ))
         summary.append(_summary_row(scenario, rep, trace))
-    pis = (f"pi_{j}" for j in range(1, m + 1))
+    pis = (f"pi_{j}" for j in range(1, scenario.params.m + 1))
     write_csvs(out_dir, [
-        ("population.csv", ("time", "replication", "population"), chain(*pops), "{},{},{}\n"),
-        ("frequencies.csv", ("time", "replication", *pis), chain(*freqs), "{},{}{}\n"),
-        ("departures.csv", ("replication", "arrival_time", "departure_time", "sojourn"), deps,
-         "{},{!r},{!r},{!r}\n"),
-        ("summary.csv", SUMMARY_HEADER, summary, ""),
+        ("population.csv", ("time", "replication", "population"), _body(pops)),
+        ("frequencies.csv", ("time", "replication", *pis), _body(freqs)),
+        ("departures.csv", ("replication", "arrival_time", "departure_time", "sojourn"),
+         _body(deps)),
+        ("summary.csv", SUMMARY_HEADER, summary),
     ])
 
 
@@ -445,7 +452,7 @@ def cmd_sweep(
         if not quiet:
             print(f"{parameter}={raw} replication {rep}: done")
     header = ("parameter", "value", *SUMMARY_HEADER, "seed")
-    write_csvs(Path(out_dir), [("sweep.csv", header, rows, "")])
+    write_csvs(Path(out_dir), [("sweep.csv", header, rows)])
     return EXIT_OK
 
 
@@ -509,15 +516,15 @@ def cmd_oracle(
     audit = text(block(prefix, floats(gen.matrix.row_sums()), b"\n"))
     write_csvs(Path(out_dir), [
         ("generator-audit.csv", ("state_id", "state", "population", "row_sum_residual"),
-         audit + f"lemma-checks,,,{verdict}\n".encode(), ""),
+         audit + f"lemma-checks,,,{verdict}\n".encode()),
         ("stationary.csv", ("state_id", "state", "population", "probability"),
-         text(block(prefix, floats(p), b"\n")), ""),
+         text(block(prefix, floats(p), b"\n"))),
         ("drift.csv", ("state_id", "population", "V", "QV", "boundary", "region"),
          text(block(
              ids, b",", populations, b",", floats(drift.values), b",",
              floats(drift.drifts), b",", np.where(drift.boundary, b"true", b"false"), b",",
              np.array(REGION_TAGS, dtype="S")[drift.region_codes], b"\n",
-         )), ""),
+         ))),
     ])
     if not quiet:
         print(
@@ -532,9 +539,11 @@ def _value_list(text: str) -> List[str]:
     return [v for v in text.split(",") if v != ""]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser.  Each flag's ``dest`` is its command's parameter, and
-    each subcommand's ``command`` default is its command function."""
+def _build_parser():
+    """The ``argparse`` parser.  Each flag's ``dest`` is its command's
+    parameter, and each subcommand's ``command`` default is its command
+    function."""
+    import argparse  # only main parses arguments
     parser = argparse.ArgumentParser(
         prog="swarmsim",
         description="Chunk-level P2P swarm simulator and CTMC oracle",

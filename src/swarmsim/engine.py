@@ -365,7 +365,7 @@ class Simulation:
                 # Every sample until the next model write sees one state,
                 # so they share one frequency row.
                 if row is None:
-                    row = tuple(v / pop for v in state.y) if pop else (0.0,) * m
+                    row = tuple(map(pop.__rtruediv__, state.y)) if pop else (0.0,) * m
                 while next_sample <= t_next and next_sample <= horizon:
                     times.append(next_sample)
                     populations.append(pop)

@@ -30,7 +30,14 @@ from swarmsim.cli import (
     main,
     parse_scenario_dict,
 )
-from swarmsim.engine import InitialCondition, Scenario, Simulation, derive_seed
+from swarmsim.engine import (
+    InitialCondition,
+    Scenario,
+    Simulation,
+    TerminationReason,
+    derive_seed,
+    run_replications,
+)
 from swarmsim.model import ModelParams
 from swarmsim.oracle import (
     LyapunovParams,
@@ -852,6 +859,69 @@ def test_simulate_csv_digests(tmp_path, overrides, digests):
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
+CAP, HORIZON = TerminationReason.POPULATION_CAP_HIT, TerminationReason.HORIZON_REACHED
+
+
+@pytest.mark.parametrize(
+    "overrides,terminations",
+    [
+        # Three replications at m=2: the first two stop at max_population,
+        # after 29 and 25 samples, and the last, the longest, runs to the
+        # horizon (81 samples).
+        ({"m": 2, "max_population": 11, "rng_seed": 3, "sample_interval": 0.25,
+          "replications": 3}, [CAP, CAP, HORIZON]),
+        # A one-club at m=10: the club's peers arrived at 0.0.
+        ({"m": 10, "initial.kind": "one-club", "initial.n": 6,
+          "policy.kind": "rarest-first", "sample_interval": 0.25}, [HORIZON, HORIZON]),
+    ],
+    ids=["m2-3reps-cut", "m10-oneclub"],
+)
+def test_simulate_csvs_match_csv_writer(tmp_path, overrides, terminations):
+    # simulate spells each time, frequency, frequency row and population
+    # once and joins the pieces; csv.writer over the traces' own values,
+    # one Python object per field, must write the same bytes.
+    cfg = write_config(tmp_path, overrides)
+    assert cmd_simulate(str(cfg), str(tmp_path / "out"), quiet=True) == 0
+    scenario, reps = load_scenario_file(cfg)
+    traces = run_replications(
+        (scenario, derive_seed(scenario.rng_seed, rep)) for rep in range(reps)
+    )
+    # The cases the writer's tables fold: replications of different
+    # lengths, a row that two replications share, equal rows held as
+    # distinct tuples, and a departure that arrived at 0.0.
+    assert [trace.termination for trace in traces] == terminations
+    assert set(traces[0].frequencies) & set(traces[1].frequencies)
+    assert any(
+        len(set(trace.frequencies)) < len(set(map(id, trace.frequencies))) for trace in traces
+    )
+    assert any(arrived == 0.0 for trace in traces for arrived, _ in trace.departures)
+    samples = [
+        (rep, time, pop, row)
+        for rep, trace in enumerate(traces)
+        for time, pop, row in zip(trace.times, trace.populations, trace.frequencies)
+    ]
+    expected = {
+        "population.csv": [
+            ["time", "replication", "population"],
+            *([time, rep, pop] for rep, time, pop, _ in samples),
+        ],
+        "frequencies.csv": [
+            ["time", "replication", *(f"pi_{j}" for j in range(1, scenario.params.m + 1))],
+            *([time, rep, *row] for rep, time, _, row in samples),
+        ],
+        "departures.csv": [
+            ["replication", "arrival_time", "departure_time", "sojourn"],
+            *(
+                [rep, arrived, departed, departed - arrived]
+                for rep, trace in enumerate(traces)
+                for arrived, departed in trace.departures
+            ),
+        ],
+    }
+    for name, rows in expected.items():
+        assert (tmp_path / "out" / name).read_bytes().decode() == _csv_writer_text(rows), name
+
+
 # sweep.csv of BASE_CONFIG across lambda 1 and 2 (two values, two
 # replications each), recorded while sweep still ran its replications one
 # after another in this process.
@@ -938,31 +1008,6 @@ def test_write_csv_matches_csv_module(tmp_path, header, rows):
     with path.open(newline="") as fh:
         expected = [[cli._fmt(v) for v in row] for row in [header, *rows]]
         assert list(csv.reader(fh)) == expected
-
-
-_KINDS = {
-    "int": ("{}", st.integers()),
-    "float": ("{!r}", _FLOATS),
-    # A field that always holds a comma, such as the oracle's state tuple.
-    "quoted": ('"{}"', st.text(st.sampled_from("ab ,;\r"), max_size=5).map("({}, 0)".format)),
-}
-
-
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    data=st.data(),
-    kinds=st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=4),
-)
-def test_write_csv_template_matches_csv_module(tmp_path, data, kinds):
-    template = ",".join(_KINDS[k][0] for k in kinds) + "\n"
-    row = st.tuples(*(_KINDS[k][1] for k in kinds))
-    rows = data.draw(st.lists(row, max_size=6))
-    # One row object repeated, and a distinct row of equal values.
-    rows += rows[:1] * 2 + [tuple(list(r)) for r in rows[:1]]
-    path = tmp_path / "t.csv"
-    cli.write_csv(path, kinds, rows, template)
-    with path.open(newline="") as fh:
-        assert fh.read() == _csv_module_text(kinds, rows)
 
 
 def _pooled(elements, max_size=60):
@@ -1089,6 +1134,19 @@ print(loaded("numpy", "scipy"), len(forks))
 
 
 ORACLE_ARGS = ["oracle", "--m", "2", "--cap", "3", "--lambda", "1.0", "--T", "1", "--quiet"]
+
+
+def test_loading_a_scenario_leaves_argparse_numpy_and_bytetable_unloaded(tmp_path):
+    # What a cold simulate or sweep pays before it runs: only main parses
+    # arguments and only the oracle loads numpy and the byte tables.
+    cfg = write_config(tmp_path)
+    code = f"""
+import sys, swarmsim.cli
+swarmsim.cli.load_scenario_file({str(cfg)!r})
+print(sorted(m for m in ("argparse", "numpy", "swarmsim.bytetable") if m in sys.modules))
+"""
+    out = run_fresh(code)
+    assert out.stdout.splitlines() == ["[]"], out.stderr
 
 
 def test_cold_oracle_writes_what_an_in_process_run_writes(tmp_path):
