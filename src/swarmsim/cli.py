@@ -49,9 +49,9 @@ import sys
 import tempfile
 from dataclasses import MISSING, fields, replace
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, islice, repeat, starmap
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # ``run`` is imported though no command calls it: perfbench's tap wraps
 # ``cli.run`` and ``cli.run_replications`` by name.
@@ -231,51 +231,70 @@ def _line(row: Sequence) -> str:
     return '""\n' if not line and len(row) == 1 else line + "\n"
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence] | bytes) -> None:
-    """Write one table to ``path``; the file gets the mode ``open`` gives it.
+def _rows(rows: Iterable[Sequence]) -> bytes:
+    """``rows`` as CSV lines in one chunk.
 
     Every value is spelled by :func:`_fmt` (floats as their shortest
     round-trip text, bools ``true``/``false``, None an empty field, numpy
-    scalars as the Python number they hold), a field holding a comma, a
+    scalars as the Python number they hold), and a field holding a comma, a
     quote, a ``\\n`` or a ``\\r`` is quoted with its quotes doubled, as is
-    a lone empty field, so that ``csv.reader`` reads every file back, and
-    the whole text is written in one write.  ``rows`` may instead be the
-    table's body as ``bytes``, every line already spelled and ended by the
-    caller, as ``simulate`` spells its population, frequency and departure
-    tables and the oracle all of its tables (see :mod:`swarmsim.bytetable`);
-    the file is then opened in binary and the body written as it is, after
-    the header."""
-    if isinstance(rows, bytes):
-        with open(path, "wb") as fh:
-            fh.write(_line(header).encode())
-            fh.write(rows)
-        return
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(chain([_line(header)], map(_line, rows))))
+    a lone empty field, so that ``csv.reader`` reads every file back."""
+    return "".join(map(_line, rows)).encode()
 
 
-# (file name, header, rows or the body as bytes): write_csv's arguments
-# after the path.
-Table = Tuple[str, Sequence[str], Iterable[Sequence] | bytes]
+# Lines per chunk of a streamed body: each chunk is joined and encoded on
+# its own, so no table's text is ever held whole.  At m=5 a chunk is about
+# 100 KB, still one C-level join and one write over many lines.
+CHUNK_LINES = 1024
+
+
+def _chunks(lines: Iterable[Iterable[str]]) -> Iterator[bytes]:
+    """The ``lines``, each given as its pieces, joined and encoded
+    :data:`CHUNK_LINES` lines at a time.  No line is empty, so an empty
+    join means that the lines are spent."""
+    lines = iter(lines)
+    while text := "".join(chain.from_iterable(islice(lines, CHUNK_LINES))):
+        yield text.encode()
+
+
+def write_csv(path: Path, header: Sequence[str], body: Iterable[bytes]) -> None:
+    """Write one table to ``path``; the file gets the mode ``open`` gives it.
+
+    The header is spelled as :func:`_rows` spells a row; ``body`` is the
+    rest of the file as ``bytes`` chunks, every line already spelled and
+    ended: one :func:`_rows` chunk for the summary and sweep tables,
+    :func:`_chunks` for ``simulate``'s time series, and the oracle's byte
+    blocks (see :mod:`swarmsim.bytetable`).  Each chunk is written as it
+    comes, so a body that is a generator is spelled while the file is
+    written."""
+    with open(path, "wb") as fh:
+        fh.write(_line(header).encode())
+        fh.writelines(body)
+
+
+# (file name, header, body as bytes chunks): write_csv's arguments after
+# the path.
+Table = Tuple[str, Sequence[str], Iterable[bytes]]
 
 
 def write_csvs(out_dir: Path, tables: Sequence[Table]) -> None:
-    """Write the ``(file name, header, rows)`` tables (see
-    :func:`write_csv`; ``rows`` may be a ``bytes`` body) into ``out_dir``
-    all or nothing.
+    """Write the ``(file name, header, body)`` tables (see
+    :func:`write_csv`) into ``out_dir`` all or nothing.
 
     Every table is first written to a staging directory inside
     ``out_dir``.  The files are moved into place only after all of them
     are written and no target is a directory, the usual reason why one
     rename within a directory fails while the others succeed.  On an
-    ``OSError`` before that point ``out_dir`` is left as it was; the
-    staging directory is always removed.
+    exception before that point, an ``OSError`` or a fault raised by a
+    body that is spelled as it streams, ``out_dir`` is left as it was
+    (though it is created if it was missing); the staging directory is
+    always removed.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
     try:
-        for name, header, rows in tables:
-            write_csv(stage / name, header, rows)
+        for name, header, body in tables:
+            write_csv(stage / name, header, body)
         for name, *_ in tables:
             if (out_dir / name).is_dir():
                 raise IsADirectoryError(
@@ -305,19 +324,14 @@ def _summary_row(scenario: Scenario, rep: int, trace: EventTrace) -> List:
             trace.termination.value]
 
 
-def _body(lines: Iterable[Iterable[Iterable[str]]]) -> bytes:
-    """One table's body: the pieces of each line of each replication,
-    joined in one pass."""
-    return "".join(chain.from_iterable(chain.from_iterable(lines))).encode()
-
-
 def write_simulation_outputs(
     out_dir: Path, scenario: Scenario, traces: Sequence[EventTrace]
 ) -> None:
     # Each time and frequency is spelled once per call, and each distinct
     # population and frequency row once per replication, as the tail of
     # its line after the time: ",{rep},{pop}\n" and ",{rep},{v1},...,{vm}\n".
-    # A body is then one join over the lines' pieces.  Every replication
+    # A body is then streamed in chunks of those pieces, each replication's
+    # tables built only when the body reaches it.  Every replication
     # samples at the same multiples of the interval, so the longest one's
     # times spell them all, each zip stopping at its own last sample.
     # Frequencies that compare equal share a dict key and so a text; that
@@ -327,26 +341,34 @@ def write_simulation_outputs(
     rows = [set(trace.frequencies) for trace in traces]
     distinct = set(chain.from_iterable(chain.from_iterable(rows)))
     spell = dict(zip(distinct, map(repr, distinct))).__getitem__
-    pops, freqs, deps, summary = [], [], [], []
-    for rep, trace in enumerate(traces):
-        pop_tail = {pop: f",{rep},{pop}\n" for pop in set(trace.populations)}
-        row_tail = {row: f",{rep},{','.join(map(spell, row))}\n" for row in rows[rep]}
-        pops.append(zip(times, map(pop_tail.__getitem__, trace.populations)))
-        freqs.append(zip(times, map(row_tail.__getitem__, trace.frequencies)))
+
+    def populations(rep: int, trace: EventTrace):
+        tail = {pop: f",{rep},{pop}\n" for pop in set(trace.populations)}
+        return zip(times, map(tail.__getitem__, trace.populations))
+
+    def frequencies(rep: int, trace: EventTrace):
+        tail = {row: f",{rep},{','.join(map(spell, row))}\n" for row in rows[rep]}
+        return zip(times, map(tail.__getitem__, trace.frequencies))
+
+    def departures(rep: int, trace: EventTrace):
         arrived, departed = zip(*trace.departures) if trace.departures else ((), ())
         sojourns = map(float.__sub__, departed, arrived)
-        deps.append(zip(
+        return zip(
             repeat(f"{rep},"), map(repr, arrived), repeat(","), map(repr, departed),
             repeat(","), map(repr, sojourns), repeat("\n"),
-        ))
-        summary.append(_summary_row(scenario, rep, trace))
+        )
+
+    def body(lines) -> Iterator[bytes]:
+        return _chunks(chain.from_iterable(starmap(lines, enumerate(traces))))
+
+    summary = [_summary_row(scenario, rep, trace) for rep, trace in enumerate(traces)]
     pis = (f"pi_{j}" for j in range(1, scenario.params.m + 1))
     write_csvs(out_dir, [
-        ("population.csv", ("time", "replication", "population"), _body(pops)),
-        ("frequencies.csv", ("time", "replication", *pis), _body(freqs)),
+        ("population.csv", ("time", "replication", "population"), body(populations)),
+        ("frequencies.csv", ("time", "replication", *pis), body(frequencies)),
         ("departures.csv", ("replication", "arrival_time", "departure_time", "sojourn"),
-         _body(deps)),
-        ("summary.csv", SUMMARY_HEADER, summary),
+         body(departures)),
+        ("summary.csv", SUMMARY_HEADER, [_rows(summary)]),
     ])
 
 
@@ -452,7 +474,7 @@ def cmd_sweep(
         if not quiet:
             print(f"{parameter}={raw} replication {rep}: done")
     header = ("parameter", "value", *SUMMARY_HEADER, "seed")
-    write_csvs(Path(out_dir), [("sweep.csv", header, rows)])
+    write_csvs(Path(out_dir), [("sweep.csv", header, [_rows(rows)])])
     return EXIT_OK
 
 
@@ -516,15 +538,15 @@ def cmd_oracle(
     audit = text(block(prefix, floats(gen.matrix.row_sums()), b"\n"))
     write_csvs(Path(out_dir), [
         ("generator-audit.csv", ("state_id", "state", "population", "row_sum_residual"),
-         audit + f"lemma-checks,,,{verdict}\n".encode()),
+         [audit, f"lemma-checks,,,{verdict}\n".encode()]),
         ("stationary.csv", ("state_id", "state", "population", "probability"),
-         text(block(prefix, floats(p), b"\n"))),
+         [text(block(prefix, floats(p), b"\n"))]),
         ("drift.csv", ("state_id", "population", "V", "QV", "boundary", "region"),
-         text(block(
+         [text(block(
              ids, b",", populations, b",", floats(drift.values), b",",
              floats(drift.drifts), b",", np.where(drift.boundary, b"true", b"false"), b",",
              np.array(REGION_TAGS, dtype="S")[drift.region_codes], b"\n",
-         ))),
+         ))]),
     ])
     if not quiet:
         print(

@@ -11,8 +11,10 @@ import random
 import signal
 import stat
 import time
+import tracemalloc
 import warnings
 from dataclasses import MISSING, fields, replace
+from itertools import accumulate
 
 import hypothesis.strategies as st
 import numpy as np
@@ -31,6 +33,7 @@ from swarmsim.cli import (
     parse_scenario_dict,
 )
 from swarmsim.engine import (
+    EventTrace,
     InitialCondition,
     Scenario,
     Simulation,
@@ -509,6 +512,35 @@ class TestSimulate:
         assert sorted(p.name for p in out.iterdir()) == ["population.csv", "summary.csv"]
         assert (out / "population.csv").read_text() == "from an earlier run\n"
 
+    def test_fault_while_a_body_streams_exit_4(self, tmp_path, monkeypatch, capsys):
+        # The bodies are spelled as write_csvs writes them.  A frequency
+        # row that its replication's row table lacks, met after the first
+        # chunks of frequencies.csv are written, exits 4 with one stderr
+        # line and leaves --out as it was: no new CSV, no staging directory.
+        cfg = write_config(tmp_path, {"sample_interval": 0.01})  # 2,001 samples each
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "population.csv").write_text("from an earlier run\n")
+        traces, written, write_csv = [], [], cli.write_csv
+
+        def recorded(jobs):
+            traces.extend(run_replications(jobs))
+            return traces
+
+        def planted(path, header, body):
+            written.append(path.name)
+            if path.name == "frequencies.csv":
+                traces[-1].frequencies[-1] = (-1.0,)
+            write_csv(path, header, body)
+
+        monkeypatch.setattr(cli, "run_replications", recorded)
+        monkeypatch.setattr(cli, "write_csv", planted)
+        assert cmd_simulate(str(cfg), str(out), quiet=True) == 4
+        assert capsys.readouterr().err.splitlines() == ["internal error: KeyError: (-1.0,)"]
+        assert written == ["population.csv", "frequencies.csv"]
+        assert os.listdir(out) == ["population.csv"]
+        assert (out / "population.csv").read_text() == "from an earlier run\n"
+
     def test_replications_override(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -863,23 +895,29 @@ CAP, HORIZON = TerminationReason.POPULATION_CAP_HIT, TerminationReason.HORIZON_R
 
 
 @pytest.mark.parametrize(
-    "overrides,terminations",
+    "overrides,terminations,chunks",
     [
         # Three replications at m=2: the first two stop at max_population,
         # after 29 and 25 samples, and the last, the longest, runs to the
         # horizon (81 samples).
         ({"m": 2, "max_population": 11, "rng_seed": 3, "sample_interval": 0.25,
-          "replications": 3}, [CAP, CAP, HORIZON]),
+          "replications": 3}, [CAP, CAP, HORIZON], 1),
         # A one-club at m=10: the club's peers arrived at 0.0.
         ({"m": 10, "initial.kind": "one-club", "initial.n": 6,
-          "policy.kind": "rarest-first", "sample_interval": 0.25}, [HORIZON, HORIZON]),
+          "policy.kind": "rarest-first", "sample_interval": 0.25}, [HORIZON, HORIZON], 1),
+        # Three replications at m=2 of 1,619, 38 and 2,001 samples: four
+        # chunks, whose boundaries fall inside the first and the last
+        # replication; the middle one has no departure.
+        ({"m": 2, "max_population": 12, "rng_seed": 54, "horizon": 100.0,
+          "sample_interval": 0.05, "replications": 3}, [CAP, CAP, HORIZON], 4),
     ],
-    ids=["m2-3reps-cut", "m10-oneclub"],
+    ids=["m2-3reps-cut", "m10-oneclub", "m2-3reps-chunks"],
 )
-def test_simulate_csvs_match_csv_writer(tmp_path, overrides, terminations):
+def test_simulate_csvs_match_csv_writer(tmp_path, overrides, terminations, chunks):
     # simulate spells each time, frequency, frequency row and population
-    # once and joins the pieces; csv.writer over the traces' own values,
-    # one Python object per field, must write the same bytes.
+    # once and streams the pieces in chunks of CHUNK_LINES lines;
+    # csv.writer over the traces' own values, one Python object per field,
+    # must write the same bytes.
     cfg = write_config(tmp_path, overrides)
     assert cmd_simulate(str(cfg), str(tmp_path / "out"), quiet=True) == 0
     scenario, reps = load_scenario_file(cfg)
@@ -890,6 +928,14 @@ def test_simulate_csvs_match_csv_writer(tmp_path, overrides, terminations):
     # lengths, a row that two replications share, equal rows held as
     # distinct tuples, and a departure that arrived at 0.0.
     assert [trace.termination for trace in traces] == terminations
+    lengths = [len(trace.times) for trace in traces]
+    assert -(-sum(lengths) // cli.CHUNK_LINES) == chunks
+    if chunks > 1:
+        # Every chunk boundary falls inside a replication, and one
+        # replication adds no line to departures.csv.
+        ends = set(accumulate(lengths))
+        assert not ends & set(range(cli.CHUNK_LINES, sum(lengths), cli.CHUNK_LINES))
+        assert [] in [trace.departures for trace in traces]
     assert set(traces[0].frequencies) & set(traces[1].frequencies)
     assert any(
         len(set(trace.frequencies)) < len(set(map(id, trace.frequencies))) for trace in traces
@@ -922,6 +968,46 @@ def test_simulate_csvs_match_csv_writer(tmp_path, overrides, terminations):
         assert (tmp_path / "out" / name).read_bytes().decode() == _csv_writer_text(rows), name
 
 
+def _long_trace(samples: int, m: int) -> EventTrace:
+    # A one-club-like trace: the population is near 500 and moves on
+    # about one sample in twenty, and about one sample in five moves one
+    # chunk count, so most samples repeat the row of the sample before.
+    rng = random.Random(5)
+    trace = EventTrace()
+    pop, counts, row = 499, [400] * m, None
+    for k in range(samples):
+        if row is None or rng.random() < 0.2:
+            if rng.random() < 0.25:
+                pop += rng.choice((-1, 1))
+            j = rng.randrange(m)
+            counts[j] = min(pop, max(0, counts[j] + rng.choice((-1, 1))))
+            row = tuple(count / pop for count in counts)
+        trace.times.append(k * 0.05)
+        trace.populations.append(pop)
+        trace.frequencies.append(row)
+    trace.departures = [(k * 0.05, k * 0.05 + 3.0) for k in range(0, samples, 50)]
+    return trace
+
+
+def test_simulate_writer_holds_no_body_whole(tmp_path):
+    # The writer streams each body in chunks.  What it holds for the whole
+    # call is one text per sample time, shared by population.csv and
+    # frequencies.csv, and the texts of each replication's distinct rows
+    # and values; at m=10 that is less than frequencies.csv itself.
+    # Joining the body whole, as str and then as bytes, took about three
+    # times the file.
+    scenario, _ = parse_scenario_dict(edited(BASE_CONFIG, {"m": 10}))
+    traces = [_long_trace(40_000, 10)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli.write_simulation_outputs(tmp_path, scenario, traces)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "frequencies.csv").stat().st_size
+
+
 # sweep.csv of BASE_CONFIG across lambda 1 and 2 (two values, two
 # replications each), recorded while sweep still ran its replications one
 # after another in this process.
@@ -949,7 +1035,7 @@ def test_write_csv_text_per_value_type(tmp_path):
         [1, 2.5, "x", None, True, np.float64(1e16)],
     ]
     path = tmp_path / "types.csv"
-    cli.write_csv(path, ("c1", "c2"), rows)
+    cli.write_csv(path, ("c1", "c2"), [cli._rows(rows)])
     assert path.read_text() == (
         "c1,c2\n"
         "3,-7\n"
@@ -1002,7 +1088,7 @@ def test_write_csv_matches_csv_module(tmp_path, header, rows):
     # The text contract: csv.writer's minimal quoting, over _fmt's text,
     # and csv.reader reads that text back.
     path = tmp_path / "t.csv"
-    cli.write_csv(path, header, rows)
+    cli.write_csv(path, header, [cli._rows(rows)])
     with path.open(newline="") as fh:
         assert fh.read() == _csv_module_text(header, rows)
     with path.open(newline="") as fh:
@@ -1085,7 +1171,7 @@ def test_write_csv_converts_batches_past_the_first(tmp_path):
     # A bool far down a long table is still spelled as _fmt spells it.
     rows = [[i, 0.5] for i in range(5000)] + [[5000, True]]
     path = tmp_path / "long.csv"
-    cli.write_csv(path, ("i", "v"), rows)
+    cli.write_csv(path, ("i", "v"), [cli._rows(rows)])
     lines = path.read_text().splitlines()
     assert lines[1] == "0,0.5" and lines[-1] == "5000,true" and len(lines) == 5002
 
