@@ -59,7 +59,6 @@ from .engine import (
     EventTrace,
     InitialCondition,
     Scenario,
-    derive_seed,
     run,
     run_replications,
 )
@@ -408,9 +407,7 @@ def cmd_simulate(
     scenario, reps = load_scenario_file(config_path)
     if replications is not None:
         reps = _replications(replications)
-    traces = run_replications(
-        (scenario, derive_seed(scenario.rng_seed, rep)) for rep in range(reps)
-    )
+    traces = run_replications(scenario.replication(rep) for rep in range(reps))
     write_simulation_outputs(Path(out_dir), scenario, traces)
     if not quiet:
         for rep, tr in enumerate(traces):
@@ -458,19 +455,16 @@ def cmd_sweep(
     base, reps = load_scenario_file(config_path)
     if replications is not None:
         reps = _replications(replications)
-    cells = [
-        (idx, raw, _apply_sweep_value(base, parameter, raw))
-        for idx, raw in enumerate(values)
-    ]
     runs = [
-        (raw, scenario, rep, derive_seed(scenario.rng_seed, idx, rep))
-        for idx, raw, scenario in cells
+        (raw, rep, scenario.replication(idx, rep))
+        for idx, raw in enumerate(values)
+        for scenario in [_apply_sweep_value(base, parameter, raw)]
         for rep in range(reps)
     ]
-    traces = run_replications((scenario, seed) for _, scenario, _, seed in runs)
+    traces = run_replications(scenario for *_, scenario in runs)
     rows = []
-    for (raw, scenario, rep, seed), trace in zip(runs, traces):
-        rows.append([parameter, raw, *_summary_row(scenario, rep, trace), seed])
+    for (raw, rep, scenario), trace in zip(runs, traces):
+        rows.append([parameter, raw, *_summary_row(scenario, rep, trace), scenario.rng_seed])
         if not quiet:
             print(f"{parameter}={raw} replication {rep}: done")
     header = ("parameter", "value", *SUMMARY_HEADER, "seed")

@@ -67,14 +67,14 @@ branch, unrolled into three rejection draws; from 3 or fewer they are
 every peer.
 
 Replications are independent, so :func:`run_replications` runs a list of
-``(scenario, seed)`` jobs in parallel.  It forks one worker process per
-CPU this process may use, and no more than there are jobs; fork, not
-spawn, so that the workers start with the package already loaded.  A
-worker runs one job at a time, sends its trace back through a pipe and
-is handed the next job, and the traces are put back in job order.
+scenarios (:meth:`Scenario.replication` seeds each) in parallel.  It forks
+one worker process per CPU this process may use, and no more than there
+are scenarios; fork, not spawn, so that the workers start with the
+package already loaded.  A worker runs one at a time, sends its trace back
+through a pipe and is handed the next; the traces return in list order.
 Nothing a run draws depends on where it runs, so the traces are the same
 on any number of workers.  The workers live for one call: they exit when
-no job is left and are killed if the call ends in an exception.
+no scenario is left and are killed if the call ends in an exception.
 ``multiprocessing`` is imported only then, not with this module.
 """
 
@@ -84,7 +84,7 @@ import os
 import random
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import inf, log
 from itertools import islice
@@ -178,6 +178,10 @@ class Scenario:
             return self.max_population
         return 10 * self.initial.n + 5000
 
+    def replication(self, *indices: int) -> "Scenario":
+        """Replication ``indices``: this scenario on ``derive_seed(rng_seed, *indices)``."""
+        return replace(self, rng_seed=derive_seed(self.rng_seed, *indices))
+
 
 @dataclass
 class EventTrace:
@@ -266,11 +270,11 @@ class Simulation:
     reads the state afresh each call.
     """
 
-    def __init__(self, scenario: Scenario, seed: Optional[int] = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.m = scenario.params.m
         self.full = full_mask(self.m)
-        self.rng = random.Random(scenario.rng_seed if seed is None else seed)
+        self.rng = random.Random(scenario.rng_seed)
         profiles = scenario.initial.profiles(self.m)
         self.state = SwarmState.from_profiles(self.m, profiles)
         self.peers: List[int] = list(profiles)
@@ -559,54 +563,50 @@ class Simulation:
         assert state.population == expected, "population conservation violated"
 
 
-# A replication: a scenario and its seed (None: the scenario's rng_seed).
-Job = Tuple[Scenario, Optional[int]]
-
-
-def run(scenario: Scenario, seed: Optional[int] = None) -> EventTrace:
+def run(scenario: Scenario) -> EventTrace:
     """Run one scenario to its horizon (or population cap)."""
-    return Simulation(scenario, seed=seed).run()
+    return Simulation(scenario).run()
 
 
-def _serve(jobs: Sequence[Job], conn) -> None:
-    """A worker's loop: run the job whose index arrives on ``conn`` and
+def _serve(scenarios: Sequence[Scenario], conn) -> None:
+    """A worker's loop: run the scenario whose index arrives on ``conn`` and
     send back its trace, or the exception it raised, until None arrives."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     for index in iter(conn.recv, None):
         try:
-            reply = run(*jobs[index])
+            reply = run(scenarios[index])
         except Exception as exc:
             reply = exc
         conn.send(reply)
 
 
-def run_replications(jobs: Iterable[Job]) -> List[EventTrace]:
-    """Run each ``(scenario, seed)`` job as :func:`run` does and return
-    the traces in job order, the jobs spread over forked workers (see the
-    module docstring).  With one job, one usable CPU, no ``fork``, or a
-    second thread running (fork is unsafe then), the jobs run here, one
-    after another.  A job's exception is raised again here; a worker that
-    dies raises ``RuntimeError``.  On any exception here, an interrupt
+def run_replications(scenarios: Iterable[Scenario]) -> List[EventTrace]:
+    """Run each scenario as :func:`run` does and return the traces in
+    list order, the runs spread over forked workers (see the module
+    docstring).  With one scenario, one usable CPU, no ``fork``, or a
+    second thread running (fork is unsafe then), they run here, one after
+    another.  A run's exception is raised again here; a worker that dies
+    raises ``RuntimeError``.  On any exception here, an interrupt
     included, the workers are killed before it propagates.
     """
-    jobs = list(jobs)
+    scenarios = list(scenarios)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    n_workers = min(len(jobs), len(cpus))
+    n_workers = min(len(scenarios), len(cpus))
     if n_workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [run(scenario, seed) for scenario, seed in jobs]
+        return list(map(run, scenarios))
 
     import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    traces: List[Optional[EventTrace]] = [None] * len(jobs)
-    pending = iter(range(len(jobs)))
+    traces: List[Optional[EventTrace]] = [None] * len(scenarios)
+    pending = iter(range(len(scenarios)))
     workers = []
-    running = {}  # connection -> index of the job its worker runs
+    running = {}  # connection -> index of the scenario its worker runs
     try:
         for index in islice(pending, n_workers):
             conn, child = ctx.Pipe()
-            proc = ctx.Process(target=_serve, args=(jobs, child), daemon=True)
+            proc = ctx.Process(target=_serve, args=(scenarios, child), daemon=True)
             proc.start()
             workers.append((proc, conn))
             child.close()  # the worker holds the only copy, so its death reads as EOF
@@ -623,7 +623,7 @@ def run_replications(jobs: Iterable[Job]) -> List[EventTrace]:
                     raise reply
                 traces[index] = reply
                 index = next(pending, None)
-                conn.send(index)  # None: no job left, so the worker exits
+                conn.send(index)  # None: no scenario left, so the worker exits
                 if index is not None:
                     running[conn] = index
     except BaseException:

@@ -711,8 +711,13 @@ def drift_report(gen: GeneratorMatrix, lp: LyapunovParams) -> DriftReport:
 
     The drift of state ``i`` is ``sum_j Q[i, j] (V_j - V_i)`` over the
     stored entries of row ``i``, accumulated entry by entry in row order.
+    Constants that :meth:`LyapunovParams.validate` rejects for
+    ``gen.params``, or made for another threshold, raise ``ValueError``.
     """
     import numpy as np
+    if lp.threshold != gen.threshold:
+        raise ValueError("the constants' threshold must be the generator's")
+    lp.validate(gen.params)
     v = _lyapunov(gen, lp)
     rows, cols = gen.matrix.rows(), gen.matrix.indices
     # float64 even with no transition, where bincount would return int64.

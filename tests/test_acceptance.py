@@ -40,7 +40,6 @@ from swarmsim.engine import (
     Scenario,
     Simulation,
     TerminationReason,
-    derive_seed,
     run_replications,
 )
 from swarmsim.metrics import sojourn_stats, stabilization_time
@@ -73,7 +72,7 @@ def batch(m, lam, policy, initial, horizon, seed, reps, **kw):
         rng_seed=seed,
         **kw,
     )
-    return run_replications((scenario, derive_seed(seed, rep)) for rep in range(reps))
+    return run_replications(scenario.replication(rep) for rep in range(reps))
 
 
 @pytest.fixture(scope="module")

@@ -245,6 +245,30 @@ class TestParsing:
         with pytest.raises(ConfigError, match="JSON"):
             load_scenario_file(bad)
 
+    def test_int_for_float_key_is_the_float(self, tmp_path):
+        # A JSON int for a float key is read as that float, so the run
+        # writes the bytes of the same document with floats.
+        as_ints = parse_scenario_dict({**BASE_CONFIG, "lambda": 2, "horizon": 50})
+        as_floats = parse_scenario_dict({**BASE_CONFIG, "lambda": 2.0, "horizon": 50.0})
+        assert as_ints == as_floats
+        scenario = as_ints[0]
+        assert type(scenario.params.arrival_rate) is float and type(scenario.horizon) is float
+        outputs = []
+        for name, (lam, horizon) in {"ints": (2, 50), "floats": (2.0, 50.0)}.items():
+            (tmp_path / name).mkdir()
+            cfg = write_config(tmp_path / name, {"lambda": lam, "horizon": horizon})
+            assert f'"lambda": {lam}, ' in cfg.read_text()
+            assert cmd_simulate(str(cfg), str(tmp_path / name / "out"), quiet=True) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name / "out").iterdir()})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 4
+
+    def test_top_level_array_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps([BASE_CONFIG]))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: (file): top level must be a JSON object\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_non_utf8_file_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "utf16.json"
         cfg.write_bytes(b"\xff\xfe" + json.dumps(BASE_CONFIG).encode("utf-16-le"))
@@ -557,13 +581,19 @@ class TestSweep:
         cfg = write_config(tmp_path)
         assert cmd_sweep(str(cfg), "alpha", ["1"], str(tmp_path / "out")) == 2
 
-    def test_rows_per_value_and_replication(self, tmp_path):
+    def test_rows_per_value_and_replication(self, tmp_path, capsys):
+        # Without --quiet, one line per row is printed, in row order.
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        assert cmd_sweep(str(cfg), "T", ["1", "2"], str(out), quiet=True) == 0
+        assert cmd_sweep(str(cfg), "T", ["1", "2"], str(out)) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("parameter,value,replication")
         assert len(lines) == 1 + 2 * 2  # 2 values x 2 replications
+        rows = [line.split(",")[:3] for line in lines[1:]]
+        assert rows == [["T", "1", "0"], ["T", "1", "1"], ["T", "2", "0"], ["T", "2", "1"]]
+        assert capsys.readouterr().out.splitlines() == [
+            f"T={value} replication {rep}: done" for _, value, rep in rows
+        ]
 
     def test_policy_kind_sweep(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -921,9 +951,7 @@ def test_simulate_csvs_match_csv_writer(tmp_path, overrides, terminations, chunk
     cfg = write_config(tmp_path, overrides)
     assert cmd_simulate(str(cfg), str(tmp_path / "out"), quiet=True) == 0
     scenario, reps = load_scenario_file(cfg)
-    traces = run_replications(
-        (scenario, derive_seed(scenario.rng_seed, rep)) for rep in range(reps)
-    )
+    traces = run_replications(scenario.replication(rep) for rep in range(reps))
     # The cases the writer's tables fold: replications of different
     # lengths, a row that two replications share, equal rows held as
     # distinct tuples, and a departure that arrived at 0.0.
@@ -1191,15 +1219,15 @@ _LOADED = (
 
 def test_simulate_and_sweep_leave_scipy_unloaded(tmp_path):
     # Only the oracle loads numpy, and nothing loads scipy.  The sweep's
-    # two jobs run in forked workers, which check after each job.
+    # two replications run in forked workers, which check after each run.
     cfg = write_config(tmp_path, replications=1)
     code = _LOADED + f"""
 import os
 from swarmsim import cli, engine
 print(loaded("numpy", "scipy"))
 run = engine.run
-def checked(*job):
-    trace = run(*job)
+def checked(scenario):
+    trace = run(scenario)
     assert not loaded("numpy", "scipy"), loaded("numpy", "scipy")
     return trace
 engine.run = checked

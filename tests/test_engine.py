@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,14 +97,14 @@ def test_deterministic_replay():
 
 def test_replications_derive_distinct_seeds():
     sc = scenario(horizon=20.0)
-    traces = run_replications((sc, derive_seed(sc.rng_seed, rep)) for rep in range(3))
+    traces = run_replications(sc.replication(rep) for rep in range(3))
     assert traces[0].departures != traces[1].departures
-    # replication i is exactly run() with the derived seed
-    again = run(sc, seed=derive_seed(sc.rng_seed, 1))
+    # replication i is exactly run() on the scenario with the derived seed
+    again = run(replace(sc, rng_seed=derive_seed(sc.rng_seed, 1)))
     assert traces[1].departures == again.departures
     assert traces[1].populations == again.populations
     # re-deriving the same index gives the identical trace
-    assert run(sc, seed=derive_seed(sc.rng_seed, 1)).departures == again.departures
+    assert run(sc.replication(1)).departures == again.departures
 
 
 def test_seed_derivation_no_collisions():

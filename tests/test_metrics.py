@@ -96,6 +96,10 @@ class TestStabilization:
         if times[0] is not None:
             assert all(t is not None for t in times)
 
+    def test_negative_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            stabilization_time(trace_with(times=(0.0,), frequencies=[(0.5, 0.5)]), -0.01)
+
     def test_gap(self):
         assert frequency_gap((0.2, 0.9, 0.5)) == pytest.approx(0.7)
 

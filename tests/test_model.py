@@ -128,6 +128,29 @@ class TestAllowableSet:
         assert _ms_allowable([2, 3], [2], (5, 3, 3)) == mask_of([3])
 
 
+@pytest.mark.parametrize(
+    "m, counts, match",
+    [
+        (1, None, "m must be"),
+        (65, None, "m must be"),
+        (3, {0b001: -1}, "counts must be >= 0"),
+        (3, {0b111: 1}, "proper subset"),
+        (3, {-1: 1}, "proper subset"),
+    ],
+    ids=["m-below-2", "m-above-max", "negative-count", "full-profile", "negative-profile"],
+)
+def test_swarm_state_rejects_bad_input(m, counts, match):
+    with pytest.raises(ValueError, match=match):
+        SwarmState(m, counts)
+
+
+def test_swarm_state_repr():
+    # Profiles in mask order, each as its set of chunks; chunkless as {}.
+    state = SwarmState(3, {0b101: 2, 0: 1, 0b010: 4})
+    assert repr(state) == "SwarmState(m=3, {{}: 1, {2}: 4, {1, 3}: 2})"
+    assert repr(SwarmState(2)) == "SwarmState(m=2, {})"
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(m=1, arrival_rate=1.0)

@@ -80,6 +80,11 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="guard"):
             TruncationSpec(m=5, cap=100)
 
+    @pytest.mark.parametrize("m,cap,match", [(1, 3, "m must be"), (2, -1, "cap must be")])
+    def test_spec_guards(self, m, cap, match):
+        with pytest.raises(ValueError, match=match):
+            TruncationSpec(m, cap)
+
     @pytest.mark.parametrize("m,cap", [(19, 1), (64, 0)])
     def test_count_array_guard(self, m, cap):
         # Few states, but each a row of 2^m - 1 counts; only the spec is
@@ -97,6 +102,10 @@ class TestGenerator:
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="threshold"):
             build_generator_ms(TruncationSpec(2, 2), PARAMS2, 0)
+
+    def test_params_m_must_match_spec(self):
+        with pytest.raises(ValueError, match="params.m"):
+            build_generator_ms(TruncationSpec(3, 2), PARAMS2, 1)
 
     def test_hand_computed_rate(self):
         # x = {(1): 2, (2): 1}: a {1}-peer finishing via chunk 2 has rate
@@ -513,6 +522,36 @@ class TestLyapunov:
             LyapunovParams(c1=1.0, c2=40.0, m_const=10.0, epsilon=0.5, threshold=1).validate(PARAMS2)
         with pytest.raises(ValueError):
             LyapunovParams(c1=2.0, c2=1.0, m_const=10.0, epsilon=0.5, threshold=1).validate(PARAMS2)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"epsilon": 0.0}, "epsilon must be > 0"),
+            ({"epsilon": -0.5}, "epsilon must be > 0"),
+            ({"threshold": 0}, "threshold must be >= 1"),
+            ({"m_const": 0.0}, "m_const must be > 0"),
+            ({"m_const": -1.0}, "m_const must be > 0"),
+        ],
+    )
+    def test_validate_rejects_out_of_range(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            replace(LP, **change).validate(PARAMS2)
+
+    @pytest.mark.parametrize(
+        "params, threshold, match",
+        [
+            # c1 = 2.0 suits T=1; the chain at T=5 asks c1 > 9.
+            (PARAMS2, 5, "the generator's"),
+            # c2 = 20.0 suits lambda=1; lambda=50 asks c2 >= 804.
+            (ModelParams(m=2, arrival_rate=50.0), 1, "c2"),
+        ],
+        ids=["other-threshold", "other-lambda"],
+    )
+    def test_drift_report_rejects_constants_of_another_chain(self, params, threshold, match):
+        gen = build_generator_ms(TruncationSpec(2, 6), params, threshold)
+        lp = LyapunovParams.compliant(PARAMS2, 1, m_const=12.0)
+        with pytest.raises(ValueError, match=match):
+            drift_report(gen, lp)
 
     def test_compliant_constructor(self):
         lp = LyapunovParams.compliant(PARAMS2, threshold=1, m_const=16.0)
